@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet test test-race chaos chaos-serve obs bench bench-sim bench-train bench-json bench-serve bench-topo fuzz-scen ci
+.PHONY: all build vet test test-race chaos chaos-serve obs bench bench-micro fuzz-scen ci
 
 all: build vet test
 
@@ -14,9 +14,9 @@ test:
 	$(GO) test ./...
 
 # Race detector over the concurrency-bearing packages: the shard-parallel
-# public API (root + transport), the serving engine's coalescing shards,
-# the parallel collectors/schedulers, the data-parallel PPO update +
-# pipelined trainer, and the sharded topology simulator's round barrier.
+# public API (root + transport), the serving engine's batching shards,
+# the parallel collectors/schedulers, the data-parallel PPO update, and
+# the sharded topology simulator's round barrier.
 test-race:
 	$(GO) test -race . ./transport ./internal/faults ./internal/rl ./internal/core ./internal/pantheon ./internal/serve ./internal/topo ./internal/obs
 
@@ -53,57 +53,21 @@ obs:
 	$(GO) test -count=1 ./internal/obs
 	$(GO) test -count=1 -run 'TestObs|TestLibraryHealthz|TestHandler' .
 
-# Micro-benchmarks for the NN/PPO hot path (run with -count for stability).
+# The repository benchmark (bench/, manifest BENCHMARK.json): one process
+# per workload, ~25 s each, the last output line is the JSON result.
 bench:
-	$(GO) test -run '^$$' -bench . -benchmem ./internal/nn ./internal/rl
+	for w in serve-fleet serve-sparse train-adapt sim-onelink sim-topo; do \
+		$(GO) run ./bench -workload $$w || exit 1; \
+	done
 
-# Simulator benchmarks: netsim packet-train engine vs the per-packet
-# reference (pkts/s + allocs), and the pantheon scenario scheduler's
-# serial-vs-parallel sweep wall-clock.
-bench-sim:
+# Go micro-benchmarks for measuring while working on one layer: NN/PPO hot
+# path and the training loop serial vs data-parallel (nn, rl, core), the
+# netsim packet-train engine vs its per-packet reference, and the pantheon
+# sweep scheduler (run with -count for stability).
+bench-micro:
+	$(GO) test -run '^$$' -bench . -benchmem ./internal/nn ./internal/rl ./internal/core
 	$(GO) test -run '^$$' -bench 'Engine' -benchmem ./internal/netsim
 	$(GO) test -run '^$$' -bench 'RunSweep' -benchmem ./internal/pantheon
-
-# Training-loop benchmarks: serial vs data-parallel vs pipelined wall-clock
-# (core) and the PPO update engine at several worker counts (rl).
-bench-train:
-	$(GO) test -run '^$$' -bench 'PPOUpdate|OfflineTrain' -benchmem ./internal/rl ./internal/core
-
-# Perf trajectory snapshot: run the training/nn/netsim benchmarks and record
-# every metric (ns/op, allocs/op, steps/s, pkts/s, ...) in BENCH_train.json
-# so speedups and regressions are tracked in-repo PR over PR. The raw output
-# goes through a temp file (not a pipe) so a failing benchmark run aborts
-# before BENCH_train.json is overwritten with partial data.
-bench-json:
-	$(GO) test -run '^$$' -bench . -benchmem ./internal/nn ./internal/rl ./internal/core ./internal/netsim > bench.out.tmp
-	$(GO) run ./cmd/benchjson -out BENCH_train.json < bench.out.tmp
-	rm -f bench.out.tmp
-
-# Serving-engine snapshot: the coalesced batched-inference path vs the
-# per-call single-sample baseline at 64 and 10000 concurrent apps, plus the
-# overload-shedding path (2x in-flight demand against a bounded queue:
-# shed fraction and p99 decision latency) and the observability tax
-# (ObsOverhead enabled-vs-disabled, pinned at 0 allocs and <5% ns/report),
-# recorded to BENCH_serve.json
-# (ns/report + reports/s + shed/report + p99-ns in the same snapshot). Fixed
-# iteration count for run-to-run comparability; five repeats folded to
-# per-metric medians so one hypervisor steal spike cannot skew a committed
-# number; same temp-file guard as bench-json so a failing run never
-# truncates the committed snapshot.
-bench-serve:
-	$(GO) test -run '^$$' -bench 'ServeReport|ObsOverhead' -benchmem -benchtime 150x -count 5 . > bench-serve.out.tmp
-	$(GO) run ./cmd/benchjson -agg median -out BENCH_serve.json < bench-serve.out.tmp
-	rm -f bench-serve.out.tmp
-
-# Topology-engine snapshot: the 10k-flow two-tier incast (serial vs sharded
-# workers) and steady-state multi-hop forwarding on the parking-lot chain
-# (engine vs per-packet reference), recorded to BENCH_topo.json. Five
-# repeats folded to per-metric medians and the same temp-file guard as
-# bench-json so a failing run never truncates the committed snapshot.
-bench-topo:
-	$(GO) test -run '^$$' -bench 'Topo' -benchmem -count 5 ./internal/topo > bench-topo.out.tmp
-	$(GO) run ./cmd/benchjson -agg median -out BENCH_topo.json < bench-topo.out.tmp
-	rm -f bench-topo.out.tmp
 
 # Differential fuzz smoke: 25 generator-seeded scenarios replayed through
 # both netsim engines (packet-train vs per-packet reference), then 25 more

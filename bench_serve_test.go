@@ -1,8 +1,8 @@
 // Serving-engine benchmarks: the coalesced batched-inference path
 // (WithServing) against the per-call single-sample path on the same
-// workload, at small and fleet-scale app counts. `make bench-serve`
-// snapshots both into BENCH_serve.json so the batched/single-sample ratio
-// is tracked in-repo PR over PR.
+// workload, at small and fleet-scale app counts. For measuring while
+// working on the engine; `go run ./bench -workload serve-fleet` is the
+// end-to-end number.
 package mocc_test
 
 import (
@@ -148,9 +148,9 @@ func BenchmarkServeReportSingleSample(b *testing.B) {
 // BenchmarkObsOverhead pins the observability tax on the serving hot path:
 // the identical fleet workload through the batched engine with full
 // observability attached (lock-free counters, latency histogram, event
-// log, per-app flight recorders) versus with it disabled. The bar, checked
-// against BENCH_serve.json PR over PR: 0 allocs/report in both modes and
-// under 5% ns/report regression when enabled.
+// log, per-app flight recorders) versus with it disabled. The bar: 0
+// allocs/report in both modes and under 5% ns/report regression when
+// enabled.
 func BenchmarkObsOverhead(b *testing.B) {
 	modes := []struct {
 		name string
@@ -180,7 +180,7 @@ func BenchmarkObsOverhead(b *testing.B) {
 // Beyond the usual ns/report it records the shed fraction and the p99
 // end-to-end decision latency — the resilience claim is that overload
 // degrades to bounded-latency NaN answers ("keep your rate"), never to an
-// unbounded queue. `make bench-serve` commits both into BENCH_serve.json.
+// unbounded queue.
 func BenchmarkServeReportOverload(b *testing.B) {
 	lib, err := mocc.New(servingModel(b), mocc.WithServing(mocc.ServingOptions{
 		Shards:   1,

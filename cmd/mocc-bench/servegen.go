@@ -98,15 +98,23 @@ func randomPref(rng *rand.Rand) mocc.Weights {
 
 // syntheticStatus fabricates one plausible monitor interval: a 40ms window
 // with mild jitter in delivery and loss, enough to exercise the history and
-// keep decisions flowing.
+// keep decisions flowing. Counts are whole packets and acked is derived as
+// sent − lost, so Acked+Lost ≤ Sent holds exactly; fractional float counts
+// violate it by one ulp in ~0.1 % of draws, and the daemon refuses those.
 func syntheticStatus(rng *rand.Rand) mocc.Status {
-	sent := 40 + rng.Float64()*20
-	lost := sent * 0.01 * rng.Float64()
+	sent := 40 + rng.Intn(21)
+	lost := 0
+	switch p := rng.Intn(100); {
+	case p < 3:
+		lost = 2
+	case p < 23:
+		lost = 1
+	}
 	return mocc.Status{
 		Duration:     40 * time.Millisecond,
-		PacketsSent:  sent,
-		PacketsAcked: sent - lost,
-		PacketsLost:  lost,
+		PacketsSent:  float64(sent),
+		PacketsAcked: float64(sent - lost),
+		PacketsLost:  float64(lost),
 		AvgRTT:       time.Duration(40+rng.Float64()*15) * time.Millisecond,
 		MinRTT:       40 * time.Millisecond,
 	}

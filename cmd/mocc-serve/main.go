@@ -63,7 +63,6 @@ func main() {
 		seed        = flag.Int64("seed", 1, "in-process training seed")
 		shards      = flag.Int("shards", 0, "serving shards (0 = GOMAXPROCS)")
 		maxBatch    = flag.Int("max-batch", 0, "max coalesced decisions per forward pass (0 = default 64)")
-		flush       = flag.Duration("flush", 0, "micro-batch flush deadline (0 = default 200µs)")
 		maxQueue    = flag.Int("max-queue", 0, "per-shard queue bound, shed beyond it (0 = default 4096, negative = unbounded)")
 		deadline    = flag.Duration("deadline", 25*time.Millisecond, "shed decisions queued longer than this (0 disables)")
 		idleTTL     = flag.Duration("idle-ttl", time.Minute, "evict flows idle this long (0 disables)")
@@ -84,12 +83,11 @@ func main() {
 		addr:        *addr,
 		metricsAddr: *metricsAddr,
 		opts: mocc.ServingOptions{
-			Shards:        *shards,
-			MaxBatch:      *maxBatch,
-			FlushInterval: *flush,
-			MaxQueue:      *maxQueue,
-			Deadline:      *deadline,
-			IdleTTL:       *idleTTL,
+			Shards:   *shards,
+			MaxBatch: *maxBatch,
+			MaxQueue: *maxQueue,
+			Deadline: *deadline,
+			IdleTTL:  *idleTTL,
 		},
 		statePath: *statePath,
 		modelPath: *modelPath,

@@ -6,7 +6,7 @@
 //
 //	mocc-train -scale quick -out model.json
 //	mocc-train -scale full -omega 36 -seed 7 -out mocc-full.json
-//	mocc-train -scale standard -workers 8 -pipeline -out model.json
+//	mocc-train -scale standard -workers 8 -out model.json
 //	mocc-train -scale full -metrics-addr :9091 -out model.json
 //
 // With -metrics-addr, a long run can be watched live over HTTP: /metrics
@@ -31,14 +31,13 @@ func main() {
 	log.SetPrefix("mocc-train: ")
 
 	var (
-		scale    = flag.String("scale", "quick", "training scale: quick | standard | full")
-		omega    = flag.Int("omega", 0, "override landmark objective count (0 = scale default)")
-		seed     = flag.Int64("seed", 1, "training seed")
-		workers  = flag.Int("workers", 0, "parallel collection + PPO update workers (0 = scale default)")
-		pipeline = flag.Bool("pipeline", false, "overlap rollout collection with PPO updates")
-		out      = flag.String("out", "mocc-model.json", "output model path")
-		quiet    = flag.Bool("quiet", false, "suppress progress output")
-		metrics  = flag.String("metrics-addr", "", "HTTP observability address serving /metrics, /vars and /debug/pprof for the live run (empty disables)")
+		scale   = flag.String("scale", "quick", "training scale: quick | standard | full")
+		omega   = flag.Int("omega", 0, "override landmark objective count (0 = scale default)")
+		seed    = flag.Int64("seed", 1, "training seed")
+		workers = flag.Int("workers", 0, "parallel collection + PPO update workers (0 = scale default)")
+		out     = flag.String("out", "mocc-model.json", "output model path")
+		quiet   = flag.Bool("quiet", false, "suppress progress output")
+		metrics = flag.String("metrics-addr", "", "HTTP observability address serving /metrics, /vars and /debug/pprof for the live run (empty disables)")
 	)
 	flag.Parse()
 
@@ -65,7 +64,6 @@ func main() {
 	if *workers > 0 {
 		opts.Workers = *workers
 	}
-	opts.Pipelined = *pipeline
 	opts.Seed = *seed
 	if !*quiet {
 		opts.Progress = func(line string) { log.Print(line) }
@@ -95,8 +93,8 @@ func main() {
 	fmt.Fprintf(os.Stdout, "trained omega=%d seed=%d in %s -> %s\n",
 		opts.Omega, opts.Seed, trainTime.Round(time.Millisecond), *out)
 	fmt.Fprintf(os.Stdout,
-		"throughput: %d iters, %d env steps in %s (%.1f iters/s, %.0f steps/s) workers=%d pipeline=%v\n",
+		"throughput: %d iters, %d env steps in %s (%.1f iters/s, %.0f steps/s) workers=%d\n",
 		stats.TotalIters(), stats.EnvSteps, trainTime.Round(time.Millisecond),
 		float64(stats.TotalIters())/secs, float64(stats.EnvSteps)/secs,
-		opts.Workers, opts.Pipelined)
+		opts.Workers)
 }

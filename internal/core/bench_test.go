@@ -9,9 +9,9 @@ import (
 )
 
 // benchTrainConfig is a QuickTraining-shaped schedule shrunk to benchmark
-// scale: enough iterations that the pipeline fills and the update engine
-// reaches steady state, small enough to run under -benchtime defaults.
-func benchTrainConfig(workers int, pipelined bool) TrainConfig {
+// scale: enough iterations that the update engine reaches steady state,
+// small enough to run under -benchtime defaults.
+func benchTrainConfig(workers int) TrainConfig {
 	ppo := rl.DefaultPPOConfig()
 	ppo.EntropyInit = 0.03
 	ppo.EntropyFinal = 0.002
@@ -25,7 +25,6 @@ func benchTrainConfig(workers int, pipelined bool) TrainConfig {
 		RolloutSteps:    256,
 		EpisodeLen:      64,
 		Workers:         workers,
-		Pipelined:       pipelined,
 		Seed:            1,
 		PPO:             ppo,
 		Envs:            batchTestFactory,
@@ -33,27 +32,24 @@ func benchTrainConfig(workers int, pipelined bool) TrainConfig {
 }
 
 // BenchmarkOfflineTrain measures whole training-loop wall-clock (collection
-// + PPO update) across the parallelism matrix: serial baseline, W=4
-// data-parallel collection+update, and the same with the pipelined
-// collect/update overlap. The ≥2x target needs a ≥4-core machine; on a
-// 1-core container the variants must stay flat against serial. steps/s is
+// + PPO update) serial and with W=4 data-parallel collection+update. The
+// ≥2x target needs a ≥4-core machine; on a 1-core container W=4 must stay
+// flat against serial. steps/s is
 // the environment-step throughput (the figure training sweeps are gated on).
 func BenchmarkOfflineTrain(b *testing.B) {
 	cases := []struct {
-		name      string
-		workers   int
-		pipelined bool
+		name    string
+		workers int
 	}{
-		{"serial", 1, false},
-		{"w4", 4, false},
-		{"w4-pipelined", 4, true},
+		{"serial", 1},
+		{"w4", 4},
 	}
 	for _, c := range cases {
 		b.Run(c.name, func(b *testing.B) {
 			b.ReportAllocs()
 			var iters int
 			for i := 0; i < b.N; i++ {
-				cfg := benchTrainConfig(c.workers, c.pipelined)
+				cfg := benchTrainConfig(c.workers)
 				m := NewModel(4, 1)
 				tr, err := NewOfflineTrainer(m, cfg)
 				if err != nil {
@@ -65,7 +61,7 @@ func BenchmarkOfflineTrain(b *testing.B) {
 				}
 				iters = res.TotalIters()
 			}
-			steps := float64(iters) * float64(benchTrainConfig(1, false).RolloutSteps)
+			steps := float64(iters) * float64(benchTrainConfig(1).RolloutSteps)
 			b.ReportMetric(steps*float64(b.N)/b.Elapsed().Seconds(), "steps/s")
 			b.ReportMetric(float64(iters)*float64(b.N)/b.Elapsed().Seconds(), "iters/s")
 		})

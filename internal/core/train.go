@@ -41,16 +41,6 @@ type TrainConfig struct {
 	// steps never exceed the budget regardless of worker count. Training is
 	// deterministic for a fixed seed and worker count.
 	Workers int
-	// Pipelined overlaps the collection of iteration k+1's rollouts with
-	// the PPO update of iteration k: the collector replicas are synced from
-	// the pre-update parameter snapshot (exactly how the paper's async
-	// Ray/RLlib workers run one model version behind the learner, §5) and
-	// the two rollout buffers alternate. Off (the default) keeps the
-	// strictly serial collect-then-update loop, byte-identical to the
-	// non-pipelined trainer. Pipelined training remains deterministic for a
-	// fixed seed and worker count but follows a different trajectory than
-	// the serial schedule (rollouts are one update stale).
-	Pipelined bool
 	// Seed drives all environment sampling and action noise.
 	Seed int64
 	// PPO carries the optimizer hyperparameters. PPO.Workers = 0 inherits
@@ -139,8 +129,7 @@ type OfflineTrainer struct {
 	ppo       *rl.PPO
 	collector *rl.ParallelCollector
 	seedCtr   int64
-	envSteps  int  // transitions collected across all iterations
-	noOverlap bool // tests: run the pipelined schedule without concurrency
+	envSteps  int // transitions collected across all iterations
 	met       trainMetrics
 }
 
@@ -171,10 +160,7 @@ func NewOfflineTrainer(model *Model, cfg TrainConfig) (*OfflineTrainer, error) {
 		seedCtr: cfg.Seed,
 		met:     newTrainMetrics(cfg.Metrics),
 	}
-	// Pipelined training needs collector replicas even at one worker: the
-	// master is mid-update while the next rollouts are collected, so the
-	// collection must run on a parameter snapshot.
-	if cfg.Workers > 1 || cfg.Pipelined {
+	if cfg.Workers > 1 {
 		hl := model.HistoryLen
 		t.collector = rl.NewParallelCollector(cfg.Workers, func() rl.ActorCritic {
 			return NewModel(hl, 0)
@@ -268,16 +254,14 @@ func (t *OfflineTrainer) progress(format string, args ...any) {
 	}
 }
 
-// planStep is one PPO iteration of the two-phase schedule.
-type planStep struct {
-	w          objective.Weights
-	bootstrap  bool     // phase attribution for the OfflineResult counters
-	milestones []string // progress lines emitted after this iteration completes
-}
-
-// record appends the iteration's curve point and bumps the phase counter.
-func (t *OfflineTrainer) record(res *OfflineResult, s planStep, reward float64) {
-	if s.bootstrap {
+// runIteration runs one PPO iteration of the two-phase schedule on
+// objective w, appends its curve point and bumps the phase counter.
+func (t *OfflineTrainer) runIteration(res *OfflineResult, w objective.Weights, bootstrap bool) error {
+	reward, err := t.Iterate(w)
+	if err != nil {
+		return err
+	}
+	if bootstrap {
 		res.BootstrapIters++
 	} else {
 		res.TraverseIters++
@@ -285,31 +269,14 @@ func (t *OfflineTrainer) record(res *OfflineResult, s planStep, reward float64) 
 	t.met.iterations.Add(1)
 	t.met.reward.Set(reward)
 	res.Curve = append(res.Curve, CurvePoint{
-		Iteration: len(res.Curve), Objective: s.w, Reward: reward,
+		Iteration: len(res.Curve), Objective: w, Reward: reward,
 	})
-	for _, m := range s.milestones {
-		t.progress("%s", m)
-	}
-}
-
-// addMilestone attaches a cycle-completion line to the last step of plan, so
-// it is emitted once that iteration's update finishes. A cycle that
-// contributed no steps still reports: its line rides on the previous step,
-// or — when the plan is empty so far — is emitted immediately (no iterations
-// precede it, so ordering is preserved either way).
-func (t *OfflineTrainer) addMilestone(plan []planStep, msg string) {
-	if len(plan) == 0 {
-		t.progress("%s", msg)
-		return
-	}
-	last := &plan[len(plan)-1]
-	last.milestones = append(last.milestones, msg)
+	return nil
 }
 
 // Run executes the full two-phase schedule: bootstrapping over the three
 // pivot objectives, then fast traversing of the ω landmarks in the
-// Appendix B neighbourhood order. With Cfg.Pipelined the iterations of each
-// phase run through the overlapped collect/update loop.
+// Appendix B neighbourhood order.
 func (t *OfflineTrainer) Run() (*OfflineResult, error) {
 	step := objective.StepForOmega(t.Cfg.Omega)
 	landmarks := objective.Landmarks(step)
@@ -329,111 +296,35 @@ func (t *OfflineTrainer) Run() (*OfflineResult, error) {
 	// so the base model improves on all of them in balance.
 	t.progress("bootstrap: %d cycles x %d objectives x %d iters",
 		t.Cfg.BootstrapCycles, len(bootstraps), t.Cfg.BootstrapIters)
-	var boot []planStep
 	for cycle := 0; cycle < t.Cfg.BootstrapCycles; cycle++ {
 		for _, b := range bootstraps {
 			w := b.Weights()
 			for it := 0; it < t.Cfg.BootstrapIters; it++ {
-				boot = append(boot, planStep{w: w, bootstrap: true})
+				if err := t.runIteration(res, w, true); err != nil {
+					return nil, err
+				}
 			}
 		}
-		t.addMilestone(boot, fmt.Sprintf("bootstrap cycle %d/%d done",
-			cycle+1, t.Cfg.BootstrapCycles))
-	}
-	if err := t.runPhase(boot, res); err != nil {
-		return nil, err
+		t.progress("bootstrap cycle %d/%d done", cycle+1, t.Cfg.BootstrapCycles)
 	}
 
 	// Phase 2: fast traversing — visit every landmark a few iterations at
 	// a time, cycling until the configured passes complete.
 	t.progress("fast traverse: %d cycles x %d objectives x %d iters",
 		t.Cfg.TraverseCycles, len(order), t.Cfg.TraverseIters)
-	var trav []planStep
 	for cycle := 0; cycle < t.Cfg.TraverseCycles; cycle++ {
 		for _, p := range order {
 			w := p.Weights()
 			for it := 0; it < t.Cfg.TraverseIters; it++ {
-				trav = append(trav, planStep{w: w})
+				if err := t.runIteration(res, w, false); err != nil {
+					return nil, err
+				}
 			}
 		}
-		t.addMilestone(trav, fmt.Sprintf("traverse cycle %d/%d done",
-			cycle+1, t.Cfg.TraverseCycles))
-	}
-	if err := t.runPhase(trav, res); err != nil {
-		return nil, err
+		t.progress("traverse cycle %d/%d done", cycle+1, t.Cfg.TraverseCycles)
 	}
 	res.EnvSteps = t.envSteps - startSteps
 	return res, nil
-}
-
-// runPhase executes one phase's iteration plan, serial or pipelined.
-func (t *OfflineTrainer) runPhase(plan []planStep, res *OfflineResult) error {
-	if len(plan) == 0 {
-		return nil
-	}
-	if t.Cfg.Pipelined && t.collector != nil {
-		return t.runPipelined(plan, res)
-	}
-	for _, s := range plan {
-		reward, err := t.Iterate(s.w)
-		if err != nil {
-			return err
-		}
-		t.record(res, s, reward)
-	}
-	return nil
-}
-
-// runPipelined executes the plan with collection of iteration k+1 overlapped
-// against the PPO update of iteration k. The collector replicas are synced
-// from the master BEFORE the update starts (the pre-update snapshot), so the
-// background collection never touches parameters the optimizer is mutating;
-// two rollout buffers alternate between "being consumed by the update" and
-// "being filled by the collectors". Seeds are drawn in iteration order, so
-// the run is deterministic for a fixed seed and worker count. With
-// t.noOverlap the identical schedule runs without the background goroutine —
-// the equivalence test pins that concurrency does not change results.
-func (t *OfflineTrainer) runPipelined(plan []planStep, res *OfflineResult) error {
-	if err := t.collector.Sync(t.Model); err != nil {
-		return err
-	}
-	cur := t.collector.CollectSynced(t.Cfg.Envs, t.collectCfg(0), t.makeTasks(plan[0].w))
-	t.countSteps(cur)
-
-	done := make(chan struct{})
-	for i, s := range plan {
-		var next []rl.Rollout
-		launched := false
-		if i+1 < len(plan) {
-			// Snapshot the pre-update parameters, then collect the next
-			// iteration's rollouts while this iteration's update runs.
-			if err := t.collector.Sync(t.Model); err != nil {
-				return err
-			}
-			tasks := t.makeTasks(plan[i+1].w)
-			if t.noOverlap {
-				next = t.collector.CollectSynced(t.Cfg.Envs, t.collectCfg(0), tasks)
-			} else {
-				launched = true
-				go func() {
-					next = t.collector.CollectSynced(t.Cfg.Envs, t.collectCfg(0), tasks)
-					done <- struct{}{}
-				}()
-			}
-		}
-		start := time.Now()
-		st := t.ppo.UpdateMulti(cur)
-		t.met.update.Observe(uint64(time.Since(start)))
-		if launched {
-			<-done
-		}
-		if next != nil {
-			t.countSteps(next)
-		}
-		t.record(res, s, st.MeanReward)
-		cur = next
-	}
-	return nil
 }
 
 // TrainIndividually trains one fresh single-objective run per landmark

@@ -1,14 +1,13 @@
 package core
 
 import (
-	"math"
 	"testing"
 
 	"mocc/internal/rl"
 )
 
 // parallelTrainConfig is a small two-phase schedule exercising both phases.
-func parallelTrainConfig(workers int, pipelined bool) TrainConfig {
+func parallelTrainConfig(workers int) TrainConfig {
 	ppo := rl.DefaultPPOConfig()
 	ppo.EntropyInit = 0.03
 	ppo.EntropyFinal = 0.002
@@ -22,7 +21,6 @@ func parallelTrainConfig(workers int, pipelined bool) TrainConfig {
 		RolloutSteps:    96,
 		EpisodeLen:      32,
 		Workers:         workers,
-		Pipelined:       pipelined,
 		Seed:            11,
 		PPO:             ppo,
 		Envs:            batchTestFactory,
@@ -30,14 +28,13 @@ func parallelTrainConfig(workers int, pipelined bool) TrainConfig {
 }
 
 // runTrainer trains a fresh model under cfg and returns it with the result.
-func runTrainer(t *testing.T, cfg TrainConfig, noOverlap bool) (*Model, *OfflineResult) {
+func runTrainer(t *testing.T, cfg TrainConfig) (*Model, *OfflineResult) {
 	t.Helper()
 	m := NewModel(4, 5)
 	tr, err := NewOfflineTrainer(m, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	tr.noOverlap = noOverlap
 	res, err := tr.Run()
 	if err != nil {
 		t.Fatal(err)
@@ -60,87 +57,27 @@ func assertModelsBitIdentical(t *testing.T, a, b *Model, label string) {
 	}
 }
 
-// TestPipelinedOverlapEquivalence is the pipelined trainer's load-bearing
-// property: running the pipelined schedule WITH background collection must
-// produce bit-identical parameters and training curve to the same schedule
-// executed without any concurrency — the overlap changes wall-clock only,
-// never results.
-func TestPipelinedOverlapEquivalence(t *testing.T) {
-	for _, workers := range []int{1, 3} {
-		cfg := parallelTrainConfig(workers, true)
-		mOverlap, resOverlap := runTrainer(t, cfg, false)
-		mSerial, resSerial := runTrainer(t, cfg, true)
-		assertModelsBitIdentical(t, mOverlap, mSerial, "overlap vs no-overlap")
-		if len(resOverlap.Curve) != len(resSerial.Curve) {
-			t.Fatalf("curve lengths differ: %d vs %d", len(resOverlap.Curve), len(resSerial.Curve))
-		}
-		for i := range resOverlap.Curve {
-			if resOverlap.Curve[i] != resSerial.Curve[i] {
-				t.Fatalf("curve[%d] differs: %+v vs %+v",
-					i, resOverlap.Curve[i], resSerial.Curve[i])
-			}
-		}
-	}
-}
-
-// TestPipelinedDeterministic: two identically configured pipelined runs are
-// bitwise identical (fixed seed, fixed worker count).
-func TestPipelinedDeterministic(t *testing.T) {
-	cfg := parallelTrainConfig(3, true)
-	a, _ := runTrainer(t, cfg, false)
-	b, _ := runTrainer(t, cfg, false)
-	assertModelsBitIdentical(t, a, b, "repeat pipelined runs")
-}
-
 // TestParallelTrainingDeterministic: the W=4 data-parallel update engine on
 // the MOCC model (preference sub-networks) is bitwise reproducible, and the
-// non-pipelined W=1 path stays bit-identical to the plain serial trainer.
+// collection fan-out spends the rollout budget exactly.
 func TestParallelTrainingDeterministic(t *testing.T) {
-	cfg := parallelTrainConfig(4, false)
-	a, resA := runTrainer(t, cfg, false)
-	b, resB := runTrainer(t, cfg, false)
+	cfg := parallelTrainConfig(4)
+	a, resA := runTrainer(t, cfg)
+	b, resB := runTrainer(t, cfg)
 	assertModelsBitIdentical(t, a, b, "repeat W=4 runs")
 	if resA.TotalIters() != resB.TotalIters() {
 		t.Fatalf("iteration counts differ: %d vs %d", resA.TotalIters(), resB.TotalIters())
 	}
-}
-
-// TestPipelinedCompletesSchedule checks the pipelined loop performs exactly
-// the configured iteration count and produces finite parameters and rewards.
-func TestPipelinedCompletesSchedule(t *testing.T) {
-	cfg := parallelTrainConfig(2, true)
-	cfg.BootstrapIters = 2
-	m, res := runTrainer(t, cfg, false)
-	want := cfg.BootstrapCycles * 3 * cfg.BootstrapIters // 3 bootstrap objectives
-	if res.BootstrapIters != want {
-		t.Errorf("bootstrap iters = %d, want %d", res.BootstrapIters, want)
-	}
-	if res.TraverseIters == 0 {
-		t.Error("traverse phase did not run")
-	}
-	if want := res.TotalIters() * cfg.RolloutSteps; res.EnvSteps != want {
+	if want := resA.TotalIters() * cfg.RolloutSteps; resA.EnvSteps != want {
 		t.Errorf("EnvSteps = %d, want %d (fan-out must split the budget exactly)",
-			res.EnvSteps, want)
-	}
-	for _, p := range res.Curve {
-		if math.IsNaN(p.Reward) {
-			t.Fatal("NaN reward in curve")
-		}
-	}
-	for _, p := range m.AllParams() {
-		for _, v := range p.Value {
-			if math.IsNaN(v) || math.IsInf(v, 0) {
-				t.Fatal("non-finite parameter after pipelined training")
-			}
-		}
+			resA.EnvSteps, want)
 	}
 }
 
 // TestProgressMilestonesEmptyCycles: cycle-completion lines must still be
-// emitted (once each, in order) when a cycle contributes zero iterations,
-// matching the pre-plan-based trainer's output.
+// emitted (once each, in order) when a cycle contributes zero iterations.
 func TestProgressMilestonesEmptyCycles(t *testing.T) {
-	cfg := parallelTrainConfig(1, false)
+	cfg := parallelTrainConfig(1)
 	cfg.BootstrapIters = 0
 	cfg.BootstrapCycles = 2
 	cfg.TraverseCycles = 1
@@ -225,7 +162,7 @@ func TestMakeTasksFanout(t *testing.T) {
 		{32, 64, 4, []int{32}},              // budget below one episode
 	}
 	for _, c := range cases {
-		cfg := parallelTrainConfig(c.workers, false)
+		cfg := parallelTrainConfig(c.workers)
 		cfg.RolloutSteps = c.rollout
 		cfg.EpisodeLen = c.episode
 		tr, err := NewOfflineTrainer(NewModel(4, 1), cfg)

@@ -28,13 +28,9 @@ type CollectTask struct {
 // agents, the goroutine equivalent of the paper's Ray/RLlib parallel
 // environments (§5). Forward passes mutate layer scratch arenas, so workers
 // never share a model; instead the master's parameters are copied into each
-// replica by Sync before a collection round. Each worker's Collect writes
+// replica at the start of a collection round. Each worker's Collect writes
 // its observations into a single per-rollout backing array, so a collection
 // round performs O(tasks) allocations rather than O(steps).
-//
-// Sync and CollectSynced are split so a pipelined trainer can snapshot the
-// master's parameters into the replicas, then run the collection round
-// concurrently with an optimizer update that mutates the master.
 type ParallelCollector struct {
 	replicas []ActorCritic
 }
@@ -55,10 +51,14 @@ func NewParallelCollector(workers int, factory func() ActorCritic) *ParallelColl
 // Workers returns the replica count.
 func (pc *ParallelCollector) Workers() int { return len(pc.replicas) }
 
-// Sync copies the master's current parameters into every replica. After it
-// returns, collection rounds no longer read the master, so the caller may
-// mutate it (e.g. run a PPO update) concurrently with CollectSynced.
-func (pc *ParallelCollector) Sync(master Paramed) error {
+// Collect copies the master's current parameters into every replica and
+// then collects one rollout per task. min(Workers, len(tasks)) goroutines
+// pull task indices from a shared counter, so a fan-out smaller than the
+// worker count runs on exactly that many goroutines instead of churning idle
+// ones. Results are slotted by task index and every replica carries
+// identical parameters, so the output is deterministic for a fixed seed set
+// regardless of which replica runs which task or in what order they finish.
+func (pc *ParallelCollector) Collect(master Paramed, envs EnvFactory, cfg CollectConfig, tasks []CollectTask) ([]Rollout, error) {
 	masterParams := master.AllParams()
 	for _, rep := range pc.replicas {
 		repParamed, ok := rep.(Paramed)
@@ -66,20 +66,10 @@ func (pc *ParallelCollector) Sync(master Paramed) error {
 			continue
 		}
 		if err := nn.CopyParams(repParamed.AllParams(), masterParams); err != nil {
-			return err
+			return nil, err
 		}
 	}
-	return nil
-}
 
-// CollectSynced collects one rollout per task using the replicas' current
-// (previously Synced) parameters. min(Workers, len(tasks)) goroutines pull
-// task indices from a shared counter, so a fan-out smaller than the worker
-// count runs on exactly that many goroutines instead of churning idle ones.
-// Results are slotted by task index and every replica carries identical
-// parameters, so the output is deterministic regardless of which replica
-// runs which task.
-func (pc *ParallelCollector) CollectSynced(envs EnvFactory, cfg CollectConfig, tasks []CollectTask) []Rollout {
 	out := make([]Rollout, len(tasks))
 	runTask := func(rep ActorCritic, i int) {
 		c := cfg
@@ -94,7 +84,7 @@ func (pc *ParallelCollector) CollectSynced(envs EnvFactory, cfg CollectConfig, t
 		for i := range tasks {
 			runTask(pc.replicas[0], i)
 		}
-		return out
+		return out, nil
 	}
 
 	var next atomic.Int64
@@ -113,16 +103,5 @@ func (pc *ParallelCollector) CollectSynced(envs EnvFactory, cfg CollectConfig, t
 		}(pc.replicas[w])
 	}
 	wg.Wait()
-	return out
-}
-
-// Collect synchronizes every replica with master and then collects one
-// rollout per task; it is Sync followed by CollectSynced. Results are
-// returned in task order regardless of completion order, keeping training
-// deterministic for a fixed seed set.
-func (pc *ParallelCollector) Collect(master Paramed, envs EnvFactory, cfg CollectConfig, tasks []CollectTask) ([]Rollout, error) {
-	if err := pc.Sync(master); err != nil {
-		return nil, err
-	}
-	return pc.CollectSynced(envs, cfg, tasks), nil
+	return out, nil
 }

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -83,9 +84,20 @@ func TestEngineObsWiring(t *testing.T) {
 			bs.Count, bs.Sum, st.Batches, st.Reports)
 	}
 
-	// Every flush was attributed to exactly one cause.
+	// The exposed cause set is exactly the three the one batching path can
+	// produce, and every flush was attributed to one of them.
+	var causes []string
+	for _, line := range strings.Split(out, "\n") {
+		if rest, ok := strings.CutPrefix(line, `mocc_serve_flushes_total{cause="`); ok {
+			causes = append(causes, rest[:strings.IndexByte(rest, '"')])
+		}
+	}
+	slices.Sort(causes)
+	if want := []string{"drain", "eager", "full"}; !slices.Equal(causes, want) {
+		t.Fatalf("flush causes exposed = %v, want %v", causes, want)
+	}
 	var flushes uint64
-	for _, cause := range []string{"full", "interval", "drain", "eager"} {
+	for _, cause := range causes {
 		flushes += reg.Counter(`mocc_serve_flushes_total{cause="`+cause+`"}`, "").Value()
 	}
 	if flushes == 0 {

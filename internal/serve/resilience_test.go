@@ -29,7 +29,7 @@ func perturbed(m *core.Model, delta float64) *core.Model {
 // make it in is still served.
 func TestEngineQueueBoundShed(t *testing.T) {
 	m := core.NewModel(core.HistoryLen, 5)
-	e := New(m, Config{Shards: 1, MaxBatch: 1, FlushInterval: -1, MaxQueue: 3})
+	e := New(m, Config{Shards: 1, MaxBatch: 1, MaxQueue: 3})
 	release := make(chan struct{})
 	e.batchHook = func(int) { <-release }
 	defer e.Close()
@@ -79,7 +79,7 @@ func TestEngineQueueBoundShed(t *testing.T) {
 // while the request that made the deadline is served normally.
 func TestEngineDeadlineShed(t *testing.T) {
 	m := core.NewModel(core.HistoryLen, 6)
-	e := New(m, Config{Shards: 1, MaxBatch: 1, FlushInterval: -1, Deadline: 100 * time.Millisecond})
+	e := New(m, Config{Shards: 1, MaxBatch: 1, Deadline: 100 * time.Millisecond})
 	arrived := make(chan struct{})
 	release := make(chan struct{})
 	var once sync.Once
@@ -131,7 +131,7 @@ func TestEngineDeadlineShed(t *testing.T) {
 // batches on a rebuilt inference view — no restart needed.
 func TestEnginePanicRecovery(t *testing.T) {
 	m := core.NewModel(core.HistoryLen, 7)
-	e := New(m, Config{Shards: 1, FlushInterval: -1})
+	e := New(m, Config{Shards: 1})
 	var poison atomic.Bool
 	poison.Store(true)
 	e.batchHook = func(int) {
@@ -162,7 +162,7 @@ func TestEnginePanicRecovery(t *testing.T) {
 // stranded queue NaN and restarts the consumer instead of wedging the shard.
 func TestEngineWatchdogRestart(t *testing.T) {
 	m := core.NewModel(core.HistoryLen, 8)
-	e := New(m, Config{Shards: 1, FlushInterval: -1})
+	e := New(m, Config{Shards: 1})
 	defer e.Close()
 
 	w := objective.UniformObjectives(1, 4)[0]
@@ -188,7 +188,7 @@ func TestEngineWatchdogRestart(t *testing.T) {
 // Rollback undoes the first.
 func TestEngineRollback(t *testing.T) {
 	m0 := core.NewModel(core.HistoryLen, 9)
-	e := New(m0, Config{Shards: 1, FlushInterval: -1})
+	e := New(m0, Config{Shards: 1})
 	defer e.Close()
 
 	if _, _, err := e.Rollback(); err == nil {
@@ -244,10 +244,7 @@ func TestEngineRollback(t *testing.T) {
 // is served, and no request — served or shed — waits unbounded time.
 func TestEngineOverloadBounded(t *testing.T) {
 	m := core.NewModel(core.HistoryLen, 10)
-	e := New(m, Config{
-		Shards: 1, MaxBatch: 8, FlushInterval: -1,
-		MaxQueue: 16, Deadline: 5 * time.Millisecond,
-	})
+	e := New(m, Config{Shards: 1, MaxBatch: 8, MaxQueue: 16, Deadline: 5 * time.Millisecond})
 	e.batchHook = func(int) { time.Sleep(200 * time.Microsecond) }
 	defer e.Close()
 
@@ -297,7 +294,7 @@ func TestEngineOverloadBounded(t *testing.T) {
 // sequence from there.
 func TestEngineBaseEpoch(t *testing.T) {
 	m := core.NewModel(core.HistoryLen, 11)
-	e := New(m, Config{Shards: 1, FlushInterval: -1, BaseEpoch: 41})
+	e := New(m, Config{Shards: 1, BaseEpoch: 41})
 	defer e.Close()
 	if got := e.Epoch(); got != 41 {
 		t.Fatalf("Epoch() = %d, want 41", got)

@@ -2,10 +2,13 @@
 // core.Model: concurrent per-app rate requests are coalesced into one
 // batched forward pass per shard, so a fleet of applications pays the
 // batched kernels' ns/sample instead of one full single-sample forward per
-// Report. The engine also provides epoch-based model hot-swap — a retrained
-// model is published by one atomic pointer store and picked up by every
-// shard between batches — generalizing the model's paramMu arbitration so
-// the request path never blocks on a swap.
+// Report. Batching is load-adaptive, with no timer: a shard consumer serves
+// whatever is queued the moment it is free, so a lone request is served at
+// once and a busy shard serves everything that queued while it was busy, in
+// forward passes of at most MaxBatch. The engine also provides epoch-based
+// model hot-swap — a retrained model is published by one atomic pointer
+// store and picked up by every shard between batches — generalizing the
+// model's paramMu arbitration so the request path never blocks on a swap.
 //
 // Determinism: every decision is bit-identical to the single-sample
 // inference path (core.Inference.ActFor) regardless of which other requests
@@ -43,15 +46,10 @@ type Config struct {
 	// goroutines). Clients are assigned to shards by ID hash. Defaults to
 	// GOMAXPROCS.
 	Shards int
-	// MaxBatch caps how many requests one forward pass serves. A full
-	// batch flushes immediately. Defaults to 64, where the batched
-	// kernels' per-sample advantage has saturated.
+	// MaxBatch caps how many requests one forward pass serves; a larger
+	// backlog is served in MaxBatch-sized passes. Defaults to 64, where
+	// the batched kernels' per-sample advantage has saturated.
 	MaxBatch int
-	// FlushInterval bounds how long a shard waits for more requests
-	// before serving a partial batch. Defaults to 200µs. Zero keeps the
-	// default; negative disables the coalescing wait entirely (every
-	// wake flushes whatever is queued — useful in tests).
-	FlushInterval time.Duration
 	// MaxQueue bounds each shard's pending-request queue. A request
 	// arriving at a full shard is shed immediately: Act returns NaN
 	// ("leave the rate unchanged") without enqueueing, so overload
@@ -89,9 +87,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.MaxBatch <= 0 {
 		c.MaxBatch = 64
-	}
-	if c.FlushInterval == 0 {
-		c.FlushInterval = 200 * time.Microsecond
 	}
 	if c.MaxQueue == 0 {
 		c.MaxQueue = 4096
@@ -182,10 +177,9 @@ type Engine struct {
 	met struct {
 		batchSize *obs.Histogram // coalesced chunk size per forward pass
 		latency   *obs.Histogram // submit-to-answer ns, sampled 1-in-8 per client
-		flushFull *obs.Counter   // flushes because the batch hit MaxBatch
-		flushIntv *obs.Counter   // flushes because FlushInterval elapsed
+		flushFull *obs.Counter   // flushes of MaxBatch or more queued requests
+		flushEagr *obs.Counter   // flushes of a partial batch
 		flushDrn  *obs.Counter   // flushes on the Close drain path
-		flushEagr *obs.Counter   // flushes with coalescing disabled/bypassed
 	}
 	events  *obs.EventLog
 	shedLim obs.Limiter
@@ -229,8 +223,6 @@ func (e *Engine) registerMetrics() {
 	e.met.latency = r.Histogram("mocc_serve_decision_latency_seconds",
 		"Submit-to-answer decision latency, sampled 1 in 8 requests per client.", 1e-9)
 	e.met.flushFull = r.Counter(`mocc_serve_flushes_total{cause="full"}`,
-		"Shard flushes by cause.")
-	e.met.flushIntv = r.Counter(`mocc_serve_flushes_total{cause="interval"}`,
 		"Shard flushes by cause.")
 	e.met.flushDrn = r.Counter(`mocc_serve_flushes_total{cause="drain"}`,
 		"Shard flushes by cause.")
@@ -555,14 +547,10 @@ func (s *shard) consume() (restart bool) {
 	return false
 }
 
-// run is the shard consumer loop: sleep until woken, coalesce requests up
-// to MaxBatch or FlushInterval, serve, repeat.
+// run is the shard consumer loop, run to completion: sleep until woken,
+// serve whatever is queued, repeat — so batch size adapts to load by
+// construction (see the package comment).
 func (s *shard) run() {
-	cfg := s.eng.cfg
-	deadline := time.NewTimer(time.Hour)
-	if !deadline.Stop() {
-		<-deadline.C
-	}
 	var batch []*request
 	for {
 		select {
@@ -584,35 +572,8 @@ func (s *shard) run() {
 		runtime.Gosched()
 		batch = s.takeAll(batch[:0])
 		cause := s.eng.met.flushEagr
-		if len(batch) >= cfg.MaxBatch {
+		if len(batch) >= s.eng.cfg.MaxBatch {
 			cause = s.eng.met.flushFull
-		}
-		if cfg.FlushInterval > 0 && len(batch) > 0 && len(batch) < cfg.MaxBatch {
-			deadline.Reset(cfg.FlushInterval)
-			cause = s.eng.met.flushIntv
-		coalesce:
-			for len(batch) < cfg.MaxBatch {
-				select {
-				case <-s.wake:
-					batch = s.takeAll(batch)
-					if len(batch) >= cfg.MaxBatch {
-						cause = s.eng.met.flushFull
-					}
-				case <-deadline.C:
-					break coalesce
-				case <-s.stop:
-					batch = s.takeAll(batch)
-					s.countFlush(s.eng.met.flushDrn, len(batch))
-					s.serve(batch)
-					return
-				}
-			}
-			if !deadline.Stop() {
-				select {
-				case <-deadline.C:
-				default:
-				}
-			}
 		}
 		s.countFlush(cause, len(batch))
 		s.serve(batch)

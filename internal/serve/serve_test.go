@@ -9,6 +9,7 @@ import (
 
 	"mocc/internal/core"
 	"mocc/internal/objective"
+	"mocc/internal/obs"
 )
 
 // testObs returns a deterministic observation for (seed, round).
@@ -65,32 +66,92 @@ func TestEngineBitIdentical(t *testing.T) {
 	}
 }
 
-// TestEngineCoalesces proves concurrent submissions actually share forward
-// passes: a barrier-released burst against one shard with a generous flush
-// window must produce a multi-request batch.
+// TestEngineCoalesces pins the one batching path: a shard serves whatever
+// queued while it was busy, in one forward pass. The single shard is held
+// inside its first pass, burst-1 more clients enqueue behind it, and on
+// release the next pass must carry exactly those burst-1 requests — every
+// action bit-identical to the single-sample path.
 func TestEngineCoalesces(t *testing.T) {
 	m := core.NewModel(core.HistoryLen, 3)
-	e := New(m, Config{Shards: 1, MaxBatch: 64, FlushInterval: 5 * time.Millisecond})
+	e := New(m, Config{Shards: 1, MaxBatch: 64})
+	arrived := make(chan struct{})
+	release := make(chan struct{})
+	var sizes []int // consumer-private until wg.Wait orders the reads below
+	e.batchHook = func(n int) {
+		sizes = append(sizes, n)
+		if len(sizes) == 1 {
+			close(arrived)
+			<-release
+		}
+	}
 	defer e.Close()
 
 	const burst = 16
-	obs := testObs(m, 1, 1)
-	start := make(chan struct{})
+	prefs := objective.UniformObjectives(burst, 5)
+	got := make([]float64, burst)
 	var wg sync.WaitGroup
-	for c := 0; c < burst; c++ {
+	submit := func(c int) {
 		wg.Add(1)
-		go func(c int) {
+		go func() {
 			defer wg.Done()
-			cl := e.NewClient(uint64(c), objective.BalancePref)
-			<-start
-			cl.Act(obs)
-		}(c)
+			got[c] = e.NewClient(uint64(c), prefs[c]).Act(testObs(m, c, 1))
+		}()
 	}
-	close(start)
+	submit(0)
+	select {
+	case <-arrived: // the consumer is now held inside client 0's forward pass
+	case <-time.After(5 * time.Second):
+		t.Fatal("first batch never reached the forward pass")
+	}
+	for c := 1; c < burst; c++ {
+		submit(c)
+	}
+	// Queued counts submitted-but-unanswered requests, so it includes the
+	// one being held: burst means the other burst-1 are all on the stack.
+	for deadline := time.Now().Add(5 * time.Second); e.Stats().Queued < burst; {
+		if time.Now().After(deadline) {
+			t.Fatalf("burst never queued: %+v", e.Stats())
+		}
+		time.Sleep(100 * time.Microsecond)
+	}
+	close(release)
 	wg.Wait()
 
-	if st := e.Stats(); st.MaxBatch < 2 {
-		t.Fatalf("no coalescing observed: %+v", st)
+	if len(sizes) != 2 || sizes[0] != 1 || sizes[1] != burst-1 {
+		t.Fatalf("forward-pass sizes = %v, want [1 %d]", sizes, burst-1)
+	}
+	inf := m.NewInference()
+	for c := range got {
+		if want := inf.ActFor(prefs[c], testObs(m, c, 1)); got[c] != want {
+			t.Fatalf("client %d: engine %v, single-sample %v", c, got[c], want)
+		}
+	}
+}
+
+// TestEngineLoneClientServedAtOnce is the other end of the same path: with
+// nobody else submitting, every request is its own forward pass — nothing
+// waits for a batch that will never form — and every flush is attributed
+// to the partial-batch cause.
+func TestEngineLoneClientServedAtOnce(t *testing.T) {
+	m := core.NewModel(core.HistoryLen, 4)
+	reg := obs.NewRegistry()
+	e := New(m, Config{Shards: 1, Metrics: reg})
+	defer e.Close()
+
+	const k = 50
+	cl := e.NewClient(1, objective.BalancePref)
+	for r := 0; r < k; r++ {
+		if v := cl.Act(testObs(m, 1, r)); math.IsNaN(v) {
+			t.Fatalf("round %d shed", r)
+		}
+	}
+	if st := e.Stats(); st.Reports != k || st.Batches != k || st.MaxBatch != 1 {
+		t.Fatalf("lone client was batched: %+v", st)
+	}
+	eager := reg.Counter(`mocc_serve_flushes_total{cause="eager"}`, "").Value()
+	full := reg.Counter(`mocc_serve_flushes_total{cause="full"}`, "").Value()
+	if eager != k || full != 0 {
+		t.Fatalf("flush causes eager=%d full=%d, want %d and 0", eager, full, k)
 	}
 }
 
@@ -134,7 +195,7 @@ func TestEngineHotSwap(t *testing.T) {
 		}
 	}
 
-	e := New(base, Config{Shards: 2, MaxBatch: 8, FlushInterval: -1})
+	e := New(base, Config{Shards: 2, MaxBatch: 8})
 	defer e.Close()
 
 	stop := make(chan struct{})
@@ -247,7 +308,7 @@ func TestEngineClose(t *testing.T) {
 // land concurrently — the package's -race workout.
 func TestEngineStress(t *testing.T) {
 	m := core.NewModel(core.HistoryLen, 21)
-	e := New(m, Config{Shards: 2, MaxBatch: 8, FlushInterval: 50 * time.Microsecond})
+	e := New(m, Config{Shards: 2, MaxBatch: 8})
 	defer e.Close()
 
 	clients := 64

@@ -206,11 +206,6 @@ type TrainingOptions struct {
 	// minibatch updates (per-worker gradients reduced in fixed order, so
 	// training stays deterministic for a fixed seed and worker count).
 	Workers int
-	// Pipelined overlaps the collection of the next iteration's rollouts
-	// with the current PPO update (the paper's async-worker layout).
-	// Deterministic for a fixed seed and worker count, but the trajectory
-	// differs from the serial schedule (rollouts are one update stale).
-	Pipelined bool
 	// Seed makes training reproducible.
 	Seed int64
 	// Progress, when non-nil, receives training milestones.
@@ -472,7 +467,6 @@ func trainConfig(opts TrainingOptions) core.TrainConfig {
 		RolloutSteps:    opts.RolloutSteps,
 		EpisodeLen:      opts.EpisodeLen,
 		Workers:         opts.Workers,
-		Pipelined:       opts.Pipelined,
 		Seed:            opts.Seed,
 		PPO:             ppo,
 		Envs:            core.TrainingEnvs(trace.TrainingRanges(), core.HistoryLen),

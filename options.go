@@ -244,14 +244,13 @@ func New(model *Model, opts ...Option) (*Library, error) {
 		boot := model.m.Clone()
 		model.m.RUnlockParams()
 		l.engine = serve.New(boot, serve.Config{
-			Shards:        cfg.serving.Shards,
-			MaxBatch:      cfg.serving.MaxBatch,
-			FlushInterval: cfg.serving.FlushInterval,
-			MaxQueue:      cfg.serving.MaxQueue,
-			Deadline:      cfg.serving.Deadline,
-			BaseEpoch:     cfg.serving.InitialEpoch,
-			Metrics:       l.obs.sink.Registry(),
-			Events:        l.obs.events,
+			Shards:    cfg.serving.Shards,
+			MaxBatch:  cfg.serving.MaxBatch,
+			MaxQueue:  cfg.serving.MaxQueue,
+			Deadline:  cfg.serving.Deadline,
+			BaseEpoch: cfg.serving.InitialEpoch,
+			Metrics:   l.obs.sink.Registry(),
+			Events:    l.obs.events,
 		})
 		if l.idleTTL = cfg.serving.IdleTTL; l.idleTTL > 0 {
 			l.janitorStop = make(chan struct{})

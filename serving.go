@@ -16,12 +16,8 @@ type ServingOptions struct {
 	// assigned to shards by ID hash. Defaults to GOMAXPROCS.
 	Shards int
 	// MaxBatch caps how many concurrent Report decisions share one batched
-	// forward pass (default 64; a full batch flushes immediately).
+	// forward pass (default 64).
 	MaxBatch int
-	// FlushInterval bounds how long a shard waits to coalesce more
-	// requests before serving a partial batch (default 200µs). Negative
-	// disables the wait.
-	FlushInterval time.Duration
 	// IdleTTL, when positive, evicts handles that have not reported for
 	// this long: they are unregistered exactly as by App.Unregister and
 	// counted in ServingStats.Evicted. Eviction is approximate — a handle

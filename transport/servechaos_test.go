@@ -139,6 +139,56 @@ func TestRateServerMalformedDatagrams(t *testing.T) {
 	}
 }
 
+// TestRateServerInvalidStatusRepliesNaN pins the fail-fast answer to a
+// well-formed report whose status the library refuses (acked+lost > sent):
+// the daemon replies once with a NaN rate and counts it, so the flow books a
+// shed and keeps its learned path — no timeout, no failover to AIMD — and
+// the next valid report is served normally.
+func TestRateServerInvalidStatusRepliesNaN(t *testing.T) {
+	lib := chaosLibrary(t, mocc.WithServing(mocc.ServingOptions{Shards: 1}))
+	defer lib.Close()
+	srv := startRateServer(t, lib, "127.0.0.1:0")
+	defer srv.Close()
+	conn, err := transport.DialServe(srv.Addr(), transport.ServeConnConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	sf := conn.Flow(5, mocc.Weights{Thr: 0.4, Lat: 0.3, Loss: 0.3}, transport.FailoverConfig{
+		Timeout: 2 * time.Second, // a silent daemon would show as a timeout, not a hang
+	})
+
+	bad := chaosStatus(0)
+	bad.PacketsAcked = bad.PacketsSent
+	bad.PacketsLost = 1
+	rate, err := sf.Report(bad)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if math.IsNaN(rate) || rate < cc.MinPacingRate || rate > cc.MaxPacingRate {
+		t.Fatalf("rate %v after a refused status left the pacing envelope", rate)
+	}
+	if st := sf.Stats(); st.Shed != 1 || st.Served != 0 || st.Timeouts != 0 || st.Fallbacks != 0 || st.FallbackActive {
+		t.Fatalf("client stats after a refused status: %+v", st)
+	}
+	// The reply counter is bumped after the socket write the client just
+	// answered to, so give it a moment.
+	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
+		if st := srv.Stats(); st.Invalid == 1 && st.Replies == 1 {
+			break
+		} else if time.Now().After(deadline) {
+			t.Fatalf("daemon stats after a refused status: %+v, want invalid 1 replies 1", st)
+		}
+	}
+
+	if _, err := sf.Report(chaosStatus(1)); err != nil {
+		t.Fatal(err)
+	}
+	if st := sf.Stats(); st.Served != 1 || st.Shed != 1 || st.Timeouts != 0 {
+		t.Fatalf("client stats after the following valid report: %+v", st)
+	}
+}
+
 // TestServeFlowFailoverBlackout pins client failover under a seeded fault
 // plan: a blackout window swallows reports mid-run, the flow must degrade to
 // its local AIMD controller without a single Report error, keep every

@@ -2,6 +2,7 @@ package transport
 
 import (
 	"errors"
+	"math"
 	"net"
 	"sync"
 	"sync/atomic"
@@ -43,6 +44,7 @@ type RateServer struct {
 	rejected  atomic.Int64
 	malformed atomic.Int64
 	foreign   atomic.Int64
+	invalid   atomic.Int64
 }
 
 // RateServerStats is a point-in-time snapshot of daemon counters.
@@ -60,6 +62,10 @@ type RateServerStats struct {
 	// datagrams of a non-report type (data/ack/rate sent at the daemon).
 	Malformed int64
 	Foreign   int64
+	// Invalid counts well-formed reports whose status the library refused
+	// (e.g. acked+lost exceeding sent); each is answered with a NaN rate
+	// so the flow holds its previous rate instead of timing out.
+	Invalid int64
 }
 
 // sessionKey identifies a flow: the datagram's source address plus its
@@ -123,6 +129,8 @@ func (s *RateServer) RegisterMetrics(m *mocc.Metrics) {
 		func() uint64 { return uint64(s.malformed.Load()) })
 	reg.CounterFunc("mocc_daemon_foreign_total", "Well-formed datagrams of a non-report type.",
 		func() uint64 { return uint64(s.foreign.Load()) })
+	reg.CounterFunc("mocc_daemon_invalid_total", "Reports with a status the library refused (answered NaN).",
+		func() uint64 { return uint64(s.invalid.Load()) })
 }
 
 // Stats returns a snapshot of the daemon counters.
@@ -137,6 +145,7 @@ func (s *RateServer) Stats() RateServerStats {
 		Rejected:  s.rejected.Load(),
 		Malformed: s.malformed.Load(),
 		Foreign:   s.foreign.Load(),
+		Invalid:   s.invalid.Load(),
 	}
 }
 
@@ -271,13 +280,16 @@ func (s *RateServer) runSession(key sessionKey, sess *session) {
 		})
 		if err != nil {
 			// Evicted by the idle janitor (or unregistered): tear the
-			// session down; the flow's next report re-registers. Other
-			// errors are malformed statuses — ignore the report.
+			// session down; the flow's next report re-registers.
 			if _, alive := s.lib.App(sess.app.ID()); !alive {
 				s.drop(key, sess)
 				return
 			}
-			continue
+			// Otherwise the status itself was refused. Answer NaN — "hold
+			// the previous rate", as for a shed — so the flow fails fast
+			// instead of burning its timeouts and failing over.
+			s.invalid.Add(1)
+			rate = math.NaN()
 		}
 		datapath.EncodeRate(out, m.seq, m.nanos, m.rep.Flow, rate, s.lib.Epoch())
 		if _, err := s.conn.WriteToUDP(out, sess.addr); err == nil {
