@@ -78,7 +78,7 @@ func Drive(env *gym.Env, alg Algorithm, steps int, seed int64) []gym.Metrics {
 	d := env.Config().MIms / 1000
 	out := make([]gym.Metrics, 0, steps)
 	for i := 0; i < steps; i++ {
-		_, m := env.Step()
+		m := env.Step()
 		out = append(out, m)
 		env.SetRate(alg.Update(reportFromMetrics(m, d)))
 	}

@@ -275,7 +275,8 @@ func TestFeatureTrackerMatchesGym(t *testing.T) {
 	tr := NewFeatureTracker(6)
 	d := env.Config().MIms / 1000
 	for i := 0; i < 40; i++ {
-		envObs, m := env.Step()
+		m := env.Step()
+		envObs := env.Observation()
 		tr.Push(reportFromMetrics(m, d))
 		trObs := tr.Observation()
 		for j := range envObs {

@@ -68,6 +68,10 @@ type Adapter struct {
 	pool    *objective.Pool
 	rng     *rand.Rand
 	seedCtr int64
+
+	// The new and the replayed objective's rollouts, each collected into
+	// storage reused from the previous step.
+	newRo, replayedRo rl.Collector
 }
 
 // NewAdapter wraps a (typically offline-pre-trained) model for online
@@ -129,16 +133,17 @@ func (a *Adapter) collectCfg() rl.CollectConfig {
 // enabled and the pool has other entries). It returns the new objective's
 // rollout reward.
 func (a *Adapter) Step(w objective.Weights) float64 {
-	newRo := rl.Collect(a.Model, a.Cfg.Envs, w, a.collectCfg(), a.nextSeed())
-	rollouts := []rl.Rollout{newRo}
+	var buf [2]rl.Rollout
+	buf[0] = a.newRo.Collect(a.Model, a.Cfg.Envs, w, a.collectCfg(), a.nextSeed())
+	rollouts := buf[:1]
 	if a.Cfg.Replay {
 		if old, ok := a.pool.Sample(a.rng, w); ok {
-			oldRo := rl.Collect(a.Model, a.Cfg.Envs, old, a.collectCfg(), a.nextSeed())
-			rollouts = append(rollouts, oldRo)
+			buf[1] = a.replayedRo.Collect(a.Model, a.Cfg.Envs, old, a.collectCfg(), a.nextSeed())
+			rollouts = buf[:2]
 		}
 	}
 	a.ppo.UpdateMulti(rollouts)
-	return newRo.MeanReward
+	return buf[0].MeanReward
 }
 
 // Adapt registers w and runs adaptation iterations until MaxIters,

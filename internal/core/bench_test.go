@@ -135,3 +135,17 @@ func BenchmarkModelPPOUpdateParallel(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkAdapterStep measures one online-adaptation iteration with
+// requirement replay on the pinned digest set-up (adapt_digest_test.go): two
+// 512-step rollouts, then one PPO update over both. B/op is the adapt path's
+// steady-state allocation per iteration.
+func BenchmarkAdapterStep(b *testing.B) {
+	a := digestAdapter(b)
+	a.Step(digestW) // sizes every reused buffer
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		a.Step(digestW)
+	}
+}

@@ -109,6 +109,14 @@ func NewModel(historyLen int, seed int64) *Model {
 		criticTrunk: nn.NewMLP(rng, netDim+PrefFeatures, Hidden1, Hidden2, 1),
 		logStd:      &nn.Param{Name: "logstd", Value: []float64{0}, Grad: []float64{0}},
 	}
+	// backwardBatch uses the trunk's input gradient only under the preference
+	// features and nothing of the preference sub-network's.
+	for _, trunk := range []*nn.MLP{m.actorTrunk, m.criticTrunk} {
+		trunk.DiscardInputGrad(netDim)
+	}
+	for _, pref := range []*nn.MLP{m.actorPref, m.criticPref} {
+		pref.DiscardInputGrad(WeightDim)
+	}
 	return m
 }
 

@@ -211,9 +211,9 @@ func (e *Env) ApplyAction(a float64) float64 {
 func (e *Env) SetRate(r float64) { e.rate = e.clampRate(r) }
 
 // Step advances one monitor interval at the current sending rate and
-// returns the flattened observation (3·η values, newest last) plus the raw
-// metrics.
-func (e *Env) Step() ([]float64, Metrics) {
+// returns the raw metrics; the resulting state is read with Observation or
+// ObservationInto.
+func (e *Env) Step() Metrics {
 	d := e.cfg.MIms / 1000 // MI duration in seconds
 	cap := e.cfg.Bandwidth.At(e.time)
 	if cap < 0.1 {
@@ -306,7 +306,8 @@ func (e *Env) Step() ([]float64, Metrics) {
 		LatencyRatio: stats.Clamp(latRatio, 1, 10),
 		LatencyGrad:  stats.Clamp(grad, -2, 2),
 	}
-	e.history = append(e.history[1:], st)
+	copy(e.history, e.history[1:])
+	e.history[len(e.history)-1] = st
 
 	e.time += d
 	e.steps++
@@ -326,7 +327,7 @@ func (e *Env) Step() ([]float64, Metrics) {
 		Delivered:   delivered,
 		Lost:        lost,
 	}
-	return e.Observation(), m
+	return m
 }
 
 // Observation returns the flattened statistics history: η triples of

@@ -72,7 +72,7 @@ func TestStepConservation(t *testing.T) {
 	e := New(cfg)
 	prevQueue := 0.0
 	for i := 0; i < 200; i++ {
-		_, m := e.Step()
+		m := e.Step()
 		got := m.Delivered + m.Lost + (m.Queue - prevQueue)
 		if math.Abs(got-m.Sent) > 1e-6*(1+m.Sent) {
 			t.Fatalf("MI %d: conservation violated: sent %v vs accounted %v", i, m.Sent, got)
@@ -89,7 +89,7 @@ func TestStepConservationProperty(t *testing.T) {
 		e := New(cfg)
 		prevQueue := 0.0
 		for i := 0; i < 50; i++ {
-			_, m := e.Step()
+			m := e.Step()
 			if m.Delivered < 0 || m.Lost < 0 || m.Queue < 0 {
 				return false
 			}
@@ -114,7 +114,7 @@ func TestUnderloadNoQueueNoLoss(t *testing.T) {
 	cfg.StartRate = 400 // well under 1000 pkts/s capacity
 	e := New(cfg)
 	for i := 0; i < 50; i++ {
-		_, m := e.Step()
+		m := e.Step()
 		if m.Queue != 0 {
 			t.Fatalf("queue built up under light load: %v", m.Queue)
 		}
@@ -136,7 +136,7 @@ func TestOverloadFillsQueueThenDrops(t *testing.T) {
 	e := New(cfg)
 	var sawFullQueue, sawCongestiveLoss bool
 	for i := 0; i < 100; i++ {
-		_, m := e.Step()
+		m := e.Step()
 		if m.Queue >= float64(cfg.QueuePkts)-1e-9 {
 			sawFullQueue = true
 		}
@@ -162,7 +162,7 @@ func TestQueueingInflatesRTT(t *testing.T) {
 	e := New(cfg)
 	var last Metrics
 	for i := 0; i < 20; i++ {
-		_, last = e.Step()
+		last = e.Step()
 	}
 	if last.AvgRTT <= last.BaseRTT {
 		t.Errorf("persistent overload should inflate RTT: %v vs base %v", last.AvgRTT, last.BaseRTT)
@@ -178,7 +178,7 @@ func TestRandomLossApplied(t *testing.T) {
 	cfg.StartRate = 500
 	cfg.LossRate = 0.05
 	e := New(cfg)
-	_, m := e.Step()
+	m := e.Step()
 	if math.Abs(m.LossRate-0.05) > 1e-9 {
 		t.Errorf("observed loss %v, want 0.05", m.LossRate)
 	}
@@ -254,8 +254,10 @@ func TestObservationShapeAndShift(t *testing.T) {
 			t.Errorf("fresh obs[%d] = %v, want 0", i, v)
 		}
 	}
-	obs1, _ := e.Step()
-	obs2, _ := e.Step()
+	e.Step()
+	obs1 := e.Observation()
+	e.Step()
+	obs2 := e.Observation()
 	// History slides: the last triple of obs1 becomes second-to-last of obs2.
 	for k := 0; k < 3; k++ {
 		if obs1[9+k] != obs2[6+k] {
@@ -269,7 +271,8 @@ func TestLatencyRatioAndGradientReactToCongestion(t *testing.T) {
 	cfg.StartRate = 1800
 	e := New(cfg)
 	e.Step()
-	obs, _ := e.Step()
+	e.Step()
+	obs := e.Observation()
 	n := len(obs)
 	latRatioFeature := obs[n-2] // latencyRatio - 1
 	grad := obs[n-1]
@@ -307,7 +310,7 @@ func TestVaryingBandwidthTrace(t *testing.T) {
 	e := New(cfg)
 	caps := map[float64]bool{}
 	for i := 0; i < 100; i++ {
-		_, m := e.Step()
+		m := e.Step()
 		caps[m.Capacity] = true
 	}
 	if !caps[500] || !caps[1000] {
@@ -324,7 +327,7 @@ func TestCrossTrafficSharesLink(t *testing.T) {
 	e := New(cfg)
 	var last Metrics
 	for i := 0; i < 50; i++ {
-		_, last = e.Step()
+		last = e.Step()
 	}
 	// Agent share is 1000/(1000+1000) = 0.5 of the 1000 pkts/s capacity.
 	if last.Throughput < 400 || last.Throughput > 600 {
@@ -347,8 +350,8 @@ func TestCrossTrafficZeroMatchesBaseline(t *testing.T) {
 	a.SetRate(1500)
 	b.SetRate(1500)
 	for i := 0; i < 30; i++ {
-		_, ma := a.Step()
-		_, mb := b.Step()
+		ma := a.Step()
+		mb := b.Step()
 		if ma != mb {
 			t.Fatalf("step %d: metrics diverge with zero cross traffic", i)
 		}
@@ -397,7 +400,7 @@ func TestDeterminismAcrossRuns(t *testing.T) {
 		var out []float64
 		for i := 0; i < 30; i++ {
 			e.ApplyAction(math.Sin(float64(i)))
-			_, m := e.Step()
+			m := e.Step()
 			out = append(out, m.Throughput, m.AvgRTT, m.LossRate)
 		}
 		return out

@@ -117,6 +117,46 @@ func TestBatchGradientCheck(t *testing.T) {
 	}
 }
 
+// TestDiscardInputGrad: declaring leading input columns discarded zeroes
+// exactly those columns of the returned input gradient and changes no other
+// bit — not of the remaining columns, not of any parameter gradient —
+// whether some or all columns go, for a batch and for a single row.
+func TestDiscardInputGrad(t *testing.T) {
+	const in = 7
+	for _, cols := range []int{2, 5, in} {
+		for _, n := range []int{1, 9} {
+			full := NewMLP(rand.New(rand.NewSource(91)), in, 10, 3)
+			part := NewMLP(rand.New(rand.NewSource(91)), in, 10, 3)
+			part.DiscardInputGrad(cols)
+			x := randBatch(92, n, in)
+			g := randBatch(93, n, 3)
+
+			full.ForwardBatch(x, n)
+			want := full.BackwardBatch(g, n)
+			part.ForwardBatch(x, n)
+			got := part.BackwardBatch(g, n)
+			for i := range want {
+				w := want[i]
+				if i%in < cols {
+					w = 0
+				}
+				if math.Float64bits(got[i]) != math.Float64bits(w) {
+					t.Fatalf("cols %d n %d: input grad %d = %v, want %v", cols, n, i, got[i], w)
+				}
+			}
+			pf, pp := full.Params(), part.Params()
+			for i := range pf {
+				for j := range pf[i].Grad {
+					if math.Float64bits(pf[i].Grad[j]) != math.Float64bits(pp[i].Grad[j]) {
+						t.Fatalf("cols %d n %d: param %s[%d] grad %v, want %v",
+							cols, n, pf[i].Name, j, pp[i].Grad[j], pf[i].Grad[j])
+					}
+				}
+			}
+		}
+	}
+}
+
 // TestBatchForwardZeroAllocs pins the tentpole's steady-state guarantee:
 // after a warm-up call sizes the scratch arenas, batched forward and
 // forward+backward perform zero allocations.

@@ -2,17 +2,36 @@
 
 package nn
 
-// SSE2 microkernel declarations; implementations in kernels_amd64.s. SSE2
-// is part of the amd64 baseline, so no runtime feature detection is needed.
+// Microkernel declarations; implementations in kernels_amd64.s. SSE2 is part
+// of the amd64 baseline, so those kernels need no feature detection; the AVX
+// kernels are selected by a CPUID probe at init.
 
 //go:noescape
 func dotRowBatchAsm(w, x, y *float64, n, in, out, o int, bias float64)
 
 //go:noescape
+func dotRowBatch8AVX(w, x, y *float64, blocks, in, out, o int, bias float64)
+
+//go:noescape
+func linearRow1Asm(w, b, x, y *float64, in, out int)
+
+//go:noescape
 func axpy4Asm(dst, a0, a1, a2, a3 *float64, g0, g1, g2, g3 float64, m int)
 
 //go:noescape
+func axpyRowsAVX(dst *float64, m int, a *float64, aStride int, sc *float64, scStride int, rows int)
+
+//go:noescape
 func addToAsm(dst, src *float64, n int)
+
+// cpuHasAVX reports whether the CPU and the OS support the AVX instructions
+// of dotRowBatch8AVX and axpyRowsAVX.
+func cpuHasAVX() bool
+
+// useAVX selects the AVX kernels over their SSE2 counterparts. Each pair
+// produces identical bits for every input (pinned by the tests in
+// kernels_amd64_test.go), so the choice shows in speed only.
+var useAVX bool
 
 // dotRowBatch computes y[r*out+o] = bias + dot(w, x[r*in:(r+1)*in]) for
 // every batch row r.
@@ -107,9 +126,63 @@ func linearBatchSame(w, b, x, y []float64, n, in, out int) {
 	}
 }
 
-// axpy4 accumulates four scaled rows into dst in one pass.
-func axpy4(dst, a0, a1, a2, a3 []float64, g0, g1, g2, g3 float64) {
-	axpy4Asm(&dst[0], &a0[0], &a1[0], &a2[0], &a3[0], g0, g1, g2, g3, len(dst))
+// linearForward computes one full Linear layer over n batch rows, every
+// element exactly as dotRowBatch over each output unit in turn would: rows
+// in the leading blocks of four through that kernel's two interleaved lanes,
+// the last n mod 4 rows (the only row at n = 1) as plain sums in index
+// order. It only spends fewer instructions on it: one pass of four
+// interleaved output chains when n is 1, eight batch rows per AVX pass when
+// there are that many.
+func linearForward(w, b, x, y []float64, n, in, out int) {
+	// The kernels take bare pointers: fail here on a short slice.
+	_, _, _, _ = w[in*out-1], b[out-1], x[n*in-1], y[n*out-1]
+	if n == 1 {
+		linearRow1Asm(&w[0], &b[0], &x[0], &y[0], in, out)
+		return
+	}
+	blocks := 0
+	if useAVX {
+		blocks = n / 8
+	}
+	rest := n - 8*blocks
+	for o := 0; o < out; o++ {
+		wo := &w[o*in]
+		if blocks > 0 {
+			dotRowBatch8AVX(wo, &x[0], &y[0], blocks, in, out, o, b[o])
+		}
+		if rest > 0 {
+			dotRowBatchAsm(wo, &x[8*blocks*in], &y[8*blocks*out], rest, in, out, o, b[o])
+		}
+	}
+}
+
+// axpyRows accumulates rows scaled rows into dst, one after the other:
+// dst[i] += a[row*aStride+i] * g[row*gStride] for row = 0 … rows-1, each
+// product and each sum rounded on its own. It is both halves of a Linear
+// layer's backward pass: a weight-gradient row gathers the batch's inputs
+// scaled by that output's gradients, an input-gradient row gathers the
+// weight rows scaled by that sample's output gradients.
+func axpyRows(dst, a []float64, aStride int, g []float64, gStride, rows int) {
+	m := len(dst)
+	if m == 0 || rows == 0 {
+		return
+	}
+	_, _ = a[(rows-1)*aStride+m-1], g[(rows-1)*gStride]
+	if useAVX {
+		axpyRowsAVX(&dst[0], m, &a[0], aStride, &g[0], gStride, rows)
+		return
+	}
+	r := 0
+	for ; r+3 < rows; r += 4 {
+		axpy4Asm(&dst[0], &a[(r+0)*aStride], &a[(r+1)*aStride], &a[(r+2)*aStride], &a[(r+3)*aStride],
+			g[(r+0)*gStride], g[(r+1)*gStride], g[(r+2)*gStride], g[(r+3)*gStride], m)
+	}
+	for ; r < rows; r++ {
+		gr, ar := g[r*gStride], a[r*aStride:r*aStride+m]
+		for i := range dst {
+			dst[i] += gr * ar[i]
+		}
+	}
 }
 
 // addTo accumulates src into dst element-wise (dst[i] += src[i]), the
@@ -124,3 +197,10 @@ func addTo(dst, src []float64) {
 	}
 	addToAsm(&dst[0], &src[0], len(dst))
 }
+
+// The probe runs from a function at the end of the file, not from useAVX's
+// initializer: code added to the package's init function moves every
+// function linked after it, and the speed of linearBatchSame's scalar loops
+// — a sixth of a serve-sparse decision — depends on which half of a 64-byte
+// line the function starts in (CHANGES.md, PR 17).
+func init() { useAVX = cpuHasAVX() }

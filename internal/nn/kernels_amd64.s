@@ -2,9 +2,11 @@
 
 #include "textflag.h"
 
-// SSE2 (amd64 baseline — no feature detection needed) microkernels for the
-// batched Linear layer. Two-wide packed doubles double multiply-accumulate
-// throughput over the scalar port-limited Go loops.
+// Microkernels for the Linear layer. The SSE2 ones (amd64 baseline — no
+// feature detection needed) come first: two-wide packed doubles double
+// multiply-accumulate throughput over the scalar port-limited Go loops. The
+// AVX ones at the end of the file are four-wide re-expressions of the same
+// per-element arithmetic, selected by cpuHasAVX at init.
 
 // func dotRowBatchAsm(w, x, y *float64, n, in, out, o int, bias float64)
 //
@@ -272,4 +274,422 @@ r1:
 	INCQ  R15
 
 rdone:
+	RET
+
+// func cpuHasAVX() bool
+//
+// CPUID(1).ECX must report OSXSAVE (bit 27) and AVX (bit 28), and XCR0 must
+// have the SSE and AVX state bits (1 and 2) set: the OS saves the YMM
+// registers across context switches. XGETBV is only executed once OSXSAVE
+// says it exists.
+TEXT ·cpuHasAVX(SB), NOSPLIT, $0-1
+	MOVL  $1, AX
+	XORL  CX, CX
+	CPUID
+	ANDL  $0x18000000, CX
+	CMPL  CX, $0x18000000
+	JNE   noavx
+	XORL  CX, CX
+	XGETBV
+	ANDL  $6, AX
+	CMPL  AX, $6
+	JNE   noavx
+	MOVB  $1, ret+0(FP)
+	RET
+
+noavx:
+	MOVB $0, ret+0(FP)
+	RET
+
+// func linearRow1Asm(w, b, x, y *float64, in, out int)
+//
+// The n = 1 forward of a whole layer: y[o] = (sum_i x[i]*w[o*in+i]) + b[o],
+// each sum accumulated from zero in index order — dotRowBatchAsm's one-row
+// tail, which is one latency-bound chain per output. Four outputs are
+// computed at once, so four independent chains share each load of x[i].
+TEXT ·linearRow1Asm(SB), NOSPLIT, $0-48
+	MOVQ w+0(FP), DI
+	MOVQ b+8(FP), DX
+	MOVQ x+16(FP), SI
+	MOVQ y+24(FP), R10
+	MOVQ in+32(FP), R9
+	MOVQ out+40(FP), R8
+	MOVQ R9, R11
+	SHLQ $3, R11             // row stride in bytes
+	XORQ R12, R12            // o = 0
+
+l1row4:
+	MOVQ R8, AX
+	SUBQ R12, AX
+	CMPQ AX, $4
+	JL   l1row1
+	LEAQ  (DI)(R11*1), BX    // rows o+1, o+2, o+3
+	LEAQ  (BX)(R11*1), CX
+	LEAQ  (CX)(R11*1), R13
+	XORPS X4, X4
+	XORPS X5, X5
+	XORPS X6, X6
+	XORPS X7, X7
+	XORQ  R15, R15           // i = 0
+
+l1i4:
+	CMPQ   R15, R9
+	JGE    l1store4
+	MOVSD  (SI)(R15*8), X0
+	MOVAPS X0, X1
+	MULSD  (DI)(R15*8), X1
+	ADDSD  X1, X4
+	MOVAPS X0, X2
+	MULSD  (BX)(R15*8), X2
+	ADDSD  X2, X5
+	MOVAPS X0, X3
+	MULSD  (CX)(R15*8), X3
+	ADDSD  X3, X6
+	MULSD  (R13)(R15*8), X0
+	ADDSD  X0, X7
+	INCQ   R15
+	JMP    l1i4
+
+l1store4:
+	ADDSD (DX)(R12*8), X4
+	ADDSD 8(DX)(R12*8), X5
+	ADDSD 16(DX)(R12*8), X6
+	ADDSD 24(DX)(R12*8), X7
+	MOVSD X4, (R10)(R12*8)
+	MOVSD X5, 8(R10)(R12*8)
+	MOVSD X6, 16(R10)(R12*8)
+	MOVSD X7, 24(R10)(R12*8)
+	LEAQ  (R13)(R11*1), DI
+	ADDQ  $4, R12
+	JMP   l1row4
+
+l1row1:
+	CMPQ  R12, R8
+	JGE   l1done
+	XORPS X4, X4
+	XORQ  R15, R15
+
+l1i1:
+	CMPQ  R15, R9
+	JGE   l1store1
+	MOVSD (SI)(R15*8), X1
+	MULSD (DI)(R15*8), X1
+	ADDSD X1, X4
+	INCQ  R15
+	JMP   l1i1
+
+l1store1:
+	ADDSD (DX)(R12*8), X4
+	MOVSD X4, (R10)(R12*8)
+	ADDQ  R11, DI
+	INCQ  R12
+	JMP   l1row1
+
+l1done:
+	RET
+
+// The AVX kernels below keep, for every output element, the exact sequence of
+// separately rounded multiplies and adds of the SSE2 kernel (or Go loop) they
+// replace — no FMA, same operand order, which is also what picks the payload
+// when both operands of an instruction are NaN — so their results are those
+// kernels' bit for bit; they only put more independent elements in flight.
+// Scalar and 128-bit steps stay VEX-encoded (legacy SSE instructions with
+// dirty upper YMM halves stall on several cores) and every kernel ends with
+// VZEROUPPER.
+
+// func dotRowBatch8AVX(w, x, y *float64, blocks, in, out, o int, bias float64)
+//
+// dotRowBatchAsm's four-row block, two blocks at a time, for the first
+// 8*blocks batch rows: accumulator k holds rows r+k (low half) and r+4+k
+// (high half), each half the SSE2 kernel's two interleaved lanes, folded
+// low + high and then + bias exactly as there.
+TEXT ·dotRowBatch8AVX(SB), NOSPLIT, $0-64
+	MOVQ         w+0(FP), DI
+	MOVQ         x+8(FP), SI
+	MOVQ         y+16(FP), DX
+	MOVQ         blocks+24(FP), R8
+	MOVQ         in+32(FP), R9
+	MOVQ         out+40(FP), R10
+	MOVQ         o+48(FP), R11
+	VBROADCASTSD bias+56(FP), Y15
+	LEAQ         (DX)(R11*8), DX // &y[o]
+	SHLQ         $3, R10         // y row stride in bytes
+	LEAQ         (R10)(R10*2), AX // 3 y rows
+	MOVQ         R9, R11
+	SHLQ         $3, R11         // x row stride in bytes
+	LEAQ         (R11)(R11*2), R14 // 3 x rows
+
+d8blk:
+	TESTQ  R8, R8
+	JZ     d8done
+	MOVQ   SI, BX            // rows r .. r+3
+	LEAQ   (SI)(R11*4), CX   // rows r+4 .. r+7
+	MOVQ   DI, R13           // w cursor
+	MOVQ   R9, R15           // elements left
+	VXORPD Y4, Y4, Y4
+	VXORPD Y5, Y5, Y5
+	VXORPD Y6, Y6, Y6
+	VXORPD Y7, Y7, Y7
+
+d8pair:
+	CMPQ           R15, $2
+	JL             d8tail
+	VBROADCASTF128 (R13), Y0
+	VMOVUPD        (BX), X1
+	VINSERTF128    $1, (CX), Y1, Y1
+	VMULPD         Y0, Y1, Y1
+	VADDPD         Y1, Y4, Y4
+	VMOVUPD        (BX)(R11*1), X2
+	VINSERTF128    $1, (CX)(R11*1), Y2, Y2
+	VMULPD         Y0, Y2, Y2
+	VADDPD         Y2, Y5, Y5
+	VMOVUPD        (BX)(R11*2), X3
+	VINSERTF128    $1, (CX)(R11*2), Y3, Y3
+	VMULPD         Y0, Y3, Y3
+	VADDPD         Y3, Y6, Y6
+	VMOVUPD        (BX)(R14*1), X1
+	VINSERTF128    $1, (CX)(R14*1), Y1, Y1
+	VMULPD         Y0, Y1, Y1
+	VADDPD         Y1, Y7, Y7
+	ADDQ           $16, BX
+	ADDQ           $16, CX
+	ADDQ           $16, R13
+	SUBQ           $2, R15
+	JMP            d8pair
+
+d8tail:
+	// An odd last element goes into the low lane of each half only.
+	TESTQ        R15, R15
+	JZ           d8sum
+	VBROADCASTSD (R13), Y0
+	VMOVSD       (BX), X1
+	VMOVSD       (CX), X2
+	VINSERTF128  $1, X2, Y1, Y1
+	VMULPD       Y0, Y1, Y1
+	VADDPD       Y1, Y4, Y1
+	VBLENDPD     $5, Y1, Y4, Y4
+	VMOVSD       (BX)(R11*1), X1
+	VMOVSD       (CX)(R11*1), X2
+	VINSERTF128  $1, X2, Y1, Y1
+	VMULPD       Y0, Y1, Y1
+	VADDPD       Y1, Y5, Y1
+	VBLENDPD     $5, Y1, Y5, Y5
+	VMOVSD       (BX)(R11*2), X1
+	VMOVSD       (CX)(R11*2), X2
+	VINSERTF128  $1, X2, Y1, Y1
+	VMULPD       Y0, Y1, Y1
+	VADDPD       Y1, Y6, Y1
+	VBLENDPD     $5, Y1, Y6, Y6
+	VMOVSD       (BX)(R14*1), X1
+	VMOVSD       (CX)(R14*1), X2
+	VINSERTF128  $1, X2, Y1, Y1
+	VMULPD       Y0, Y1, Y1
+	VADDPD       Y1, Y7, Y1
+	VBLENDPD     $5, Y1, Y7, Y7
+
+d8sum:
+	// Per half: low lane += high lane, then + bias.
+	VPERMILPD    $5, Y4, Y0
+	VADDPD       Y0, Y4, Y4
+	VADDPD       Y15, Y4, Y4
+	VPERMILPD    $5, Y5, Y1
+	VADDPD       Y1, Y5, Y5
+	VADDPD       Y15, Y5, Y5
+	VPERMILPD    $5, Y6, Y2
+	VADDPD       Y2, Y6, Y6
+	VADDPD       Y15, Y6, Y6
+	VPERMILPD    $5, Y7, Y3
+	VADDPD       Y3, Y7, Y7
+	VADDPD       Y15, Y7, Y7
+	LEAQ         (DX)(R10*4), R12 // y row r+4
+	VMOVSD       X4, (DX)
+	VMOVSD       X5, (DX)(R10*1)
+	VMOVSD       X6, (DX)(R10*2)
+	VMOVSD       X7, (DX)(AX*1)
+	VEXTRACTF128 $1, Y4, X0
+	VEXTRACTF128 $1, Y5, X1
+	VEXTRACTF128 $1, Y6, X2
+	VEXTRACTF128 $1, Y7, X3
+	VMOVSD       X0, (R12)
+	VMOVSD       X1, (R12)(R10*1)
+	VMOVSD       X2, (R12)(R10*2)
+	VMOVSD       X3, (R12)(AX*1)
+	LEAQ         (DX)(R10*8), DX
+	LEAQ         (SI)(R11*8), SI
+	DECQ         R8
+	JMP          d8blk
+
+d8done:
+	VZEROUPPER
+	RET
+
+// Lane masks for a last vector of 4 (all lanes), 1, 2 or 3 elements.
+DATA avxTailMask<>+0(SB)/8, $-1
+DATA avxTailMask<>+8(SB)/8, $-1
+DATA avxTailMask<>+16(SB)/8, $-1
+DATA avxTailMask<>+24(SB)/8, $-1
+DATA avxTailMask<>+32(SB)/8, $-1
+DATA avxTailMask<>+40(SB)/8, $0
+DATA avxTailMask<>+48(SB)/8, $0
+DATA avxTailMask<>+56(SB)/8, $0
+DATA avxTailMask<>+64(SB)/8, $-1
+DATA avxTailMask<>+72(SB)/8, $-1
+DATA avxTailMask<>+80(SB)/8, $0
+DATA avxTailMask<>+88(SB)/8, $0
+DATA avxTailMask<>+96(SB)/8, $-1
+DATA avxTailMask<>+104(SB)/8, $-1
+DATA avxTailMask<>+112(SB)/8, $-1
+DATA avxTailMask<>+120(SB)/8, $0
+GLOBL avxTailMask<>(SB), RODATA|NOPTR, $128
+
+// One row's contribution to accumulator acc: acc += a[off:off+4] * g, the row
+// values first in the multiply and the running sum first in the add. ACCM is
+// the same under the tail mask in Y9 (masked-off lanes load as zero and are
+// never stored).
+#define ACC(off, acc, tmp) \
+	VMOVUPD off(R11), tmp; \
+	VMULPD  Y8, tmp, tmp;  \
+	VADDPD  tmp, acc, acc
+
+#define ACCM(off, acc, tmp) \
+	VMASKMOVPD off(R11), Y9, tmp; \
+	VMULPD     Y8, tmp, tmp;      \
+	VADDPD     tmp, acc, acc
+
+// Loop tail shared by every tile width: next row, next scalar.
+#define NEXTROW(label) \
+	ADDQ R9, R11;  \
+	ADDQ R10, R12; \
+	DECQ CX;       \
+	JNZ  label
+
+// func axpyRowsAVX(dst *float64, m int, a *float64, aStride int, sc *float64, scStride int, rows int)
+//
+// For row in [0,rows), in order: dst[i] += a[row*aStride+i] * sc[row*scStride]
+// for every i in [0,m) (strides in elements; m, rows >= 1). dst is walked in
+// tiles of 16 elements that stay in four registers for the whole pass over
+// the rows, so each row costs loads and arithmetic only; the last tile has
+// one to four registers, its last one under the tail mask.
+TEXT ·axpyRowsAVX(SB), NOSPLIT, $0-56
+	MOVQ dst+0(FP), DI
+	MOVQ m+8(FP), R8
+	MOVQ a+16(FP), SI
+	MOVQ aStride+24(FP), R9
+	MOVQ sc+32(FP), DX
+	MOVQ scStride+40(FP), R10
+	MOVQ rows+48(FP), R13
+	SHLQ $3, R9
+	SHLQ $3, R10
+
+	// Y9 = mask of the last vector: (m mod 4) lanes, all four when 0.
+	MOVQ    R8, AX
+	ANDQ    $3, AX
+	SHLQ    $5, AX
+	LEAQ    avxTailMask<>(SB), BX
+	VMOVUPD (BX)(AX*1), Y9
+
+	// R14 = vectors left, the masked last one included.
+	LEAQ 3(R8), R14
+	SHRQ $2, R14
+
+artile:
+	CMPQ R14, $4
+	JLE  arlast
+
+	// A full tile: 16 elements, none of them the last vector.
+	VMOVUPD (DI), Y0
+	VMOVUPD 32(DI), Y1
+	VMOVUPD 64(DI), Y2
+	VMOVUPD 96(DI), Y3
+	MOVQ    SI, R11
+	MOVQ    DX, R12
+	MOVQ    R13, CX
+
+arrow4:
+	VBROADCASTSD (R12), Y8
+	ACC(0, Y0, Y12)
+	ACC(32, Y1, Y13)
+	ACC(64, Y2, Y14)
+	ACC(96, Y3, Y15)
+	NEXTROW(arrow4)
+	VMOVUPD Y0, (DI)
+	VMOVUPD Y1, 32(DI)
+	VMOVUPD Y2, 64(DI)
+	VMOVUPD Y3, 96(DI)
+	ADDQ    $128, DI
+	ADDQ    $128, SI
+	SUBQ    $4, R14
+	JMP     artile
+
+arlast:
+	MOVQ SI, R11
+	MOVQ DX, R12
+	MOVQ R13, CX
+	CMPQ R14, $4
+	JEQ  arlast4
+	CMPQ R14, $3
+	JEQ  arlast3
+	CMPQ R14, $2
+	JEQ  arlast2
+
+	// One vector, masked.
+	VMASKMOVPD (DI), Y9, Y0
+
+arrowm1:
+	VBROADCASTSD (R12), Y8
+	ACCM(0, Y0, Y12)
+	NEXTROW(arrowm1)
+	VMASKMOVPD Y0, Y9, (DI)
+	VZEROUPPER
+	RET
+
+arlast2:
+	VMOVUPD    (DI), Y0
+	VMASKMOVPD 32(DI), Y9, Y1
+
+arrowm2:
+	VBROADCASTSD (R12), Y8
+	ACC(0, Y0, Y12)
+	ACCM(32, Y1, Y13)
+	NEXTROW(arrowm2)
+	VMOVUPD    Y0, (DI)
+	VMASKMOVPD Y1, Y9, 32(DI)
+	VZEROUPPER
+	RET
+
+arlast3:
+	VMOVUPD    (DI), Y0
+	VMOVUPD    32(DI), Y1
+	VMASKMOVPD 64(DI), Y9, Y2
+
+arrowm3:
+	VBROADCASTSD (R12), Y8
+	ACC(0, Y0, Y12)
+	ACC(32, Y1, Y13)
+	ACCM(64, Y2, Y14)
+	NEXTROW(arrowm3)
+	VMOVUPD    Y0, (DI)
+	VMOVUPD    Y1, 32(DI)
+	VMASKMOVPD Y2, Y9, 64(DI)
+	VZEROUPPER
+	RET
+
+arlast4:
+	VMOVUPD    (DI), Y0
+	VMOVUPD    32(DI), Y1
+	VMOVUPD    64(DI), Y2
+	VMASKMOVPD 96(DI), Y9, Y3
+
+arrowm4:
+	VBROADCASTSD (R12), Y8
+	ACC(0, Y0, Y12)
+	ACC(32, Y1, Y13)
+	ACC(64, Y2, Y14)
+	ACCM(96, Y3, Y15)
+	NEXTROW(arrowm4)
+	VMOVUPD    Y0, (DI)
+	VMOVUPD    Y1, 32(DI)
+	VMOVUPD    Y2, 64(DI)
+	VMASKMOVPD Y3, Y9, 96(DI)
+	VZEROUPPER
 	RET

@@ -80,10 +80,22 @@ func linearBatchSame(w, b, x, y []float64, n, in, out int) {
 	}
 }
 
-// axpy4 accumulates four scaled rows into dst in one pass.
-func axpy4(dst, a0, a1, a2, a3 []float64, g0, g1, g2, g3 float64) {
-	for i := range dst {
-		dst[i] += g0*a0[i] + g1*a1[i] + g2*a2[i] + g3*a3[i]
+// linearForward computes one full Linear layer over n batch rows, one
+// dotRowBatch pass per output unit.
+func linearForward(w, b, x, y []float64, n, in, out int) {
+	for o := 0; o < out; o++ {
+		dotRowBatch(w[o*in:(o+1)*in], x, y, n, in, out, o, b[o])
+	}
+}
+
+// axpyRows accumulates rows scaled rows into dst, one after the other:
+// dst[i] += a[row*aStride+i] * g[row*gStride] for row = 0 … rows-1.
+func axpyRows(dst, a []float64, aStride int, g []float64, gStride, rows int) {
+	for r := 0; r < rows; r++ {
+		gr, ar := g[r*gStride], a[r*aStride:r*aStride+len(dst)]
+		for i := range dst {
+			dst[i] += gr * ar[i]
+		}
 	}
 }
 

@@ -79,6 +79,12 @@ type Linear struct {
 	W       *Param
 	B       *Param
 
+	// GradInFrom > 0 declares that callers discard the first GradInFrom
+	// columns of the input gradient: BackwardBatch returns them as zeros and
+	// skips their share of the input-gradient pass. The other columns and
+	// every parameter gradient are computed exactly as with 0.
+	GradInFrom int
+
 	lastIn []float64 // cached [batch x In] input from ForwardBatch
 	out    []float64 // scratch [batch x Out] activations
 	gradIn []float64 // scratch [batch x In] input gradients
@@ -115,14 +121,10 @@ func (l *Linear) ForwardBatch(x []float64, n int) []float64 {
 	copy(l.lastIn, x)
 	l.out = Grow(l.out, n*l.Out)
 	l.batch = n
-	// One kernel pass per weight row computes that output unit for the
-	// whole batch, four rows at a time: the weight row stays hot in
-	// registers/L1, and the four independent accumulator chains keep the
-	// FP pipeline full (SSE2-vectorized on amd64; see kernels_amd64.s).
-	in, out := l.In, l.Out
-	for o := 0; o < out; o++ {
-		dotRowBatch(l.W.Value[o*in:(o+1)*in], l.lastIn, l.out, n, in, out, o, l.B.Value[o])
-	}
+	// Per output unit the batch is processed four rows at a time: the weight
+	// row stays hot in registers/L1, and the four independent accumulator
+	// chains keep the FP pipeline full (see kernels_amd64.s).
+	linearForward(l.W.Value, l.B.Value, l.lastIn, l.out, n, l.In, l.Out)
 	return l.out
 }
 
@@ -143,56 +145,32 @@ func (l *Linear) BackwardBatch(gradOut []float64, n int) []float64 {
 	l.gradIn = Grow(l.gradIn, n*l.In)
 	in, out := l.In, l.Out
 
-	// The naive fused loop performs one store per multiply-accumulate and
-	// is store-port bound. Split into two passes that block the batch so
-	// each store covers several accumulated products.
-
-	// Pass 1: bias and weight gradients, 4 batch rows per accumulation
-	// pass so each store covers four products.
+	// Bias gradients, four batch rows per sum.
 	for o := 0; o < out; o++ {
-		growRow := l.W.Grad[o*in : (o+1)*in]
 		r := 0
 		for ; r+3 < n; r += 4 {
-			g0 := gradOut[(r+0)*out+o]
-			g1 := gradOut[(r+1)*out+o]
-			g2 := gradOut[(r+2)*out+o]
-			g3 := gradOut[(r+3)*out+o]
-			l.B.Grad[o] += g0 + g1 + g2 + g3
-			axpy4(growRow,
-				l.lastIn[(r+0)*in:(r+1)*in], l.lastIn[(r+1)*in:(r+2)*in],
-				l.lastIn[(r+2)*in:(r+3)*in], l.lastIn[(r+3)*in:(r+4)*in],
-				g0, g1, g2, g3)
+			l.B.Grad[o] += gradOut[(r+0)*out+o] + gradOut[(r+1)*out+o] + gradOut[(r+2)*out+o] + gradOut[(r+3)*out+o]
 		}
 		for ; r < n; r++ {
-			g := gradOut[r*out+o]
-			l.B.Grad[o] += g
-			xr := l.lastIn[r*in : (r+1)*in]
-			for i := range growRow {
-				growRow[i] += g * xr[i]
-			}
+			l.B.Grad[o] += gradOut[r*out+o]
 		}
 	}
 
-	// Pass 2: input gradients gradIn = gradOut x W, 4 weight rows per
-	// accumulation pass.
+	// Weight gradients: row o gathers every batch row's input scaled by that
+	// row's gradient at output o.
+	for o := 0; o < out; o++ {
+		axpyRows(l.W.Grad[o*in:(o+1)*in], l.lastIn, in, gradOut[o:], out, n)
+	}
+
+	// Input gradients gradIn = gradOut x W: row r gathers every weight row
+	// scaled by that row's gradient at the weight's output.
 	clear(l.gradIn)
+	from := l.GradInFrom
+	if from >= in {
+		return l.gradIn
+	}
 	for r := 0; r < n; r++ {
-		gr := gradOut[r*out : (r+1)*out]
-		gir := l.gradIn[r*in : (r+1)*in]
-		o := 0
-		for ; o+3 < out; o += 4 {
-			axpy4(gir,
-				l.W.Value[(o+0)*in:(o+1)*in], l.W.Value[(o+1)*in:(o+2)*in],
-				l.W.Value[(o+2)*in:(o+3)*in], l.W.Value[(o+3)*in:(o+4)*in],
-				gr[o], gr[o+1], gr[o+2], gr[o+3])
-		}
-		for ; o < out; o++ {
-			g := gr[o]
-			row := l.W.Value[o*in : (o+1)*in]
-			for i := range gir {
-				gir[i] += g * row[i]
-			}
-		}
+		axpyRows(l.gradIn[r*in+from:(r+1)*in], l.W.Value[from:], in, gradOut[r*out:(r+1)*out], 1, out)
 	}
 	return l.gradIn
 }
@@ -332,6 +310,14 @@ func NewMLP(rng *rand.Rand, sizes ...int) *MLP {
 		}
 	}
 	return &MLP{Layers: layers}
+}
+
+// DiscardInputGrad declares that callers of Backward/BackwardBatch ignore the
+// gradient with respect to the network's first cols input columns (all of
+// them when cols is the input width), so the first layer need not compute
+// it (Linear.GradInFrom). Parameter gradients are unaffected.
+func (m *MLP) DiscardInputGrad(cols int) {
+	m.Layers[0].(*Linear).GradInFrom = cols
 }
 
 // Forward implements Layer.

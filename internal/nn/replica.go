@@ -22,7 +22,7 @@ func (p *Param) TrainingReplica() *Param {
 // Replica returns a Linear layer sharing this layer's weight and bias values
 // (via Param.TrainingReplica) with private gradients and scratch arenas.
 func (l *Linear) Replica() *Linear {
-	return &Linear{In: l.In, Out: l.Out, W: l.W.TrainingReplica(), B: l.B.TrainingReplica()}
+	return &Linear{In: l.In, Out: l.Out, W: l.W.TrainingReplica(), B: l.B.TrainingReplica(), GradInFrom: l.GradInFrom}
 }
 
 // Replica returns an independent Tanh layer of the same width (tanh has no

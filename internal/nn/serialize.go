@@ -97,14 +97,23 @@ const snapshotFormat = "mocc-model-v1"
 
 // TakeSnapshot captures current parameter values.
 func TakeSnapshot(ps []*Param) Snapshot {
-	s := Snapshot{Format: snapshotFormat, Params: make([]ParamDump, len(ps))}
-	for i, p := range ps {
-		s.Params[i] = ParamDump{
-			Name:   p.Name,
-			Values: append(FloatVec(nil), p.Value...),
-		}
-	}
+	var s Snapshot
+	s.Refresh(ps)
 	return s
+}
+
+// Refresh overwrites s with the current values of ps, reusing the storage s
+// already holds: refreshing a snapshot of the same network copies values and
+// allocates nothing.
+func (s *Snapshot) Refresh(ps []*Param) {
+	s.Format = snapshotFormat
+	if len(s.Params) != len(ps) {
+		s.Params = make([]ParamDump, len(ps))
+	}
+	for i, p := range ps {
+		s.Params[i].Name = p.Name
+		s.Params[i].Values = append(s.Params[i].Values[:0], p.Value...)
+	}
 }
 
 // Validate rejects snapshots that would poison a live model: every value of

@@ -234,7 +234,7 @@ func evalModel(m *core.Model, env *gym.Env, w objective.Weights, steps int) floa
 	for i := 0; i < steps; i++ {
 		a := stats.Clamp(m.ActFor(w, env.Observation()), -2, 2)
 		env.ApplyAction(a)
-		_, metrics := env.Step()
+		metrics := env.Step()
 		oThr, oLat, oLoss := gym.RewardTerms(metrics)
 		sum += w.Reward(oThr, oLat, oLoss)
 	}
@@ -327,7 +327,7 @@ func evalActor(act func(netObs []float64) float64, env *gym.Env, w objective.Wei
 	for i := 0; i < steps; i++ {
 		a := stats.Clamp(act(env.Observation()), -2, 2)
 		env.ApplyAction(a)
-		_, metrics := env.Step()
+		metrics := env.Step()
 		oThr, oLat, oLoss := gym.RewardTerms(metrics)
 		sum += w.Reward(oThr, oLat, oLoss)
 	}

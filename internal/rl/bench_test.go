@@ -40,9 +40,10 @@ func BenchmarkPPOUpdateSerial(b *testing.B) {
 
 // BenchmarkPPOUpdateParallel measures the data-parallel update engine at
 // several worker counts on the same rollout as BenchmarkPPOUpdate. W=1
-// takes the serial engine path (the bit-identity guarantee), so it must be
-// flat against BenchmarkPPOUpdate; the ≥1.8x target at w4 needs a ≥4-core
-// machine (on a 1-core container the barrier rounds serialize).
+// takes the same whole-minibatch path as BenchmarkPPOUpdate (the
+// bit-identity guarantee), so it must be flat against it; the ≥1.8x target
+// at w4 needs a ≥4-core machine (on a 1-core container the barrier rounds
+// serialize).
 func BenchmarkPPOUpdateParallel(b *testing.B) {
 	for _, w := range []int{1, 2, 4} {
 		b.Run(fmt.Sprintf("w%d", w), func(b *testing.B) {

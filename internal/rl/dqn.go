@@ -219,7 +219,7 @@ func (a *DQNAgent) TrainEpisodes(factory EnvFactory, w objective.Weights, includ
 	for step := 0; step < totalSteps; step++ {
 		ai := a.selectAction(obs)
 		env.ApplyAction(a.actions[ai])
-		_, m := env.Step()
+		m := env.Step()
 		oThr, oLat, oLoss := gym.RewardTerms(m)
 		reward := w.Reward(oThr, oLat, oLoss)
 		epReward += reward
@@ -264,7 +264,7 @@ func EvaluateActor(act func(obs []float64) float64, env *gym.Env, w objective.We
 		obs := dqnObs(env, w, includeWeights)
 		a := math.Max(-2, math.Min(2, act(obs)))
 		env.ApplyAction(a)
-		_, m := env.Step()
+		m := env.Step()
 		oThr, oLat, oLoss := gym.RewardTerms(m)
 		sum += w.Reward(oThr, oLat, oLoss)
 	}

@@ -37,9 +37,9 @@ type PPOConfig struct {
 	// each running batched forward/backward on a value-sharing replica of
 	// the agent, with per-worker gradients reduced into the master in fixed
 	// worker order before the optimizer step. Requires the agent to
-	// implement ReplicaAgent (otherwise the update silently stays serial).
-	// 0 or 1 keeps the single-goroutine engine. Minibatch composition is
-	// independent of Workers, so a fixed seed and worker count give
+	// implement ReplicaAgent (otherwise the update ignores Workers). 0 or 1
+	// keeps whole minibatches on the calling goroutine. Minibatch composition
+	// is independent of Workers, so a fixed seed and worker count give
 	// bit-deterministic training; different worker counts differ only in
 	// floating-point summation order (parallel shards associate gradient
 	// sums differently than one full-batch pass).
@@ -75,11 +75,12 @@ type UpdateStats struct {
 
 // PPO trains an ActorCritic with the clipped surrogate objective
 // (Equations 3-5). When the agent implements BatchActorCritic, each
-// minibatch runs as one batched forward/backward through the actor and
-// critic over reusable scratch buffers; otherwise a per-sample fallback
-// path (the original implementation) is used. With Cfg.Workers > 1 and a
-// ReplicaAgent, minibatches additionally shard across a data-parallel
-// worker pool (see update_parallel.go).
+// minibatch runs as one batched forward/backward through the actor and one
+// through the critic over reusable scratch buffers, on the calling
+// goroutine; other agents take a per-sample fallback path (the original
+// implementation). With Cfg.Workers > 1 and a ReplicaAgent, minibatches
+// instead shard their rows across a data-parallel worker pool (see
+// update_parallel.go).
 type PPO struct {
 	Agent     ActorCritic
 	Cfg       PPOConfig
@@ -94,7 +95,7 @@ type PPO struct {
 
 	idx   []int        // minibatch shuffle scratch
 	trans []Transition // rollout gather scratch
-	eng   mbEngine     // serial batched minibatch engine (agent = Agent)
+	eng   mbEngine     // whole-minibatch engine over Agent (agent nil when it is not a BatchActorCritic)
 	pool  *updatePool  // data-parallel engine, built lazily when Workers > 1
 }
 
@@ -186,17 +187,13 @@ func (p *PPO) UpdateMulti(rollouts []Rollout) UpdateStats {
 		defer pool.end()
 	}
 
-	var lossCount, clipCount, sampleCount float64
+	var sums lossSums
 	for epoch := 0; epoch < max(p.Cfg.Epochs, 1); epoch++ {
 		// The shuffle consumes the rng identically for every worker count,
 		// so minibatch composition never depends on Workers.
 		p.rng.Shuffle(len(idx), func(i, j int) { idx[i], idx[j] = idx[j], idx[i] })
 		for start := 0; start < len(idx); start += mb {
-			end := start + mb
-			if end > len(idx) {
-				end = len(idx)
-			}
-			batch := idx[start:end]
+			batch := idx[start:min(start+mb, len(idx))]
 
 			nn.ZeroGrad(p.actorPs)
 			nn.ZeroGrad(p.criticPs)
@@ -204,13 +201,12 @@ func (p *PPO) UpdateMulti(rollouts []Rollout) UpdateStats {
 			switch {
 			case pool != nil:
 				pool.runMinibatch(batch, beta)
-				pool.merge(&stats, &lossCount, &clipCount, &sampleCount)
+				pool.merge(&sums)
 			case p.eng.agent != nil:
-				p.eng.reset()
 				p.eng.run(&p.Cfg, all, batch, float64(len(batch)), beta)
-				p.eng.merge(&stats, &lossCount, &clipCount, &sampleCount)
+				sums.add(&p.eng.part)
 			default:
-				p.minibatchSerial(all, batch, beta, &stats, &lossCount, &clipCount, &sampleCount)
+				p.minibatchSerial(all, batch, beta, &sums)
 			}
 
 			if p.Cfg.MaxGradNorm > 0 {
@@ -222,35 +218,49 @@ func (p *PPO) UpdateMulti(rollouts []Rollout) UpdateStats {
 		}
 	}
 
-	if lossCount > 0 {
-		stats.PolicyLoss /= lossCount
-		stats.ValueLoss /= lossCount
-		stats.Entropy /= lossCount
+	if sums.lossCount > 0 {
+		stats.PolicyLoss = sums.policyLoss / sums.lossCount
+		stats.ValueLoss = sums.valueLoss / sums.lossCount
+		stats.Entropy = sums.entropy / sums.lossCount
 	}
-	if sampleCount > 0 {
-		stats.ClipFraction = clipCount / sampleCount
+	if sums.sampleCount > 0 {
+		stats.ClipFraction = sums.clipCount / sums.sampleCount
 	}
 	p.iter++
 	return stats
 }
 
+// lossSums are the loss statistics an update accumulates: per minibatch
+// shard in an mbEngine, then folded into the update's running total.
+type lossSums struct {
+	policyLoss, valueLoss, entropy    float64
+	lossCount, clipCount, sampleCount float64
+}
+
+// add folds o into s.
+func (s *lossSums) add(o *lossSums) {
+	s.policyLoss += o.policyLoss
+	s.valueLoss += o.valueLoss
+	s.entropy += o.entropy
+	s.lossCount += o.lossCount
+	s.clipCount += o.clipCount
+	s.sampleCount += o.sampleCount
+}
+
 // mbEngine accumulates the gradients of one minibatch shard with a single
 // batched forward/backward through the actor and critic, over its own
 // scratch buffers and partial-statistic accumulators — the unit of work of
-// both the serial batched path (one engine spanning the whole minibatch) and
-// the data-parallel path (one engine per worker, each over a row shard). It
-// is gradient-equivalent to minibatchSerial: samples are processed in the
-// same order, though the blocked kernels associate floating-point sums
-// differently, so gradients match the serial path to tight tolerance (~1e-9,
-// pinned by the batch equivalence tests) rather than bitwise.
+// both the whole-minibatch path (one engine spanning the minibatch) and the
+// data-parallel path (one engine per worker, each over a row shard). It is
+// gradient-equivalent to minibatchSerial: samples are processed in the same
+// order, though the blocked kernels associate floating-point sums
+// differently, so gradients match the per-sample path to tight tolerance
+// (~1e-9, pinned by the batch equivalence tests) rather than bitwise.
 type mbEngine struct {
 	agent BatchActorCritic
 
 	obsBuf  []float64 // [n x ObsSize] gathered observations
 	actBuf  []float64 // actions
-	oldLp   []float64 // behavior-policy log-probs
-	advBuf  []float64 // advantages
-	retBuf  []float64 // returns
 	lpBuf   []float64 // current-policy log-probs
 	gmBuf   []float64 // dlogpi/dmean
 	gsBuf   []float64 // dlogpi/dlogstd
@@ -258,39 +268,21 @@ type mbEngine struct {
 	dLogStd []float64 // log-std loss gradients
 	dV      []float64 // critic loss gradients
 
-	policyLoss, valueLoss, entropy    float64
-	lossCount, clipCount, sampleCount float64
-}
-
-// reset clears the partial statistics before a shard pass.
-func (e *mbEngine) reset() {
-	e.policyLoss, e.valueLoss, e.entropy = 0, 0, 0
-	e.lossCount, e.clipCount, e.sampleCount = 0, 0, 0
-}
-
-// merge folds the engine's partial statistics into the update accumulators.
-func (e *mbEngine) merge(stats *UpdateStats, lossCount, clipCount, sampleCount *float64) {
-	stats.PolicyLoss += e.policyLoss
-	stats.ValueLoss += e.valueLoss
-	stats.Entropy += e.entropy
-	*lossCount += e.lossCount
-	*clipCount += e.clipCount
-	*sampleCount += e.sampleCount
+	part lossSums // statistics of the current shard pass
 }
 
 // run accumulates gradients for the batch rows into the engine agent's
-// parameters. fn is the FULL minibatch row count (not the shard size): loss
-// gradients divide by it so that summing shard gradients reproduces the
-// full-minibatch mean regardless of how rows are sharded.
+// parameters and the rows' statistics into part. fn is the FULL minibatch
+// row count (not the shard size): loss gradients divide by it so that
+// summing shard gradients reproduces the full-minibatch mean regardless of
+// how rows are sharded.
 func (e *mbEngine) run(cfg *PPOConfig, all []Transition, batch []int, fn float64, beta float64) {
 	n := len(batch)
 	obsDim := e.agent.ObsSize()
+	e.part = lossSums{}
 
 	e.obsBuf = nn.Grow(e.obsBuf, n*obsDim)
 	e.actBuf = nn.Grow(e.actBuf, n)
-	e.oldLp = nn.Grow(e.oldLp, n)
-	e.advBuf = nn.Grow(e.advBuf, n)
-	e.retBuf = nn.Grow(e.retBuf, n)
 	e.lpBuf = nn.Grow(e.lpBuf, n)
 	e.gmBuf = nn.Grow(e.gmBuf, n)
 	e.gsBuf = nn.Grow(e.gsBuf, n)
@@ -299,15 +291,12 @@ func (e *mbEngine) run(cfg *PPOConfig, all []Transition, batch []int, fn float64
 	e.dV = nn.Grow(e.dV, n)
 
 	for k, i := range batch {
-		tr := all[i]
+		tr := &all[i]
 		if len(tr.Obs) != obsDim {
 			panic(fmt.Sprintf("rl: transition observation length %d, agent expects %d", len(tr.Obs), obsDim))
 		}
 		copy(e.obsBuf[k*obsDim:(k+1)*obsDim], tr.Obs)
 		e.actBuf[k] = tr.Action
-		e.oldLp[k] = tr.LogProb
-		e.advBuf[k] = tr.Advantage
-		e.retBuf[k] = tr.Return
 	}
 
 	means, std := e.agent.PolicyForwardBatch(e.obsBuf, n)
@@ -315,23 +304,24 @@ func (e *mbEngine) run(cfg *PPOConfig, all []Transition, batch []int, fn float64
 	nn.GaussianLogProbGradVec(e.gmBuf, e.gsBuf, e.actBuf, means, std)
 	entropy := nn.GaussianEntropy(std)
 
-	for k := 0; k < n; k++ {
-		dMean, dLogStd, surr := policySample(cfg, e.lpBuf[k], e.oldLp[k], e.advBuf[k],
-			e.gmBuf[k], e.gsBuf[k], beta, &e.clipCount, &e.sampleCount)
+	for k, i := range batch {
+		tr := &all[i]
+		dMean, dLogStd, surr := policySample(cfg, e.lpBuf[k], tr.LogProb, tr.Advantage,
+			e.gmBuf[k], e.gsBuf[k], beta, &e.part)
 		e.dMean[k] = dMean / fn
 		e.dLogStd[k] = dLogStd / fn
-		e.policyLoss += -surr
-		e.entropy += entropy
+		e.part.policyLoss += -surr
+		e.part.entropy += entropy
 	}
 	e.agent.PolicyBackwardBatch(e.dMean, e.dLogStd)
 
 	// Critic: 0.5·(V - R)².
 	vs := e.agent.ValueForwardBatch(e.obsBuf, n)
-	for k := 0; k < n; k++ {
-		diff := vs[k] - e.retBuf[k]
+	for k, i := range batch {
+		diff := vs[k] - all[i].Return
 		e.dV[k] = cfg.ValueCoef * diff / fn
-		e.valueLoss += 0.5 * diff * diff
-		e.lossCount++
+		e.part.valueLoss += 0.5 * diff * diff
+		e.part.lossCount++
 	}
 	e.agent.ValueBackwardBatch(e.dV)
 }
@@ -339,26 +329,25 @@ func (e *mbEngine) run(cfg *PPOConfig, all []Transition, batch []int, fn float64
 // minibatchSerial is the per-sample fallback for agents without batched
 // kernels; it shares the surrogate arithmetic with the batched path via
 // policySample.
-func (p *PPO) minibatchSerial(all []Transition, batch []int, beta float64,
-	stats *UpdateStats, lossCount, clipCount, sampleCount *float64) {
+func (p *PPO) minibatchSerial(all []Transition, batch []int, beta float64, sums *lossSums) {
 	n := float64(len(batch))
 	for _, i := range batch {
-		tr := all[i]
+		tr := &all[i]
 		mean, std := p.Agent.PolicyForward(tr.Obs)
 		logProb := nn.GaussianLogProb(tr.Action, mean, std)
 		gm, gs := nn.GaussianLogProbGrad(tr.Action, mean, std)
 		dMean, dLogStd, surr := policySample(&p.Cfg, logProb, tr.LogProb, tr.Advantage,
-			gm, gs, beta, clipCount, sampleCount)
+			gm, gs, beta, sums)
 		p.Agent.PolicyBackward(dMean/n, dLogStd/n)
-		stats.PolicyLoss += -surr
-		stats.Entropy += nn.GaussianEntropy(std)
+		sums.policyLoss += -surr
+		sums.entropy += nn.GaussianEntropy(std)
 
 		// Critic: 0.5·(V - R)².
 		v := p.Agent.ValueForward(tr.Obs)
 		dv := p.Cfg.ValueCoef * (v - tr.Return)
 		p.Agent.ValueBackward(dv / n)
-		stats.ValueLoss += 0.5 * (v - tr.Return) * (v - tr.Return)
-		*lossCount++
+		sums.valueLoss += 0.5 * (v - tr.Return) * (v - tr.Return)
+		sums.lossCount++
 	}
 }
 
@@ -368,7 +357,7 @@ func (p *PPO) minibatchSerial(all []Transition, batch []int, beta float64,
 // loss statistics. It is the single source of the PPO arithmetic shared by
 // the batched, data-parallel and per-sample paths.
 func policySample(cfg *PPOConfig, logProb, oldLogProb, adv, gm, gs, beta float64,
-	clipCount, sampleCount *float64) (dMean, dLogStd, surr float64) {
+	sums *lossSums) (dMean, dLogStd, surr float64) {
 	ratio := math.Exp(logProb - oldLogProb)
 	// Guard against numeric explosions on stale samples.
 	if ratio > 20 {
@@ -384,9 +373,9 @@ func policySample(cfg *PPOConfig, logProb, oldLogProb, adv, gm, gs, beta float64
 		if clipR*adv < ratio*adv {
 			useUnclipped = false
 		}
-		*clipCount++
+		sums.clipCount++
 	}
-	*sampleCount++
+	sums.sampleCount++
 
 	if useUnclipped {
 		// d(-r·A)/dθ = -A·r·dlogπ/dθ.

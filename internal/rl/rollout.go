@@ -3,6 +3,13 @@
 // the Equation 4 advantage estimate; trajectory collection (serial and
 // goroutine-parallel, replacing Ray/RLlib from the paper's stack §5); and a
 // DQN implementation for the learning-algorithm ablation (Figure 18).
+//
+// An update runs on the calling goroutine unless PPOConfig.Workers > 1, which
+// shards every minibatch's rows over a worker pool and reduces the gradients
+// in fixed order (update_parallel.go): deterministic for a fixed worker
+// count, but a different floating-point summation order than whole
+// minibatches. Collection allocates per rollout through Collect, or not at
+// all through a Collector the caller keeps.
 package rl
 
 import (
@@ -156,12 +163,30 @@ func fillObs(dst []float64, env *gym.Env, w objective.Weights, includeWeights bo
 // Equation 2 evaluated with w. envSeed seeds both environment sampling and
 // action sampling so collection is reproducible.
 func Collect(agent ActorCritic, factory EnvFactory, w objective.Weights, cfg CollectConfig, envSeed int64) Rollout {
+	return new(Collector).Collect(agent, factory, w, cfg, envSeed)
+}
+
+// Collector is Collect over storage it keeps between calls: the rollout a
+// call returns (its transitions and their observations) is overwritten by
+// the next call on the same Collector. A loop that consumes each rollout
+// before collecting the next holds one Collector per rollout in flight and
+// stops allocating them.
+type Collector struct {
+	trans   []Transition
+	backing []float64
+}
+
+// Collect is the package-level Collect into the collector's storage.
+func (c *Collector) Collect(agent ActorCritic, factory EnvFactory, w objective.Weights, cfg CollectConfig, envSeed int64) Rollout {
 	if cfg.MaxAction <= 0 {
 		cfg.MaxAction = 2
 	}
 	rng := rand.New(rand.NewSource(envSeed))
 	env := factory(rng.Int63())
-	ro := Rollout{Trans: make([]Transition, 0, cfg.Steps)}
+	if cap(c.trans) < cfg.Steps {
+		c.trans = make([]Transition, 0, cfg.Steps)
+	}
+	ro := Rollout{Trans: c.trans[:0]}
 	epSteps := 0
 	var rewardSum float64
 
@@ -169,7 +194,8 @@ func Collect(agent ActorCritic, factory EnvFactory, w objective.Weights, cfg Col
 	// transition's Obs is a slice into it, so collection performs a single
 	// allocation instead of one per step.
 	obsDim := agent.ObsSize()
-	backing := make([]float64, cfg.Steps*obsDim)
+	c.backing = nn.Grow(c.backing, cfg.Steps*obsDim)
+	backing := c.backing
 
 	for len(ro.Trans) < cfg.Steps {
 		obs := backing[len(ro.Trans)*obsDim : (len(ro.Trans)+1)*obsDim : (len(ro.Trans)+1)*obsDim]
@@ -186,7 +212,7 @@ func Collect(agent ActorCritic, factory EnvFactory, w objective.Weights, cfg Col
 		value := agent.ValueForward(obs)
 
 		env.ApplyAction(clipped)
-		_, m := env.Step()
+		m := env.Step()
 		oThr, oLat, oLoss := gym.RewardTerms(m)
 		reward := w.Reward(oThr, oLat, oLoss)
 		rewardSum += reward
@@ -212,6 +238,7 @@ func Collect(agent ActorCritic, factory EnvFactory, w objective.Weights, cfg Col
 			Done:    done,
 		})
 	}
+	c.trans = ro.Trans
 	ro.MeanReward = rewardSum / float64(len(ro.Trans))
 	return ro
 }
@@ -228,7 +255,7 @@ func EvaluatePolicy(agent ActorCritic, env *gym.Env, w objective.Weights, includ
 		mean, _ := agent.PolicyForward(obs)
 		a := math.Max(-2, math.Min(2, mean))
 		env.ApplyAction(a)
-		_, m := env.Step()
+		m := env.Step()
 		oThr, oLat, oLoss := gym.RewardTerms(m)
 		sum += w.Reward(oThr, oLat, oLoss)
 	}

@@ -64,7 +64,6 @@ func (w *updateWorker) round() {
 	}
 	nn.ZeroGrad(w.actorPs)
 	nn.ZeroGrad(w.criticPs)
-	w.eng.reset()
 	w.eng.run(&pool.p.Cfg, pool.all, pool.batch[lo:hi], float64(len(pool.batch)), pool.beta)
 }
 
@@ -94,9 +93,9 @@ type updatePool struct {
 }
 
 // ensurePool lazily builds the data-parallel engine. It returns nil — and
-// UpdateMulti stays on the serial engine, which the W=1 equivalence tests
-// pin as bit-identical — when Workers <= 1 or the agent cannot spawn
-// replicas.
+// UpdateMulti keeps whole minibatches, which the W=1 equivalence tests pin
+// as bit-identical to Workers = 0 — when Workers <= 1 or the agent cannot
+// spawn replicas.
 func (p *PPO) ensurePool() *updatePool {
 	if p.Cfg.Workers <= 1 {
 		return nil
@@ -165,12 +164,12 @@ func (pool *updatePool) runMinibatch(batch []int, beta float64) {
 // and folds the partial statistics into the update accumulators, visiting
 // workers in ascending id order so the floating-point reduction is identical
 // on every run with the same worker count.
-func (pool *updatePool) merge(stats *UpdateStats, lossCount, clipCount, sampleCount *float64) {
+func (pool *updatePool) merge(sums *lossSums) {
 	for _, w := range pool.workers {
 		if !w.active {
 			continue
 		}
-		w.eng.merge(stats, lossCount, clipCount, sampleCount)
+		sums.add(&w.eng.part)
 		if err := nn.AccumulateInto(pool.p.actorPs, w.actorPs); err != nil {
 			panic("rl: actor gradient reduction: " + err.Error())
 		}

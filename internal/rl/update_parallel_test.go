@@ -37,8 +37,8 @@ func assertParamsBitIdentical(t *testing.T, a, b *PlainAgent, label string) {
 }
 
 // TestParallelUpdateW1BitIdenticalToSerial pins the W=1 guarantee: a PPO
-// configured with one worker takes the exact serial engine path, so the
-// trained parameters are bit-identical to the Workers=0 default.
+// configured with one worker takes the same whole-minibatch path as the
+// Workers=0 default, so the trained parameters are bit-identical.
 func TestParallelUpdateW1BitIdenticalToSerial(t *testing.T) {
 	serial := trainAgent(t, 0, 3)
 	w1 := trainAgent(t, 1, 3)

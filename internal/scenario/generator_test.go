@@ -125,7 +125,8 @@ func TestGeneratorEnvFactory(t *testing.T) {
 	for seed := int64(0); seed < 8; seed++ {
 		env := factory(seed)
 		for i := 0; i < 5; i++ {
-			obs, m := env.Step()
+			m := env.Step()
+			obs := env.Observation()
 			if len(obs) != env.ObsSize() {
 				t.Fatalf("seed %d: obs len %d, want %d", seed, len(obs), env.ObsSize())
 			}
@@ -137,8 +138,8 @@ func TestGeneratorEnvFactory(t *testing.T) {
 	// Same factory seed, same env behaviour.
 	e1, e2 := factory(3), factory(3)
 	for i := 0; i < 10; i++ {
-		_, m1 := e1.Step()
-		_, m2 := e2.Step()
+		m1 := e1.Step()
+		m2 := e2.Step()
 		if m1 != m2 {
 			t.Fatalf("step %d: env metrics diverge for identical seeds", i)
 		}

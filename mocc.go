@@ -40,6 +40,7 @@ import (
 
 	"mocc/internal/cc"
 	"mocc/internal/core"
+	"mocc/internal/nn"
 	"mocc/internal/objective"
 	"mocc/internal/obs"
 	"mocc/internal/rl"
@@ -187,6 +188,7 @@ type Library struct {
 	nextID AppID
 
 	adaptMu   sync.Mutex     // serializes OnlineAdapt runs against each other
+	lastGood  nn.Snapshot    // OnlineAdapt's rollback point, refreshed in place (under adaptMu)
 	adaptHook func(iter int) // test seam: runs after each Step under the write lock
 }
 
@@ -420,7 +422,7 @@ func (l *Library) OnlineAdapt(w Weights, iters int) ([]float64, error) {
 
 	l.model.RLockParams()
 	ferr := l.model.CheckFinite()
-	lastGood := l.model.Snapshot()
+	l.lastGood.Refresh(l.model.AllParams())
 	l.model.RUnlockParams()
 	if ferr != nil {
 		return nil, fmt.Errorf("mocc: refusing to adapt a corrupted model: %w", ferr)
@@ -434,7 +436,7 @@ func (l *Library) OnlineAdapt(w Weights, iters int) ([]float64, error) {
 			l.adaptHook(i)
 		}
 		if ferr := l.model.CheckFinite(); ferr != nil {
-			restoreErr := l.model.Restore(lastGood)
+			restoreErr := l.model.Restore(l.lastGood)
 			l.model.UnlockParams()
 			if restoreErr != nil {
 				return curve, fmt.Errorf("mocc: online adaptation diverged at iteration %d (%v) and rollback failed: %w",
@@ -443,7 +445,7 @@ func (l *Library) OnlineAdapt(w Weights, iters int) ([]float64, error) {
 			return curve, fmt.Errorf("mocc: online adaptation diverged at iteration %d, model restored to the last finite epoch: %w",
 				i, ferr)
 		}
-		lastGood = l.model.Snapshot()
+		l.lastGood.Refresh(l.model.AllParams())
 		l.model.UnlockParams()
 		curve = append(curve, r)
 	}

@@ -1,8 +1,12 @@
 package mocc
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"math"
+	"os"
 	"path/filepath"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -506,5 +510,35 @@ func TestNewValidation(t *testing.T) {
 	}
 	if _, err := New(&Model{m: lib.model}, WithInitialRTT(-time.Second)); err == nil {
 		t.Error("negative WithInitialRTT accepted")
+	}
+}
+
+// TestQuickTrainingGoldenModel pins the offline trainer's output across
+// changes that may move speed but not numbers: the file `mocc-train -scale
+// quick -seed 3` writes (Workers = 4, so the data-parallel update pool and,
+// where the CPU has them, the AVX kernels under it) hashes to what it did
+// on commit de2f4ba, before those kernels existed.
+func TestQuickTrainingGoldenModel(t *testing.T) {
+	if runtime.GOARCH != "amd64" {
+		t.Skipf("golden model was trained with the amd64 kernels, running on %s", runtime.GOARCH)
+	}
+	const golden = "07ab737b2cc965a557bc3cfd80f5c61178862656013a61196e111cb68af63ad4"
+	opts := QuickTraining()
+	opts.Seed = 3
+	model, err := TrainModel(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "model.json")
+	if err := model.Save(path); err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sum := sha256.Sum256(data)
+	if got := hex.EncodeToString(sum[:]); got != golden {
+		t.Fatalf("quick seed-3 model hashes to %s, want %s", got, golden)
 	}
 }
