@@ -15,10 +15,10 @@ test:
 
 # Race detector over the concurrency-bearing packages: the shard-parallel
 # public API (root + transport), the serving engine's batching shards,
-# the parallel collectors/schedulers, the data-parallel PPO update, and
-# the sharded topology simulator's round barrier.
+# the parallel collectors/schedulers and the data-parallel PPO update.
+# (The simulators are not here: netsim and topo run on one goroutine.)
 test-race:
-	$(GO) test -race . ./transport ./internal/faults ./internal/rl ./internal/core ./internal/pantheon ./internal/serve ./internal/topo ./internal/obs
+	$(GO) test -race . ./transport ./internal/faults ./internal/rl ./internal/core ./internal/pantheon ./internal/serve ./internal/obs
 
 # Seeded chaos suite: the fault-injection package (bit-reproducible
 # same-seed plans, every wire/report/inference injector), safe-mode
@@ -62,20 +62,24 @@ bench:
 
 # Go micro-benchmarks for measuring while working on one layer: NN/PPO hot
 # path and the training loop serial vs data-parallel (nn, rl, core), the
-# netsim packet-train engine vs its per-packet reference, and the pantheon
-# sweep scheduler (run with -count for stability).
+# netsim packet-train engine vs its per-packet reference, the multi-link
+# topo engine on its own (the sim-topo shape without the scenario layer,
+# the parking lot against the reference, the 10k-flow incast), and the
+# pantheon sweep scheduler (run with -count for stability).
 bench-micro:
 	$(GO) test -run '^$$' -bench . -benchmem ./internal/nn ./internal/rl ./internal/core
 	$(GO) test -run '^$$' -bench 'Engine' -benchmem ./internal/netsim
+	$(GO) test -run '^$$' -bench 'Topo' -benchmem ./internal/topo
 	$(GO) test -run '^$$' -bench 'RunSweep' -benchmem ./internal/pantheon
 
 # Differential fuzz smoke: 25 generator-seeded scenarios replayed through
 # both netsim engines (packet-train vs per-packet reference), then 25 more
-# topology scenarios through both topo engines (sharded vs per-packet
-# reference) — every pair must agree bit-for-bit AND satisfy the
-# engine-independent physical invariants (packet conservation, RTT ≥ path
-# propagation, per-link throughput ≤ capacity). Runs in a few seconds
-# including the build.
+# from the three topology families (parking-lot, incast-10k, chain) through
+# both topo engines (per-link packet trains vs per-packet reference) —
+# every pair must agree bit-for-bit AND satisfy the engine-independent
+# physical invariants (packet conservation, RTT ≥ path propagation,
+# per-link throughput ≤ capacity). Runs in a few seconds including the
+# build.
 fuzz-scen:
 	$(GO) run ./cmd/mocc-scen fuzz -n 25 -seed 1
 	$(GO) run ./cmd/mocc-scen fuzz -topo -n 25 -seed 1

@@ -155,7 +155,6 @@ func cmdRun(args []string) {
 	engine := fs.String("engine", "fast", "simulator engine: fast | reference")
 	scale := fs.String("scale", "quick", "model zoo training scale for learned schemes")
 	zooSeed := fs.Int64("zoo-seed", 1, "model zoo training seed")
-	workers := fs.Int("workers", 0, "topology engine workers (0 = GOMAXPROCS; results identical at every setting)")
 	fs.Parse(args)
 
 	s, baseDir := loadOrGenerate(*specPath, *family, *seed)
@@ -164,8 +163,7 @@ func cmdRun(args []string) {
 			BaseDir:  baseDir,
 			Resolver: zooResolver(*scale, *zooSeed),
 		},
-		Engine:  scenario.Engine(*engine),
-		Workers: *workers,
+		Engine: scenario.Engine(*engine),
 	})
 	if err != nil {
 		log.Fatal(err)

@@ -121,7 +121,7 @@ type delivery struct {
 // through ONE fixed-rate server and then adds ONE shared propagation delay;
 // with per-flow paths over multiple links, deliveries interleave and the
 // ring would reorder them. Multi-link simulation therefore lives in
-// internal/topo (per-link event queues), not here.
+// internal/topo (the same idea, one such ring per link), not here.
 type deliveryRing struct {
 	buf  []delivery
 	head int

@@ -5,7 +5,7 @@ import "fmt"
 // DiffEngines compiles the spec twice (fresh controller state per engine),
 // runs it through both the production engine and the per-packet reference
 // engine with the same seed — netsim for single-bottleneck specs, the
-// sharded topo engine for topology specs — and compares every observable
+// topo engines for topology specs — and compares every observable
 // bitwise: totals, completion, accumulated RTT and the full per-flow
 // monitor-interval series. Both runs are additionally checked against the
 // engine-independent physical invariants (packet conservation, the path
@@ -18,11 +18,11 @@ func DiffEngines(spec *Spec, opt CompileOptions) (packets int, err error) {
 	var fast, ref []flowOutcome
 	var phys physical
 	if spec.Topology() {
-		cf, ff, err := executeTopo(spec, opt, EngineFast, 0)
+		cf, ff, err := executeTopo(spec, opt, EngineFast)
 		if err != nil {
 			return 0, err
 		}
-		_, rf, err := executeTopo(spec, opt, EngineReference, 0)
+		_, rf, err := executeTopo(spec, opt, EngineReference)
 		if err != nil {
 			return 0, err
 		}
@@ -112,7 +112,7 @@ type FuzzConfig struct {
 	// families, or the topology families when Topo is set).
 	Families []Family
 	// Topo switches the default rotation to the topology families,
-	// exercising the multi-link engines and the sharded/reference diff.
+	// exercising the multi-link engine pair.
 	Topo bool
 	// Progress, when set, is invoked after each scenario.
 	Progress func(i int, spec *Spec, packets int)

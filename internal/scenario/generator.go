@@ -25,10 +25,11 @@ const (
 )
 
 // Topology families: multi-link (version 2) scenarios lowered onto the
-// sharded topo engine instead of netsim.
+// topo engine instead of netsim.
 const (
 	ParkingLot Family = "parking-lot" // two bottlenecks in series, one long + two short flows
 	Incast10k  Family = "incast-10k"  // 10k rack-homed senders converging on one core link
+	Chain      Family = "chain"       // 3-6 links in series, reactive flows over sub-paths of mixed length
 )
 
 // Families returns every single-bottleneck generator family in canonical
@@ -40,7 +41,7 @@ func Families() []Family {
 
 // TopoFamilies returns every topology generator family in canonical order.
 func TopoFamilies() []Family {
-	return []Family{ParkingLot, Incast10k}
+	return []Family{ParkingLot, Incast10k, Chain}
 }
 
 // AllFamilies returns every generator family, single-bottleneck first.
@@ -67,6 +68,8 @@ func FamilyDescription(f Family) string {
 		return "parking lot: two bottlenecks in series, one long flow crossing both against a short flow on each"
 	case Incast10k:
 		return "10k-sender incast: rack links fanning into one 80-150 Mbps core link, fixed-rate overload"
+	case Chain:
+		return "chain: 3-6 links in series, one capacity step, loss on at most one, 4-8 reactive flows over sub-paths of mixed length"
 	default:
 		return "unknown family"
 	}
@@ -162,6 +165,8 @@ func Generate(f Family, seed int64) (*Spec, error) {
 		genParkingLot(rng, s)
 	case Incast10k:
 		genIncast10k(rng, s)
+	case Chain:
+		genChain(rng, s)
 	default:
 		return nil, fmt.Errorf("scenario: unknown family %q (known: %v)", f, AllFamilies())
 	}
@@ -372,6 +377,68 @@ func genIncast10k(rng *rand.Rand, s *Spec) {
 			MIms:     200,
 			Path:     []string{fmt.Sprintf("rack%d", i%racks), "core"},
 		})
+	}
+}
+
+// genChain emits the shape the other two topology families leave out and
+// the repository benchmark's sim-topo workload has: three to six links in
+// series, reactive schemes over contiguous sub-paths of every length (the
+// first flow crosses the whole chain), staggered starts and stops, one bulk
+// budget, a capacity step on one link mid-run, random loss on at most one,
+// and up to two single-link cross flows. Mid-path hand-offs, mid-path loss
+// notices and per-hop queues all carry traffic that reacts to them.
+func genChain(rng *rand.Rand, s *Spec) {
+	n := intBetween(rng, 3, 6)
+	s.DurationSec = round3(uniform(rng, 6, 10))
+	stepped, lossy := rng.Intn(n), rng.Intn(n+1) // lossy == n: no loss anywhere
+	names := make([]string, n)
+	for i := range names {
+		names[i] = fmt.Sprintf("hop%d", i)
+		l := Link{
+			Name:      names[i],
+			DelayMs:   round3(uniform(rng, 2, 12)),
+			QueuePkts: intBetween(rng, 80, 300),
+		}
+		if mbps := round3(uniform(rng, 10, 30)); i == stepped {
+			l.Schedule = []Level{
+				{AtSec: 0, Mbps: mbps},
+				{AtSec: round3(uniform(rng, 0.3, 0.7) * s.DurationSec), Mbps: round3(mbps * uniform(rng, 0.5, 1.5))},
+			}
+		} else {
+			l.CapacityMbps = mbps
+		}
+		if i == lossy {
+			l.LossRate = round3(uniform(rng, 0.001, 0.01))
+		}
+		s.Links = append(s.Links, l)
+	}
+	nFlows := intBetween(rng, 4, 8)
+	bulk := rng.Intn(nFlows)
+	for i := 0; i < nFlows; i++ {
+		lo, hi := 0, n
+		if i > 0 {
+			lo = rng.Intn(n)
+			hi = lo + 1 + rng.Intn(n-lo)
+		}
+		fl := Flow{Scheme: pickScheme(rng), Path: names[lo:hi:hi]}
+		if i > 0 {
+			fl.StartSec = round3(uniform(rng, 0, s.DurationSec/2))
+		}
+		if rng.Float64() < 0.3 {
+			fl.StopSec = round3(uniform(rng, 0.7*s.DurationSec, s.DurationSec))
+		}
+		if i == bulk {
+			fl.App = &App{Kind: "bulk", FileMBytes: round3(uniform(rng, 0.5, 3))}
+		}
+		s.Flows = append(s.Flows, fl)
+	}
+	for i, nCross := 0, intBetween(rng, 0, 2); i < nCross; i++ {
+		at := rng.Intn(n)
+		c := Cross{RateMbps: round3(uniform(rng, 0.5, 3)), Path: names[at : at+1 : at+1]}
+		if rng.Float64() < 0.5 {
+			c.OnOffSec = round3(uniform(rng, 0.5, 2))
+		}
+		s.Cross = append(s.Cross, c)
 	}
 }
 

@@ -17,7 +17,7 @@ type Engine string
 
 // Engines.
 const (
-	EngineFast      Engine = "fast"      // packet-train / sharded production engine
+	EngineFast      Engine = "fast"      // packet-train production engine
 	EngineReference Engine = "reference" // per-packet seed engine (ground truth)
 )
 
@@ -26,9 +26,11 @@ type RunOptions struct {
 	CompileOptions
 	// Engine defaults to EngineFast.
 	Engine Engine
-	// Workers sets the topology engine's worker-pool size (<= 0 selects
-	// GOMAXPROCS). Results are bit-identical at every setting; single-link
-	// specs ignore it.
+	// Workers does nothing. It sized the sharded topology engine's worker
+	// pool; that engine is gone (topo.Engine runs on one goroutine) and the
+	// field is still here only because bench/, which a change claiming a
+	// gain may not edit, sets it. It goes, with topo.Engine.Workers, in the
+	// benchmark change that drops the topo.sharded_pkts_per_s probe.
 	Workers int
 }
 
@@ -151,7 +153,7 @@ func execute(spec *Spec, opt CompileOptions, engine Engine) (*Compiled, []*netsi
 }
 
 // executeTopo compiles and runs a topology spec on the chosen topo engine.
-func executeTopo(spec *Spec, opt CompileOptions, engine Engine, workers int) (*CompiledTopo, []*topo.Flow, error) {
+func executeTopo(spec *Spec, opt CompileOptions, engine Engine) (*CompiledTopo, []*topo.Flow, error) {
 	c, err := spec.CompileTopo(opt)
 	if err != nil {
 		return nil, nil, err
@@ -161,9 +163,7 @@ func executeTopo(spec *Spec, opt CompileOptions, engine Engine, workers int) (*C
 	case EngineReference:
 		n = topo.NewReference(c.Topo, spec.Seed)
 	case EngineFast, "":
-		e := topo.NewEngine(c.Topo, spec.Seed)
-		e.Workers = workers
-		n = e
+		n = topo.NewEngine(c.Topo, spec.Seed)
 	default:
 		return nil, nil, fmt.Errorf("scenario: unknown engine %q (want %q or %q)", engine, EngineFast, EngineReference)
 	}
@@ -176,9 +176,11 @@ func executeTopo(spec *Spec, opt CompileOptions, engine Engine, workers int) (*C
 }
 
 // Run executes a spec end-to-end — single-bottleneck specs on netsim,
-// topology specs on the sharded topo engine — checks the physical
+// topology specs on topo, each on its packet-train engine unless
+// opt.Engine asks for the per-packet reference — checks the physical
 // invariants, and reduces each flow to its summary (plus ABR
-// post-processing for video-app flows).
+// post-processing for video-app flows). It runs on the calling goroutine;
+// opt.Workers is ignored.
 func Run(spec *Spec, opt RunOptions) (*Result, error) {
 	var (
 		outcomes []flowOutcome
@@ -188,7 +190,7 @@ func Run(spec *Spec, opt RunOptions) (*Result, error) {
 		pkt      int
 	)
 	if spec.Topology() {
-		c, flows, err := executeTopo(spec, opt.CompileOptions, opt.Engine, opt.Workers)
+		c, flows, err := executeTopo(spec, opt.CompileOptions, opt.Engine)
 		if err != nil {
 			return nil, err
 		}

@@ -240,8 +240,8 @@ func (s *Spec) Validate() error {
 	return nil
 }
 
-// MaxTopologyLinks bounds the links section: the topology engine runs one
-// shard per link and targets small DAGs (access / core / egress tiers).
+// MaxTopologyLinks bounds the links section: the topology engine scans one
+// ring per link and targets small DAGs (access / core / egress tiers).
 const MaxTopologyLinks = 256
 
 // validateTopology checks the version-2 links section itself: naming,

@@ -1,7 +1,9 @@
 package scenario
 
 import (
+	"bytes"
 	"math"
+	"os"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -287,4 +289,74 @@ func TestGymViewPeakRateCap(t *testing.T) {
 	if got := env.Rate(); got != peakPps {
 		t.Errorf("rate clamped to %g, want %g", got, peakPps)
 	}
+}
+
+// FuzzParseSpec feeds arbitrary bytes through the path every untrusted spec
+// takes: Parse (decode + Validate) must never panic, whatever it returns,
+// and a spec it accepts must also lower without panicking — onto topo when
+// it declares links, onto netsim and the gym view otherwise (specs naming a
+// trace_file are left at Parse: the file they name is not part of the
+// input). Nothing is run. The seed corpus holds the shipped example specs,
+// one generated spec per family — so version 2 links/path specs are in it —
+// and truncated, unknown-field and wrong-version variants of one of each
+// kind; `go test` executes the seeds, `go test -fuzz FuzzParseSpec` mutates
+// them.
+func FuzzParseSpec(f *testing.F) {
+	examples, err := filepath.Glob(filepath.Join("..", "..", "examples", "scenarios", "*.json"))
+	if err != nil || len(examples) < 3 {
+		f.Fatalf("example specs: %v, %v", examples, err)
+	}
+	var corpus [][]byte
+	for _, path := range examples {
+		data, err := os.ReadFile(path)
+		if err != nil {
+			f.Fatal(err)
+		}
+		corpus = append(corpus, data)
+	}
+	for _, fam := range AllFamilies() {
+		spec, err := Generate(fam, 1)
+		if err != nil {
+			f.Fatal(err)
+		}
+		data, err := spec.JSON()
+		if err != nil {
+			f.Fatal(err)
+		}
+		corpus = append(corpus, data)
+	}
+	for _, data := range corpus {
+		f.Add(data)
+		if len(data) > 1<<16 {
+			continue // one untouched copy of the 10k-flow spec is enough
+		}
+		f.Add(data[:len(data)/2])
+		f.Add(data[:len(data)-2])
+		f.Add(bytes.Replace(data, []byte(`"name"`), []byte(`"nmae"`), 1))             // unknown field
+		f.Add(bytes.Replace(data, []byte(`"version": 2`), []byte(`"version": 1`), 1)) // links under version 1
+		f.Add(bytes.Replace(data, []byte(`"version": `), []byte(`"version": 9`), 1))  // version 91 / 92
+	}
+	f.Add([]byte(`{"version":2,"name":"x","duration_sec":1e308,"links":[{"name":"a","delay_ms":1e-300,"capacity_mbps":1e-300}],"flows":[{"scheme":"fixed","rate_mbps":1e300,"path":["a"]}]}`))
+	f.Add([]byte(`{"version":1,"name":"x","duration_sec":5,"link":{"rtt_ms":40,"schedule":[{"at_sec":0,"mbps":0},{"at_sec":1e-9,"mbps":1}],"schedule_loop_sec":2e-9},"flows":[{"scheme":"cubic","app":{"kind":"bulk","file_mbytes":1e-9}}],"cross":[{"rate_mbps":1,"on_off_sec":1e-12}]}`))
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		s, err := Parse(data)
+		if err != nil {
+			return
+		}
+		if s.Link.TraceFile != "" {
+			return
+		}
+		for _, l := range s.Links {
+			if l.TraceFile != "" {
+				return
+			}
+		}
+		if s.Topology() {
+			s.CompileTopo(CompileOptions{})
+		} else {
+			s.Compile(CompileOptions{})
+		}
+		s.Gym(CompileOptions{})
+	})
 }

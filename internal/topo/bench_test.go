@@ -1,19 +1,15 @@
 package topo
 
-import (
-	"fmt"
-	"testing"
-)
+import "testing"
 
-// benchIncast runs the 10k-flow incast (4 racks + core, 2.5x overload, 2
-// simulated seconds) on the sharded engine at a fixed worker count and
-// reports packets/second of simulation throughput.
-func benchIncast(b *testing.B, workers int) {
+// BenchmarkTopoIncast10k is the committed scale number: the 10k-flow
+// two-tier incast (4 racks + core, 2.5x overload, 2 simulated seconds) end
+// to end, setup + run.
+func BenchmarkTopoIncast10k(b *testing.B) {
 	tp, flows := incastTopology(4, 10_000, 10_000, 2.5, 2)
 	var packets int
 	for i := 0; i < b.N; i++ {
 		e := NewEngine(tp, 7)
-		e.Workers = workers
 		for _, fc := range flows {
 			e.AddFlow(fc)
 		}
@@ -27,21 +23,27 @@ func benchIncast(b *testing.B, workers int) {
 	b.ReportMetric(float64(packets), "pkts/run")
 }
 
-// BenchmarkTopoIncast10k is the committed scale number: the 10k-flow
-// two-tier incast end to end (setup + run), serial vs sharded-parallel.
-func BenchmarkTopoIncast10k(b *testing.B) {
-	for _, workers := range []int{1, 0} {
-		name := fmt.Sprintf("workers=%d", workers)
-		if workers == 0 {
-			name = "workers=max"
+// BenchmarkTopoChain runs the benchmark's sim-topo shape (chainScenario) on
+// the engine alone, without the scenario layer around it: packets/second of
+// simulation throughput and, with -benchmem, the allocations of one whole
+// run (setup included).
+func BenchmarkTopoChain(b *testing.B) {
+	sc := chainScenario()
+	b.ReportAllocs()
+	var packets int
+	for i := 0; i < b.N; i++ {
+		packets = 0
+		for _, f := range runEngine(sc).Flows {
+			packets += f.SentTotal
 		}
-		b.Run(name, func(b *testing.B) { benchIncast(b, workers) })
 	}
+	b.ReportMetric(float64(packets)*float64(b.N)/b.Elapsed().Seconds(), "pkts/s")
+	b.ReportMetric(float64(packets), "pkts/run")
 }
 
 // BenchmarkTopoParkingLot measures steady-state multi-hop forwarding on the
-// canonical two-bottleneck chain — per-packet cost with cross-shard
-// messaging on every hop, engine vs per-packet reference.
+// canonical two-bottleneck chain — per-packet cost with a hop handoff on
+// every packet of the long flow, engine vs per-packet reference.
 func BenchmarkTopoParkingLot(b *testing.B) {
 	links := []LinkConfig{link("left", 5000, 0.01), link("right", 4000, 0.015)}
 	flows := []FlowConfig{

@@ -1,66 +1,62 @@
 package topo
 
-import (
-	"math"
-	"runtime"
-	"sync"
-)
+import "math"
 
-// routed is one cross-shard message awaiting the round barrier.
-type routed struct {
-	dst int32
-	ev  event
-}
-
-// shard is one bottleneck link's execution context: the link's pending
-// events (control, pacing and inbound packets share one heap) and the
-// outbox of messages generated this round.
-type shard struct {
-	heap eventQueue
-	out  []routed
-}
-
-// Engine is the production topology simulator: one shard per link,
-// processed in parallel rounds with deterministic cross-shard event
-// exchange — conservative parallel discrete-event simulation with the
-// topology's minimum link delay as lookahead.
+// Engine is the production topology simulator: netsim's packet-train scheme
+// generalised to L links, on one goroutine.
 //
-// Each round the coordinator takes the globally earliest pending event
-// time t and sets the horizon H = t + lookahead. Every shard then runs its
-// own events with time < H. That is safe because any message a shard emits
-// from an event at time u ≥ t arrives after at least one link's
-// propagation delay, i.e. at u + delay ≥ t + lookahead = H — no shard can
-// receive work for the window it is currently executing. Outboxes are
-// exchanged at the barrier; since eventBefore is a total order with no two
-// live events sharing a key, each heap's pop sequence is the sorted event
-// sequence regardless of insertion order, so the simulation is
-// bit-reproducible at any worker count, and identical to Reference, which
-// executes the same schedule on one heap.
+// Every link owns one FIFO ring of the packets it has admitted, each
+// stamped with the time it reaches the next hop or the receiver. A link is
+// a FIFO fixed-rate server, so its departure times are strictly increasing,
+// and every packet then adds the link's one constant delay: each ring is
+// sorted as it is filled, and a hop costs one append and one removal at the
+// ends of an array. The heap (core.heap) keeps only what is not FIFO —
+// start/stop, MI boundaries, one pacing entry per active flow (re-keyed in
+// place when it fires, see eventQueue) and mid-path loss notices, whose
+// remaining delay differs per flow and hop.
 //
-// Shard state is disjoint: a shard owns its link's queue/RNG/sampler and
-// the full control state (pacing, monitor intervals, accumulators) of
-// every flow whose path starts at its link. Mid-path hops touch only the
-// local link; drops and deliveries travel home as messages. Workers
-// therefore never share mutable state inside a round, and Run is
-// `-race`-clean by construction.
+// Each step runs the eventBefore-minimum of the heap top and the L ring
+// fronts through the same core handlers Reference drives, so the executed
+// schedule — and with it every statistic — is Reference's, bit for bit, by
+// construction rather than by tuning. The minimum is found by one scan over
+// a dense array of the rings' front times, with the full eventBefore
+// comparison only on an exact time tie. The scan is O(L) per event, and
+// that is enough: at MaxLinks it costs about what one push + pop on a heap
+// of in-flight packets costs, and the topologies this model targets have
+// under ten links, so there is no second structure for large L.
 //
-// Not safe for concurrent use (a single Run drives its own workers).
+// The ring invariant is checked, not assumed. Floating point can absorb a
+// tiny 1/capacity or delay, so two packets may leave a link with the same
+// stamp, and their canonical order is then by kind and flow, not by
+// admission. Run therefore compares every push with its ring's tail,
+// and a packet that does not sort strictly after it waits on the heap
+// instead (the tie guard): rings stay strictly increasing, the heap orders
+// anything, and the minimum over all of them is still the global one.
+//
+// Not safe for concurrent use.
 type Engine struct {
 	Topo  *Topology
 	Flows []*Flow
 
-	// Workers sets the worker-pool size; <= 0 selects GOMAXPROCS. The
-	// pool is capped at the shard (= link) count. Results are identical
-	// at every setting.
+	// Workers does nothing: the engine runs on one goroutine (the sharded
+	// engine this field sized lost to its own serial mode on every machine
+	// it was measured on, and is gone). The field is still here only
+	// because bench/, which a change claiming a gain may not edit, assigns
+	// it; it goes in the benchmark change that drops the
+	// topo.sharded_pkts_per_s probe.
 	Workers int
 
-	core   core
-	shards []shard
-	now    float64
-	seed   int64
+	core core
+	now  float64
+	seed int64
+
+	// Event-source counters, read by the tests that pin the mechanism:
+	// events run off the heap, events run off a ring, and packets the tie
+	// guard sent to the heap.
+	heapPops, ringPops, tieFallbacks int
 }
 
-// NewEngine creates a sharded simulator over the topology. seed drives
+// NewEngine creates a packet-train simulator over the topology. seed drives
 // every link's random-loss process, exactly as in NewReference.
 func NewEngine(t *Topology, seed int64) *Engine {
 	return &Engine{Topo: t, seed: seed}
@@ -80,88 +76,66 @@ func (e *Engine) Now() float64 { return e.now }
 // Run executes the simulation until the given duration (seconds). It may
 // be called once per Engine.
 func (e *Engine) Run(duration float64) {
-	e.core = core{topo: e.Topo, flows: e.Flows}
-	e.core.initRun(e.seed, duration)
-	e.shards = make([]shard, len(e.Topo.Links))
-	e.core.seedEvents(func(dst int32, ev event) {
-		e.shards[dst].heap.push(ev)
-	})
-
-	lookahead := e.Topo.minDelay()
-	workers := e.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(e.shards) {
-		workers = len(e.shards)
+	c := &e.core
+	c.initRun(e.Topo, e.Flows, e.seed, duration)
+	// rings[i] holds the packets link i has admitted; front[i] is the time
+	// of its front entry, +Inf when empty — the dense array the scan reads.
+	rings := make([]ring, len(c.links))
+	front := make([]float64, len(c.links))
+	for i := range front {
+		front[i] = math.Inf(1)
 	}
 
-	var wg sync.WaitGroup
 	for {
-		minNext := math.Inf(1)
-		for i := range e.shards {
-			if h := &e.shards[i].heap; h.len() > 0 {
-				if t := h.peek().time; t < minNext {
-					minNext = t
-				}
+		// The earliest packet in flight: the minimum ring front.
+		li, t := -1, math.Inf(1)
+		for i, ft := range front {
+			if ft < t || (ft == t && li >= 0 && eventBefore(rings[i].front(), rings[li].front())) {
+				li, t = i, ft
 			}
 		}
-		if minNext > duration {
+		// A heap event preempts it when it sorts earlier.
+		h := c.heap.top()
+		fromHeap := h != nil && (li < 0 || h.time < t || (h.time == t && eventBefore(h, rings[li].front())))
+		if fromHeap {
+			t = h.time
+		}
+		if t > duration || (!fromHeap && li < 0) {
 			break
 		}
-		horizon := minNext + lookahead
-
-		if workers <= 1 {
-			for i := range e.shards {
-				e.runShard(i, horizon, duration)
-			}
+		var ev event
+		if fromHeap {
+			ev = c.heap.pop()
+			e.heapPops++
 		} else {
-			wg.Add(workers)
-			for w := 0; w < workers; w++ {
-				go func(w int) {
-					defer wg.Done()
-					for i := w; i < len(e.shards); i += workers {
-						e.runShard(i, horizon, duration)
-					}
-				}(w)
+			r := &rings[li]
+			ev = *r.front()
+			r.pop()
+			front[li] = math.Inf(1)
+			if r.n > 0 {
+				front[li] = r.front().time
 			}
-			wg.Wait()
+			e.ringPops++
 		}
-
-		// Barrier: route every outbox in fixed shard order. (Insertion
-		// order into a destination heap does not even matter — see the
-		// Engine doc comment — but a fixed order keeps the reduction
-		// trivially deterministic.)
-		for i := range e.shards {
-			s := &e.shards[i]
-			for _, m := range s.out {
-				e.shards[m.dst].heap.push(m.ev)
-			}
-			s.out = s.out[:0]
+		e.now = t
+		pkt, from := c.handle(ev)
+		if from < 0 {
+			continue
 		}
+		// The packet has just left link `from`. It waits on that link's
+		// ring when it sorts strictly after the ring's tail, which keeps
+		// the ring sorted, and on the heap otherwise (the tie guard).
+		r := &rings[from]
+		switch {
+		case r.n == 0:
+			front[from] = pkt.time
+		case !(pkt.time > r.back().time):
+			e.tieFallbacks++
+			c.heap.push(pkt)
+			continue
+		}
+		r.push(pkt)
 	}
 	e.now = duration
-	e.core.finishRun()
-}
-
-// runShard executes shard i's pending events with time < horizon (and
-// within the run duration). Follow-ups for the shard itself go straight
-// back on its heap; cross-link messages collect in the outbox.
-func (e *Engine) runShard(i int, horizon, duration float64) {
-	s := &e.shards[i]
-	local := func(dst int32, ev event) {
-		// Control and pacing follow-ups always target the emitting
-		// flow's home shard, which is the shard processing the event.
-		s.heap.push(ev)
-	}
-	msg := func(dst int32, ev event) {
-		s.out = append(s.out, routed{dst: dst, ev: ev})
-	}
-	for s.heap.len() > 0 {
-		t := s.heap.peek().time
-		if t >= horizon || t > duration {
-			break
-		}
-		e.core.handle(s.heap.pop(), local, msg)
-	}
+	c.finishRun()
 }

@@ -1,7 +1,6 @@
 package topo
 
 import (
-	"fmt"
 	"testing"
 
 	"mocc/internal/cc"
@@ -212,7 +211,7 @@ type multiScenario struct {
 	seed  int64
 }
 
-// multiLinkScenarios covers the cross-shard hazards: shared mid-path links,
+// multiLinkScenarios covers the multi-link hazards: shared mid-path links,
 // fan-in onto one core, per-link loss streams, budgets completing while
 // packets are mid-path, and reactive controllers reading multi-hop RTTs.
 func multiLinkScenarios() []multiScenario {
@@ -290,42 +289,75 @@ func multiLinkScenarios() []multiScenario {
 			dur:  15,
 			seed: 5,
 		},
+		chainScenario(),
 	}
 }
 
-// runEngine executes a multi-link scenario on the sharded engine with the
-// given worker count.
-func runEngine(sc multiScenario, workers int) []*Flow {
+// chainScenario is the shape of the benchmark's sim-topo workload
+// (bench/specs/sim-topo.json): three links in series with random loss on
+// the middle one, reactive schemes over paths of every length, a bulk
+// budget, start/stop windows and fixed-rate cross traffic.
+func chainScenario() multiScenario {
+	pps := func(mbps float64) float64 { return mbps * 1e6 / 8 / 1500 }
+	return multiScenario{
+		name: "mixed-path-chain",
+		links: []LinkConfig{
+			{Name: "access", Capacity: trace.Constant(pps(40)), Delay: 0.005, QueuePkts: 150},
+			{Name: "core", Capacity: trace.Constant(pps(30)), Delay: 0.010, QueuePkts: 200, LossRate: 0.001},
+			{Name: "egress", Capacity: trace.Constant(pps(35)), Delay: 0.005, QueuePkts: 150},
+		},
+		flows: []FlowConfig{
+			{Alg: cc.NewCubic(), Path: []int{0, 1, 2}, Seed: 41},
+			{Alg: cc.NewBBR(), Path: []int{0, 1, 2}, Start: 1.5, Seed: 42},
+			{Alg: cc.NewCopa(), Path: []int{0, 1, 2}, Start: 0.75, Seed: 43},
+			{Alg: cc.NewVegas(), Path: []int{0, 1}, Start: 3, Seed: 44},
+			{Alg: cc.NewCubic(), Path: []int{1, 2}, Start: 2.25, Seed: 45},
+			{Alg: cc.NewCubic(), Path: []int{0}, Start: 4.5, Stop: 10.5, Seed: 46},
+			{Alg: cc.NewBBR(), Path: []int{1}, Start: 1.5, Stop: 9, Seed: 47},
+			{Alg: cc.NewCubic(), Path: []int{2}, Start: 6, PacketBudget: 3000, Seed: 48},
+			{Alg: &fixedRate{rate: pps(3)}, Path: []int{1}},
+			{Alg: &fixedRate{rate: pps(2)}, Path: []int{2}},
+		},
+		dur:  12,
+		seed: 6,
+	}
+}
+
+// runEngine executes a multi-link scenario on the packet-train engine.
+func runEngine(sc multiScenario) *Engine {
 	tp, err := New(sc.links)
 	if err != nil {
 		panic(err)
 	}
 	e := NewEngine(tp, sc.seed)
-	e.Workers = workers
 	for _, fc := range sc.flows {
 		e.AddFlow(fc)
 	}
 	e.Run(sc.dur)
-	return e.Flows
+	return e
 }
 
-// TestMultiLinkEngineEquivalence holds the sharded engine to the per-packet
-// reference bit-for-bit on genuinely multi-link schedules.
+// runReference executes a multi-link scenario on the per-packet reference.
+func runReference(sc multiScenario) *Reference {
+	tp, err := New(sc.links)
+	if err != nil {
+		panic(err)
+	}
+	r := NewReference(tp, sc.seed)
+	for _, fc := range sc.flows {
+		r.AddFlow(fc)
+	}
+	r.Run(sc.dur)
+	return r
+}
+
+// TestMultiLinkEngineEquivalence holds the packet-train engine to the
+// per-packet reference bit-for-bit on genuinely multi-link schedules.
 func TestMultiLinkEngineEquivalence(t *testing.T) {
 	for _, sc := range multiLinkScenarios() {
 		t.Run(sc.name, func(t *testing.T) {
-			tp, err := New(sc.links)
-			if err != nil {
-				t.Fatal(err)
-			}
-			r := NewReference(tp, sc.seed)
-			for _, fc := range sc.flows {
-				r.AddFlow(fc)
-			}
-			r.Run(sc.dur)
-
-			fast := runEngine(sc, 0)
-			compareFlows(t, "engine", "reference", fast, r.Flows)
+			r := runReference(sc)
+			compareFlows(t, "engine", "reference", runEngine(sc).Flows, r.Flows)
 
 			moved := 0
 			for _, f := range r.Flows {
@@ -333,21 +365,6 @@ func TestMultiLinkEngineEquivalence(t *testing.T) {
 			}
 			if moved == 0 {
 				t.Fatal("scenario moved no packets")
-			}
-		})
-	}
-}
-
-// TestWorkerCountInvariance pins the parallel engine's determinism claim:
-// byte-identical results at 1, 2 and 4 workers (and, under -race via `make
-// test-race`, a data-race-freedom proof for the round barrier).
-func TestWorkerCountInvariance(t *testing.T) {
-	for _, sc := range multiLinkScenarios() {
-		t.Run(sc.name, func(t *testing.T) {
-			serial := runEngine(sc, 1)
-			for _, workers := range []int{2, 4} {
-				parallel := runEngine(sc, workers)
-				compareFlows(t, fmt.Sprintf("workers=%d", workers), "workers=1", parallel, serial)
 			}
 		})
 	}

@@ -8,7 +8,7 @@ package topo
 // a packet arriving at a downstream link. On a one-link topology only
 // Start/Stop/MI/Deliver/Arrive occur and the order degenerates to netsim's.
 const (
-	evStart int32 = iota
+	evStart int16 = iota
 	evStop
 	evMI
 	evDeliver
@@ -17,25 +17,26 @@ const (
 )
 
 // event is one scheduled simulator action. Unlike netsim's, it carries no
-// flow pointer — shards resolve flowID against a shared read-only slice —
-// and adds the path hop index for multi-link traversals.
+// flow pointer — flowID resolves against the run's flow slice — and adds
+// the path hop index for multi-link traversals. It is the element of both
+// the heap and the per-link rings, so it is packed to 24 bytes (MaxLinks
+// bounds a loop-free path, and with it hop, far below int16).
 type event struct {
 	time     float64
-	kind     int32
-	flowID   int32
-	hop      int32
-	_        int32   // padding keeps sendTime 8-byte aligned
 	sendTime float64 // deliver/arrive payload: when the packet entered the network
+	flowID   int32
+	kind     int16
+	hop      int16
 }
 
 // eventBefore is the canonical schedule order: time, then kind priority,
 // then flow ID, then hop. Within one (time, kind, flow, hop) cell at most
 // one live event exists (pacing instants, MI boundaries, and per-link
 // departure times are all strictly increasing per flow), so the order is
-// total — which is what makes every heap's pop sequence independent of
-// insertion order, and with it the sharded engine independent of worker
-// count.
-func eventBefore(a, b event) bool {
+// total — which is what makes the executed schedule independent of the
+// structures the pending events wait in: any engine that always runs the
+// eventBefore-minimum of everything pending runs the same schedule.
+func eventBefore(a, b *event) bool {
 	if a.time != b.time {
 		return a.time < b.time
 	}
@@ -49,60 +50,159 @@ func eventBefore(a, b event) bool {
 }
 
 // eventQueue is an inline 4-ary min-heap of event values ordered by
-// eventBefore — netsim's control-event heap, reused here as each shard's
-// single pending-event structure (control, pacing and cross-shard arrivals
-// all share it).
+// eventBefore (netsim's control-event heap). A pop does not restore the
+// heap at once: it leaves the root slot open, and the next push fills it
+// and sifts down. Nearly every popped event schedules exactly one successor
+// — a flow's next pacing instant, its next MI boundary — so the common
+// pop + push pair is one replace-top pass instead of a sift-down and a
+// sift-up. An open root that no push filled is closed with the last leaf
+// before the queue is looked at again.
 type eventQueue struct {
-	ev []event
+	ev   []event
+	open bool // the root was popped and its slot not yet refilled
 }
 
-// len returns the number of pending events.
-func (q *eventQueue) len() int { return len(q.ev) }
+// top returns the minimum event, valid until the next push, or nil when
+// the queue is empty.
+func (q *eventQueue) top() *event {
+	if q.open {
+		q.closeRoot()
+	}
+	if len(q.ev) == 0 {
+		return nil
+	}
+	return &q.ev[0]
+}
 
-// peek returns the minimum event; the queue must be non-empty.
-func (q *eventQueue) peek() event { return q.ev[0] }
+// closeRoot fills the open root with the last leaf.
+func (q *eventQueue) closeRoot() {
+	q.open = false
+	n := len(q.ev) - 1
+	last := q.ev[n]
+	q.ev = q.ev[:n]
+	if n > 0 {
+		q.sink(last)
+	}
+}
 
-// push inserts e.
+// pop removes and returns the minimum event, leaving the root open; the
+// queue must be non-empty.
+func (q *eventQueue) pop() event {
+	if q.open {
+		q.closeRoot()
+	}
+	q.open = true
+	return q.ev[0]
+}
+
+// push inserts e: into the open root when the last pop left one (the
+// replace-top operation), at a new leaf otherwise.
 func (q *eventQueue) push(e event) {
+	if q.open {
+		q.open = false
+		q.sink(e)
+		return
+	}
 	q.ev = append(q.ev, e)
 	i := len(q.ev) - 1
 	for i > 0 {
 		p := (i - 1) / 4
-		if !eventBefore(q.ev[i], q.ev[p]) {
+		if !eventBefore(&e, &q.ev[p]) {
 			break
 		}
-		q.ev[i], q.ev[p] = q.ev[p], q.ev[i]
+		q.ev[i] = q.ev[p]
 		i = p
 	}
+	q.ev[i] = e
 }
 
-// pop removes and returns the minimum event; the queue must be non-empty.
-func (q *eventQueue) pop() event {
-	top := q.ev[0]
-	n := len(q.ev) - 1
-	q.ev[0] = q.ev[n]
-	q.ev = q.ev[:n]
+// b2i is 1 for true and 0 for false; it compiles to a flag move, not a
+// branch.
+func b2i(b bool) int {
+	if b {
+		return 1
+	}
+	return 0
+}
+
+// sink places e at the (vacant) root and sifts it down to its level. Which
+// of four pacing instants comes first is not something a branch predictor
+// can learn, so a full node's earliest child is found without branching on
+// the answer: four independent loads of the children's times, a two-round
+// tournament on them, the winner's index put together arithmetically (half
+// the cost of a compare-and-branch scan, on 20 entries and on 20 000). The
+// exact eventBefore scan runs only when two of the times are equal — the
+// tournament cannot rank those — and on the last, partial node.
+func (q *eventQueue) sink(e event) {
+	ev := q.ev
+	n := len(ev)
 	i := 0
 	for {
 		first := 4*i + 1
 		if first >= n {
 			break
 		}
-		min := first
-		last := first + 4
-		if last > n {
-			last = n
-		}
-		for c := first + 1; c < last; c++ {
-			if eventBefore(q.ev[c], q.ev[min]) {
-				min = c
+		kids := ev[first:min(first+4, n)]
+		m := -1
+		if len(kids) == 4 {
+			t0, t1, t2, t3 := kids[0].time, kids[1].time, kids[2].time, kids[3].time
+			lo, hi := min(t0, t1), min(t2, t3)
+			a, b := b2i(t1 < t0), 2+b2i(t3 < t2)
+			m = a + b2i(hi < lo)*(b-a)
+			if t0 == t1 || t2 == t3 || lo == hi {
+				m = -1
 			}
 		}
-		if !eventBefore(q.ev[min], q.ev[i]) {
+		if m < 0 {
+			m = 0
+			for c := 1; c < len(kids); c++ {
+				if eventBefore(&kids[c], &kids[m]) {
+					m = c
+				}
+			}
+		}
+		if !eventBefore(&kids[m], &e) {
 			break
 		}
-		q.ev[i], q.ev[min] = q.ev[min], q.ev[i]
-		i = min
+		ev[i] = kids[m]
+		i = first + m
 	}
-	return top
+	ev[i] = e
+}
+
+// ring is one link's FIFO of the packets it has admitted, each stamped with
+// the time it reaches the next hop or the receiver (departure + the link's
+// delay) — netsim's deliveryRing, one per link. Entry times are strictly
+// increasing front to back; Engine.Run keeps that true by checking every
+// push. The buffer doubles up to the link's peak in-flight population
+// and is reused thereafter.
+type ring struct {
+	buf  []event // len is zero or a power of two
+	head int
+	n    int
+}
+
+// front returns the earliest entry; the ring must be non-empty.
+func (r *ring) front() *event { return &r.buf[r.head] }
+
+// back returns the latest entry; the ring must be non-empty.
+func (r *ring) back() *event { return &r.buf[(r.head+r.n-1)&(len(r.buf)-1)] }
+
+// push appends e at the tail.
+func (r *ring) push(e event) {
+	if r.n == len(r.buf) {
+		grown := make([]event, max(64, 2*len(r.buf)))
+		for i := 0; i < r.n; i++ {
+			grown[i] = r.buf[(r.head+i)&(len(r.buf)-1)]
+		}
+		r.buf, r.head = grown, 0
+	}
+	r.buf[(r.head+r.n)&(len(r.buf)-1)] = e
+	r.n++
+}
+
+// pop removes the earliest entry; the ring must be non-empty.
+func (r *ring) pop() {
+	r.head = (r.head + 1) & (len(r.buf) - 1)
+	r.n--
 }

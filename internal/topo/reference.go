@@ -3,19 +3,19 @@ package topo
 // Reference is the ground-truth engine: a classical per-packet
 // discrete-event simulator driving the shared core handlers off one global
 // heap, one event per hop traversal. It is deliberately the simplest
-// possible execution of the event schedule — no shards, no rounds, no
-// message exchange — and the equivalence tests hold Engine to it
-// bit-for-bit, mirroring netsim's Network/ReferenceNetwork contract.
+// possible execution of the event schedule — every pending event, packets
+// in flight included, waits in the one heap — and the equivalence tests
+// hold Engine to it bit-for-bit, mirroring netsim's
+// Network/ReferenceNetwork contract.
 //
 // Not safe for concurrent use.
 type Reference struct {
 	Topo  *Topology
 	Flows []*Flow
 
-	core   core
-	events eventQueue
-	now    float64
-	seed   int64
+	core core
+	now  float64
+	seed int64
 }
 
 // NewReference creates a per-packet reference simulator over the topology.
@@ -38,21 +38,16 @@ func (r *Reference) Now() float64 { return r.now }
 // Run executes the simulation until the given duration (seconds). It may
 // be called once per Reference.
 func (r *Reference) Run(duration float64) {
-	r.core = core{topo: r.Topo, flows: r.Flows}
-	r.core.initRun(r.seed, duration)
-	// The reference ignores destination shards: every follow-up goes back
-	// on the one global heap.
-	emit := func(_ int32, e event) { r.events.push(e) }
-	r.core.seedEvents(emit)
-
-	for r.events.len() > 0 {
-		e := r.events.pop()
-		if e.time > duration {
-			break
-		}
+	c := &r.core
+	c.initRun(r.Topo, r.Flows, r.seed, duration)
+	for h := c.heap.top(); h != nil && h.time <= duration; h = c.heap.top() {
+		e := c.heap.pop()
 		r.now = e.time
-		r.core.handle(e, emit, emit)
+		// A packet in flight waits on the heap like everything else.
+		if pkt, link := c.handle(e); link >= 0 {
+			c.heap.push(pkt)
+		}
 	}
 	r.now = duration
-	r.core.finishRun()
+	c.finishRun()
 }

@@ -9,17 +9,18 @@
 // backlog exceeds the buffer — so a one-link topology reproduces
 // netsim.Network bit-for-bit (pinned by the equivalence tests).
 //
-// Two engines share the flow/link types and all accounting arithmetic.
-// Reference is the ground truth: a classical per-packet discrete-event
-// simulator over one global heap, one event per hop traversal. Engine is
-// the production engine: one shard per link, run in parallel by a
-// configurable worker pool with deterministic cross-shard event exchange.
-// Shards advance in lockstep rounds bounded by the topology's minimum link
-// delay (the conservative-parallel-simulation lookahead: any event a shard
-// emits lands at least one propagation delay in the future, so messages
-// exchanged at round barriers in fixed shard order are always processed in
-// exact timestamp order). A fixed seed is therefore bit-reproducible at any
-// worker count, and both engines produce identical statistics.
+// Two engines share the flow/link types, the event handlers and all
+// accounting arithmetic (core). Reference is the ground truth: a classical
+// per-packet discrete-event simulator over one global heap, one event per
+// hop traversal. Engine is the production engine, netsim's packet-train
+// scheme with one ring per link: a FIFO fixed-rate server releases packets
+// in strictly increasing order and each then adds the link's one delay, so
+// the packets a link has admitted wait in a FIFO ring that is sorted as it
+// is filled, and the heap keeps only what is not FIFO (start/stop, MI
+// boundaries, one pacing entry per flow, loss notices). Each step runs the
+// earliest of the heap top and the ring fronts. Both engines therefore
+// execute the one schedule eventBefore defines, on one goroutine, and a
+// fixed seed gives bit-identical statistics on either.
 //
 // Per-flow hot state lives in a structure-of-arrays block (soaState) sized
 // once per run, so 10k-100k-flow incast and flash-crowd scenarios allocate
@@ -46,9 +47,8 @@ type LinkConfig struct {
 	Name string
 	// Capacity is the service rate schedule in packets/second.
 	Capacity trace.Bandwidth
-	// Delay is the link's one-way propagation delay in seconds. It must be
-	// > 0: it is both the physical delay a packet pays after being serviced
-	// and the sharded engine's cross-shard lookahead.
+	// Delay is the link's one-way propagation delay in seconds, which a
+	// packet pays after being serviced. It must be > 0.
 	Delay float64
 	// QueuePkts is the drop-tail buffer size in packets (0 selects the
 	// netsim default of 1000).
@@ -64,8 +64,9 @@ type Topology struct {
 	index map[string]int
 }
 
-// MaxLinks bounds the topology size: shards are one-per-link, and the
-// model targets small DAGs (access/core/egress tiers), not full fabrics.
+// MaxLinks bounds the topology size: the engine scans one ring front per
+// link per event, and the model targets small DAGs (access/core/egress
+// tiers), not full fabrics.
 const MaxLinks = 256
 
 // New validates the link set and builds a Topology.
@@ -104,17 +105,6 @@ func (t *Topology) Index(name string) int {
 		return i
 	}
 	return -1
-}
-
-// minDelay is the sharded engine's lookahead: the smallest one-way delay.
-func (t *Topology) minDelay() float64 {
-	d := math.Inf(1)
-	for _, l := range t.Links {
-		if l.Delay < d {
-			d = l.Delay
-		}
-	}
-	return d
 }
 
 // PathDelay sums the one-way propagation delay along a path of link
@@ -267,7 +257,6 @@ const (
 // over dense float64/int64 arrays instead of 100k scattered structs.
 type soaState struct {
 	rate     []float64 // current pacing rate (pkts/s)
-	nextSend []float64 // next transmission instant (engine pacing cursor)
 	miStart  []float64 // current monitor interval's start time
 	miRTTSum []float64 // RTT accumulated over the current MI
 	sumRTT   []float64 // RTT accumulated over the whole run
@@ -285,19 +274,18 @@ type soaState struct {
 
 // newSoaState allocates every field for n flows in one shot.
 func newSoaState(n int) *soaState {
-	f := make([]float64, 10*n)
+	f := make([]float64, 9*n)
 	i := make([]int64, 7*n)
 	return &soaState{
 		rate:     f[0*n : 1*n],
-		nextSend: f[1*n : 2*n],
-		miStart:  f[2*n : 3*n],
-		miRTTSum: f[3*n : 4*n],
-		sumRTT:   f[4*n : 5*n],
-		minRTT:   f[5*n : 6*n],
-		complete: f[6*n : 7*n],
-		pathOWD:  f[7*n : 8*n],
-		maxRate:  f[8*n : 9*n],
-		miDur:    f[9*n : 10*n],
+		miStart:  f[1*n : 2*n],
+		miRTTSum: f[2*n : 3*n],
+		sumRTT:   f[3*n : 4*n],
+		minRTT:   f[4*n : 5*n],
+		complete: f[5*n : 6*n],
+		pathOWD:  f[6*n : 7*n],
+		maxRate:  f[7*n : 8*n],
+		miDur:    f[8*n : 9*n],
 
 		sent:        i[0*n : 1*n],
 		delivered:   i[1*n : 2*n],
@@ -500,10 +488,12 @@ func newLinkState(l LinkConfig, idx int, seed int64) linkState {
 // departure time off the virtual queue or reports a drop (random loss or
 // buffer overflow). The operation order matches netsim.Network.transmit
 // exactly — capacity sampled and backlog priced before the loss draw, the
-// draw consumed whenever the link has a loss process.
+// draw consumed whenever the link has a loss process. (The builtin max is
+// math.Max to the bit, NaN and signed zeros included, compiled in line
+// where math.Max is an assembly call — two per packet hop.)
 func (l *linkState) admit(t float64) (dep float64, ok bool) {
 	capRaw := l.capac.At(t)
-	capNow := math.Max(capRaw, 0.1)
+	capNow := max(capRaw, 0.1)
 	backlog := (l.lastDep - t) * capRaw
 	if l.cfg.LossRate > 0 && l.rng.Float64() < l.cfg.LossRate {
 		return 0, false // random (non-congestive) loss
@@ -511,7 +501,7 @@ func (l *linkState) admit(t float64) (dep float64, ok bool) {
 	if backlog >= l.queue {
 		return 0, false // drop-tail: buffer full
 	}
-	dep = math.Max(t, l.lastDep) + 1/capNow
+	dep = max(t, l.lastDep) + 1/capNow
 	l.lastDep = dep
 	return dep, true
 }

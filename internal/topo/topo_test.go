@@ -3,6 +3,7 @@ package topo
 import (
 	"math"
 	"math/rand"
+	"sort"
 	"strings"
 	"testing"
 
@@ -127,28 +128,55 @@ func TestFlowDefaults(t *testing.T) {
 	}
 }
 
-// TestEventQueueOrdering drives the 4-ary heap with shuffled populations
-// and checks it drains in eventBefore order.
+// TestEventQueueOrdering drives the 4-ary heap against a sorted slice: a
+// shuffled population, then pops of which a third are followed at once by a
+// push — the replace-top pair that fills the root a pop left open — with
+// keys that land above, among and below what is queued. Even trials draw
+// times from a grid of 20 values, so nodes are full of time ties and the
+// exact eventBefore scan decides; odd trials draw distinct times, so the
+// branch-free tournament does. The pop sequence must be the sorted order.
 func TestEventQueueOrdering(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
-	for trial := 0; trial < 50; trial++ {
+	for trial := 0; trial < 100; trial++ {
+		draw := func() event {
+			e := event{
+				time:   float64(rng.Intn(20)) / 4,
+				kind:   int16(rng.Intn(6)),
+				flowID: int32(rng.Intn(4)),
+				hop:    int16(rng.Intn(3)),
+			}
+			if trial%2 == 1 {
+				e.time = 5 * rng.Float64()
+			}
+			return e
+		}
 		var q eventQueue
+		var model []event
+		add := func() {
+			e := draw()
+			q.push(e)
+			model = append(model, e)
+			sort.SliceStable(model, func(a, b int) bool { return eventBefore(&model[a], &model[b]) })
+		}
 		n := 1 + rng.Intn(200)
 		for i := 0; i < n; i++ {
-			q.push(event{
-				time:   float64(rng.Intn(20)) / 4,
-				kind:   int32(rng.Intn(6)),
-				flowID: int32(rng.Intn(4)),
-				hop:    int32(rng.Intn(3)),
-			})
+			add()
 		}
-		prev := q.pop()
-		for q.len() > 0 {
-			next := q.pop()
-			if eventBefore(next, prev) {
-				t.Fatalf("trial %d: heap emitted %+v after %+v", trial, next, prev)
+		for refills := 300; len(model) > 0; {
+			if got, want := q.top(), model[0]; got == nil || *got != want {
+				t.Fatalf("trial %d: top %+v, sorted order has %+v", trial, got, want)
 			}
-			prev = next
+			if got, want := q.pop(), model[0]; got != want {
+				t.Fatalf("trial %d: popped %+v, sorted order has %+v", trial, got, want)
+			}
+			model = model[1:]
+			if refills > 0 && rng.Intn(3) == 0 {
+				refills--
+				add()
+			}
+		}
+		if q.top() != nil {
+			t.Fatalf("trial %d: queue holds %+v after the sorted order ran out", trial, *q.top())
 		}
 	}
 }

@@ -85,9 +85,10 @@ const (
 	Incast        = internal.Incast
 	FlashCrowd    = internal.FlashCrowd
 
-	// Topology families (multi-link specs on the sharded topo engine).
+	// Topology families (multi-link specs on the topo engine).
 	ParkingLot = internal.ParkingLot
 	Incast10k  = internal.Incast10k
+	Chain      = internal.Chain
 )
 
 // Parse decodes and validates a JSON spec.
