@@ -23,13 +23,13 @@ test-race:
 # Seeded chaos suite: the fault-injection package (bit-reproducible
 # same-seed plans, every wire/report/inference injector), safe-mode
 # trip/fallback/recovery on the handle hot path, and the hardened
-# transport's blackout + write-failure behaviour over real loopback
-# sockets (receiver killed mid-send, sequence-window blackouts, corrupted
-# acks, NaN-poisoned inference).
+# transport over real loopback sockets (receiver killed mid-send,
+# sequence-window blackouts, corrupted acks, NaN-poisoned inference, the
+# Send pacing-rate contract, in-flight eviction, receiver loss and acks).
 chaos:
 	$(GO) test -short -count=1 ./internal/faults
 	$(GO) test -short -count=1 -run 'SafeMode|OnlineAdapt|LoadModelFile|SaveLoad' .
-	$(GO) test -short -count=1 -run 'Chaos|Blackout' ./transport
+	$(GO) test -short -count=1 -run 'Chaos|Blackout|Send|UDPTransfer|Receiver' ./transport
 
 # Serving-resilience chaos suite: engine overload shedding (queue bound +
 # decision deadline), shard panic watchdog, epoch canary auto-rollback on a

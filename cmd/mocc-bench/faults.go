@@ -177,7 +177,6 @@ func runFaults(spec string, seed int64, dur time.Duration, out *os.File) error {
 
 	var fc *faults.FaultConn
 	stats, sendErr := transport.Send(recv.Addr(), app, dur, transport.Config{
-		MI:          20 * time.Millisecond,
 		MaxRatePps:  2000,
 		LossTimeout: 60 * time.Millisecond,
 		WrapConn: func(inner transport.PacketConn) transport.PacketConn {

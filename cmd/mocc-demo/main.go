@@ -3,10 +3,9 @@
 // controller, and prints the behaviour. This is the user-space (UDT-style)
 // deployment path of §5 exercised end to end.
 //
-// The mocc scheme goes through the public surface — a Library, a registered
-// *mocc.App handle, and the mocc/transport socket loop — exactly as an
-// embedding application would; classical schemes run on the internal
-// datapath harness.
+// Every scheme runs through the public mocc/transport socket loop. The mocc
+// scheme hosts a registered *mocc.App handle exactly as an embedding
+// application would; classical schemes are adapted to transport.Controller.
 //
 // Usage:
 //
@@ -23,7 +22,6 @@ import (
 
 	"mocc"
 	"mocc/internal/cc"
-	"mocc/internal/datapath"
 	"mocc/internal/objective"
 	"mocc/transport"
 )
@@ -91,14 +89,7 @@ func runMOCC(addr, weights, modelPath string, duration time.Duration, seed int64
 	if err != nil {
 		log.Fatal(err)
 	}
-
-	fmt.Printf("scheme      mocc%v (public handle API)\n", w)
-	fmt.Printf("duration    %s\n", stats.Duration.Round(time.Millisecond))
-	fmt.Printf("sent        %d packets\n", stats.Sent)
-	fmt.Printf("acked       %d packets\n", stats.Acked)
-	fmt.Printf("lost        %d packets (inferred)\n", stats.Lost)
-	fmt.Printf("avg RTT     %s\n", stats.AvgRTT.Round(time.Microsecond))
-	fmt.Printf("throughput  %.1f Mbps\n", stats.ThroughputMbps)
+	printTransfer(fmt.Sprintf("mocc%v (public handle API)", w), stats)
 
 	s := app.Stats()
 	fmt.Println("app telemetry (App.Stats):")
@@ -109,8 +100,24 @@ func runMOCC(addr, weights, modelPath string, duration time.Duration, seed int64
 	fmt.Printf("  rate       %.0f pps now, %.0f pps mean\n", s.Rate, s.MeanRate)
 }
 
-// runClassical drives a baseline controller over the internal datapath
-// harness (these schemes have no preference and no handle).
+// classical adapts a baseline cc.Algorithm (no preference, no handle) to
+// transport.Controller, keeping every report it forwards for the summary.
+type classical struct {
+	alg     cc.Algorithm
+	rate    float64
+	reports []cc.Report
+}
+
+func (c *classical) Rate() float64 { return c.rate }
+
+func (c *classical) Report(st mocc.Status) (float64, error) {
+	r := cc.IntervalReport(st.Duration, st.PacketsSent, st.PacketsAcked, st.PacketsLost, st.AvgRTT, st.MinRTT)
+	c.reports = append(c.reports, r)
+	c.rate = c.alg.Update(r)
+	return c.rate, nil
+}
+
+// runClassical drives a baseline controller through the same socket loop.
 func runClassical(addr, scheme string, duration time.Duration) {
 	var alg cc.Algorithm
 	switch scheme {
@@ -129,33 +136,31 @@ func runClassical(addr, scheme string, duration time.Duration) {
 	default:
 		log.Fatalf("unknown scheme %q", scheme)
 	}
+	alg.Reset(1)
+	c := &classical{alg: alg, rate: alg.InitialRate(0.001)}
 
-	stats, err := datapath.RunTransfer(datapath.TransferConfig{
-		Addr:     addr,
-		Alg:      alg,
-		Duration: duration,
-	})
+	stats, err := transport.Send(addr, c, duration, transport.Config{})
 	if err != nil {
 		log.Fatal(err)
 	}
+	printTransfer(alg.Name(), stats)
+	if n := len(c.reports); n > 0 {
+		fmt.Println("last monitor intervals:")
+		for i := max(n-5, 0); i < n; i++ {
+			r := c.reports[i]
+			fmt.Printf("  MI %2d: rate %.0f pps, delivered %.0f pps, rtt %.2f ms, loss %.1f%%\n",
+				i, r.SendRate, r.Throughput, r.AvgRTT*1000, r.LossRate*100)
+		}
+	}
+}
 
-	fmt.Printf("scheme      %s\n", alg.Name())
+// printTransfer prints the sender-side summary every scheme shares.
+func printTransfer(scheme string, stats transport.Stats) {
+	fmt.Printf("scheme      %s\n", scheme)
 	fmt.Printf("duration    %s\n", stats.Duration.Round(time.Millisecond))
 	fmt.Printf("sent        %d packets\n", stats.Sent)
 	fmt.Printf("acked       %d packets\n", stats.Acked)
 	fmt.Printf("lost        %d packets (inferred)\n", stats.Lost)
 	fmt.Printf("avg RTT     %s\n", stats.AvgRTT.Round(time.Microsecond))
 	fmt.Printf("throughput  %.1f Mbps\n", stats.ThroughputMbps)
-	if n := len(stats.Reports); n > 0 {
-		fmt.Println("last monitor intervals:")
-		start := n - 5
-		if start < 0 {
-			start = 0
-		}
-		for i := start; i < n; i++ {
-			r := stats.Reports[i]
-			fmt.Printf("  MI %2d: rate %.0f pps, delivered %.0f pps, rtt %.2f ms, loss %.1f%%\n",
-				i, r.SendRate, r.Throughput, r.AvgRTT*1000, r.LossRate*100)
-		}
-	}
 }

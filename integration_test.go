@@ -103,9 +103,7 @@ func TestEndToEndUDPDatapath(t *testing.T) {
 	}
 	defer recv.Close()
 
-	stats, err := transport.Send(recv.Addr(), app, 400*time.Millisecond, transport.Config{
-		MI: 20 * time.Millisecond,
-	})
+	stats, err := transport.Send(recv.Addr(), app, 400*time.Millisecond, transport.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -13,6 +13,7 @@ package cc
 
 import (
 	"math"
+	"time"
 
 	"mocc/internal/gym"
 )
@@ -32,6 +33,28 @@ type Report struct {
 
 // LossEvent reports whether any packets were lost this interval.
 func (r Report) LossEvent() bool { return r.Lost > 0 }
+
+// IntervalReport builds the report of one monitor interval of length d from
+// its packet counts and RTTs, deriving the rates and the loss rate — the
+// conversion every host of a controller outside the simulator makes.
+func IntervalReport(d time.Duration, sent, acked, lost float64, avgRTT, minRTT time.Duration) Report {
+	r := Report{
+		Duration:  d.Seconds(),
+		Sent:      sent,
+		Delivered: acked,
+		Lost:      lost,
+		AvgRTT:    avgRTT.Seconds(),
+		MinRTT:    minRTT.Seconds(),
+	}
+	if r.Duration > 0 {
+		r.SendRate = sent / r.Duration
+		r.Throughput = acked / r.Duration
+	}
+	if sent > 0 {
+		r.LossRate = lost / sent
+	}
+	return r
+}
 
 // AlgorithmFactory creates a fresh Algorithm instance; experiments use
 // factories so every run starts from pristine controller state.

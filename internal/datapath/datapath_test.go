@@ -5,7 +5,6 @@ import (
 	"math"
 	"strings"
 	"testing"
-	"time"
 
 	"mocc/internal/cc"
 )
@@ -169,90 +168,4 @@ func TestMeasureOverheadOrdering(t *testing.T) {
 	if !strings.Contains(buf.String(), "Figure 17") {
 		t.Error("table title missing")
 	}
-}
-
-func TestUDPTransferLoopback(t *testing.T) {
-	recv, err := StartReceiver("127.0.0.1:0", 0, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer recv.Close()
-
-	stats, err := RunTransfer(TransferConfig{
-		Addr:     recv.Addr(),
-		Alg:      cc.NewCubic(),
-		Duration: 500 * time.Millisecond,
-		MI:       20 * time.Millisecond,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if stats.Sent == 0 {
-		t.Fatal("nothing sent")
-	}
-	if stats.Acked == 0 {
-		t.Fatal("nothing acknowledged")
-	}
-	if stats.Acked > stats.Sent {
-		t.Errorf("acked %d > sent %d", stats.Acked, stats.Sent)
-	}
-	if len(stats.Reports) < 10 {
-		t.Errorf("only %d MI reports for a 500ms/20ms run", len(stats.Reports))
-	}
-	if stats.AvgRTT <= 0 || stats.AvgRTT > 200*time.Millisecond {
-		t.Errorf("loopback RTT %v implausible", stats.AvgRTT)
-	}
-	if recv.Received() == 0 {
-		t.Error("receiver counted nothing")
-	}
-}
-
-func TestUDPTransferWithLoss(t *testing.T) {
-	recv, err := StartReceiver("127.0.0.1:0", 0.3, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer recv.Close()
-
-	stats, err := RunTransfer(TransferConfig{
-		Addr:        recv.Addr(),
-		Alg:         cc.NewCubic(),
-		Duration:    600 * time.Millisecond,
-		MI:          20 * time.Millisecond,
-		LossTimeout: 60 * time.Millisecond,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if stats.Lost == 0 {
-		t.Error("30% drop probability produced no inferred losses")
-	}
-	frac := float64(stats.Acked) / float64(stats.Sent)
-	if frac > 0.9 {
-		t.Errorf("ack fraction %v too high under 30%% loss", frac)
-	}
-}
-
-func TestUDPTransferValidation(t *testing.T) {
-	if _, err := RunTransfer(TransferConfig{Addr: "127.0.0.1:1", Duration: time.Second}); err == nil {
-		t.Error("nil algorithm accepted")
-	}
-	if _, err := RunTransfer(TransferConfig{Addr: "127.0.0.1:1", Alg: cc.NewCubic()}); err == nil {
-		t.Error("zero duration accepted")
-	}
-	if _, err := RunTransfer(TransferConfig{Addr: "bogus::::", Alg: cc.NewCubic(), Duration: time.Second}); err == nil {
-		t.Error("bad address accepted")
-	}
-}
-
-func TestReceiverClose(t *testing.T) {
-	recv, err := StartReceiver("127.0.0.1:0", 0, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := recv.Close(); err != nil {
-		t.Fatalf("close: %v", err)
-	}
-	// Second close must not panic.
-	_ = recv.Close()
 }

@@ -4,8 +4,8 @@
 // datapath aggregates measurements and consults the (out-of-band) controller
 // at a much lower frequency. Both speak the paper's three-call library API
 // and both implement cc.Algorithm, so any simulator or socket loop can host
-// them. The package also includes a real UDP loopback datapath for
-// end-to-end runs outside the simulator.
+// them. The package also defines the UDP wire format (wire.go) that the
+// mocc/transport socket loop and the mocc-serve control plane speak.
 //
 // The Figure 17 CPU-overhead experiment is reproduced by accounting the
 // wall-clock time spent inside the controller per simulated second: the

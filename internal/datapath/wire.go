@@ -5,10 +5,9 @@ import (
 	"math"
 )
 
-// Exported wire-format surface. The public mocc/transport binding, the
-// internal UDP experiments, and the mocc-serve control plane speak the same
-// protocol, so a transport sender interoperates with an internal Receiver
-// and vice versa. Every datagram starts with the 18-byte header:
+// Exported wire-format surface. The public mocc/transport data path and the
+// mocc-serve control plane speak this one protocol. Every datagram starts
+// with the 18-byte header:
 //
 //	[0]     magic (0xAC)
 //	[1]     type: 0 = data, 1 = ack, 2 = report, 3 = rate
@@ -36,8 +35,12 @@ const (
 )
 
 const (
-	typeReport = 2
-	typeRate   = 3
+	headerBytes = 18
+	magicByte   = 0xAC
+	typeData    = 0
+	typeAck     = 1
+	typeReport  = 2
+	typeRate    = 3
 )
 
 // WireReport is the payload of a report datagram: which flow is speaking,

@@ -1,9 +1,72 @@
 package datapath
 
 import (
+	"bytes"
+	"encoding/binary"
+	"math"
 	"testing"
 	"time"
 )
+
+// FuzzWireDecode feeds arbitrary datagrams to every decoder: none may
+// panic, DecodeHeader accepts exactly the datagrams of at least header
+// length that carry the magic byte, and every accepted ack, report or rate
+// re-encodes to the datagram's leading bytes — NaN payload bits included.
+// The seeds (one valid datagram of each type, truncations, a foreign magic
+// byte) run with every `go test`.
+func FuzzWireDecode(f *testing.F) {
+	data := make([]byte, 64)
+	EncodeDataHeader(data, 1, 2)
+	ack := make([]byte, WireHeaderBytes)
+	EncodeAck(ack, 3, -4)
+	report := make([]byte, WireReportBytes)
+	EncodeReport(report, 5, 6, WireReport{
+		Flow: 7, Thr: 0.8, Lat: math.NaN(), Loss: math.Float64frombits(0x7ff4000000000001),
+		DurationNs: 20e6, Sent: 10, Acked: 9, Lost: math.Inf(-1), AvgRTTNs: 1, MinRTTNs: -1,
+	})
+	rate := make([]byte, WireRateBytes)
+	EncodeRate(rate, 8, 9, 10, math.Float64frombits(0xfff8000000000bad), 11)
+	for _, pkt := range [][]byte{data, ack, report, rate} {
+		f.Add(pkt)
+		f.Add(pkt[:len(pkt)-1])
+		f.Add(pkt[:WireHeaderBytes-1])
+		foreign := append([]byte(nil), pkt...)
+		foreign[0] = 0xAD
+		f.Add(foreign)
+	}
+	f.Add([]byte{})
+
+	f.Fuzz(func(t *testing.T, b []byte) {
+		typ, seq, ok := DecodeHeader(b)
+		if want := len(b) >= WireHeaderBytes && b[0] == WireMagic; ok != want {
+			t.Fatalf("DecodeHeader ok = %v, want %v for %x", ok, want, b)
+		}
+		if ok && (typ != b[1] || seq != binary.BigEndian.Uint64(b[2:10])) {
+			t.Fatalf("DecodeHeader = (%d, %d) for %x", typ, seq, b)
+		}
+		if seq, nanos, ok := DecodeAck(b); ok {
+			out := make([]byte, WireHeaderBytes)
+			EncodeAck(out, seq, nanos)
+			if !bytes.Equal(out, b[:WireHeaderBytes]) {
+				t.Fatalf("ack re-encodes to %x, want %x", out, b[:WireHeaderBytes])
+			}
+		}
+		if seq, nanos, r, ok := DecodeReport(b); ok {
+			out := make([]byte, WireReportBytes)
+			EncodeReport(out, seq, nanos, r)
+			if !bytes.Equal(out, b[:WireReportBytes]) {
+				t.Fatalf("report re-encodes to %x, want %x", out, b[:WireReportBytes])
+			}
+		}
+		if seq, nanos, flow, rate, epoch, ok := DecodeRate(b); ok {
+			out := make([]byte, WireRateBytes)
+			EncodeRate(out, seq, nanos, flow, rate, epoch)
+			if !bytes.Equal(out, b[:WireRateBytes]) {
+				t.Fatalf("rate re-encodes to %x, want %x", out, b[:WireRateBytes])
+			}
+		}
+	})
+}
 
 // TestReportRoundTrip pins the report datagram encoding: every field
 // survives bit-exactly, the length matches the declared constant, and the

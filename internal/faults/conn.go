@@ -10,8 +10,8 @@ import (
 
 // Conn is the subset of *net.UDPConn the senders drive. The shim wraps any
 // implementation; mocc/transport.Send accepts one via Config.WrapConn and
-// internal/datapath.RunTransfer via TransferConfig.WrapConn (the interfaces
-// are structurally identical, so a FaultConn satisfies both).
+// transport.DialServe via ServeConnConfig.WrapConn (transport.PacketConn is
+// structurally identical, so a FaultConn satisfies it).
 type Conn interface {
 	Read(b []byte) (int, error)
 	Write(b []byte) (int, error)

@@ -7,9 +7,9 @@
 // where faults actually enter a deployment:
 //
 //   - the wire layer: Plan.WrapConn interposes a FaultConn between a sender
-//     and its UDP socket (mocc/transport.Config.WrapConn and
-//     internal/datapath accept it), tampering with data packets on Write
-//     and acknowledgements on Read;
+//     and its UDP socket (mocc/transport's Config.WrapConn and
+//     ServeConnConfig.WrapConn accept it), tampering with data packets on
+//     Write and acknowledgements on Read;
 //   - the report path: Plan.WrapReporter wraps a *mocc.App (or anything
 //     with its Report signature) to delay and skew the Status stream, and
 //     Plan.InferenceHook builds the mocc.WithInferenceFault hook that

@@ -31,10 +31,6 @@ const (
 	EvShardPanic
 	// EvShardRestart: the watchdog restarted a crashed shard consumer.
 	EvShardRestart
-	// EvBlackout: the transport sender entered a blackout window.
-	EvBlackout
-	// EvBlackoutEnd: the transport sender recovered from a blackout.
-	EvBlackoutEnd
 	// EvFailover: a serve client fell back to its local AIMD controller.
 	EvFailover
 	// EvResync: a serve client re-established daemon-served decisions.
@@ -51,8 +47,6 @@ var eventNames = [...]string{
 	EvSafeModeRecover: "safemode_recover",
 	EvShardPanic:      "shard_panic",
 	EvShardRestart:    "shard_restart",
-	EvBlackout:        "blackout",
-	EvBlackoutEnd:     "blackout_end",
 	EvFailover:        "failover",
 	EvResync:          "resync",
 }

@@ -126,23 +126,7 @@ func (s Status) validate() error {
 
 // report converts to the internal controller report.
 func (s Status) report() cc.Report {
-	d := s.Duration.Seconds()
-	r := cc.Report{
-		Duration:  d,
-		Sent:      s.PacketsSent,
-		Delivered: s.PacketsAcked,
-		Lost:      s.PacketsLost,
-		AvgRTT:    s.AvgRTT.Seconds(),
-		MinRTT:    s.MinRTT.Seconds(),
-	}
-	if d > 0 {
-		r.SendRate = r.Sent / d
-		r.Throughput = r.Delivered / d
-	}
-	if r.Sent > 0 {
-		r.LossRate = r.Lost / r.Sent
-	}
-	return r
+	return cc.IntervalReport(s.Duration, s.PacketsSent, s.PacketsAcked, s.PacketsLost, s.AvgRTT, s.MinRTT)
 }
 
 // AppID identifies a registered application in the §5 compatibility layer

@@ -85,7 +85,6 @@ func TestBlackoutRecoveryReceiverClosedMidSend(t *testing.T) {
 	done := make(chan result, 1)
 	go func() {
 		stats, err := transport.Send(recv.Addr(), app, 800*time.Millisecond, transport.Config{
-			MI:          20 * time.Millisecond,
 			MaxRatePps:  2000,
 			LossTimeout: 60 * time.Millisecond,
 		})
@@ -134,7 +133,6 @@ func TestChaosSequenceBlackoutWindowRecovery(t *testing.T) {
 	}
 	var fc *faults.FaultConn
 	stats, err := transport.Send(recv.Addr(), app, 2*time.Second, transport.Config{
-		MI:          20 * time.Millisecond,
 		MaxRatePps:  2000,
 		LossTimeout: 60 * time.Millisecond,
 		WrapConn: func(inner transport.PacketConn) transport.PacketConn {
@@ -185,7 +183,6 @@ func TestChaosCorruptedAndLossyWire(t *testing.T) {
 	}
 	var fc *faults.FaultConn
 	stats, err := transport.Send(recv.Addr(), app, time.Second, transport.Config{
-		MI:          20 * time.Millisecond,
 		MaxRatePps:  2000,
 		LossTimeout: 60 * time.Millisecond,
 		WrapConn: func(inner transport.PacketConn) transport.PacketConn {
@@ -249,7 +246,6 @@ func TestChaosNaNPoisonedModelOverTransport(t *testing.T) {
 	}()
 
 	stats, err := transport.Send(recv.Addr(), app, time.Second, transport.Config{
-		MI:          20 * time.Millisecond,
 		MaxRatePps:  2000,
 		LossTimeout: 60 * time.Millisecond,
 	})

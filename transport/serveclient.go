@@ -27,7 +27,7 @@ import (
 // datagrams on the write side and rate replies on the read side, so
 // daemon-path failover is pinned by the same seeded plans as the data path.
 type ServeConn struct {
-	conn datapath.PacketConn
+	conn PacketConn
 	raw  *net.UDPConn
 
 	mu    sync.Mutex
@@ -120,7 +120,7 @@ func DialServe(addr string, cfg ServeConnConfig) (*ServeConn, error) {
 	if err != nil {
 		return nil, fmt.Errorf("transport: serve dial: %w", err)
 	}
-	var conn datapath.PacketConn = raw
+	var conn PacketConn = raw
 	if cfg.WrapConn != nil {
 		conn = cfg.WrapConn(conn)
 	}
@@ -516,21 +516,5 @@ func wireReport(flow uint64, w mocc.Weights, st mocc.Status) datapath.WireReport
 
 // ccReport converts a public Status into the internal controller report.
 func ccReport(st mocc.Status) cc.Report {
-	d := st.Duration.Seconds()
-	r := cc.Report{
-		Duration:  d,
-		Sent:      st.PacketsSent,
-		Delivered: st.PacketsAcked,
-		Lost:      st.PacketsLost,
-		AvgRTT:    st.AvgRTT.Seconds(),
-		MinRTT:    st.MinRTT.Seconds(),
-	}
-	if d > 0 {
-		r.SendRate = r.Sent / d
-		r.Throughput = r.Delivered / d
-	}
-	if r.Sent > 0 {
-		r.LossRate = r.Lost / r.Sent
-	}
-	return r
+	return cc.IntervalReport(st.Duration, st.PacketsSent, st.PacketsAcked, st.PacketsLost, st.AvgRTT, st.MinRTT)
 }

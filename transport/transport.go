@@ -1,30 +1,32 @@
 // Package transport is the public UDP datapath binding for MOCC: a real
-// socket loop that hosts a registered *mocc.App end to end. Listen starts
-// an acknowledging receiver; Send paces padded UDP data packets toward it
-// at the rate the application's handle decides, closing one monitor
-// interval at a time through App.Report — the §5 user-space (UDT-style)
-// deployment over real sockets.
+// socket loop that paces any rate controller end to end — a registered
+// *mocc.App, or anything else with its Rate/Report pair. Listen starts an
+// acknowledging receiver; Send paces padded UDP data packets toward it at
+// the rate the controller decides, closing one 20 ms monitor interval at a
+// time through Report — the §5 user-space (UDT-style) deployment over real
+// sockets.
 //
-// The wire protocol is the 18-byte header shared with the internal
-// datapath experiments (magic, type, sequence, send timestamp; acks echo
-// the header), so transport senders interoperate with internal receivers
-// and vice versa.
+// The wire protocol is the 18-byte header of mocc/internal/datapath
+// (magic, type, sequence, send timestamp; acks echo the header), the same
+// format the mocc-serve control plane speaks.
 //
 // The sender is hardened against a misbehaving path: it detects ack
-// blackouts (no acknowledgements for BlackoutAfter consecutive monitor
-// intervals, or a fatal socket read error) and drops to a conservative
-// probing rate with exponential backoff until acks return, counts socket
-// write errors and aborts with a descriptive error once they become
-// persistent, and bounds the in-flight bookkeeping so a receiver that
-// never acks cannot grow sender memory without limit. Config.WrapConn
-// lets a fault-injection shim (mocc/internal/faults) interpose on the
-// socket for chaos testing.
+// blackouts (no acknowledgements for three consecutive monitor intervals,
+// or a fatal socket read error) and drops to a conservative probing rate
+// with exponential backoff until acks return, aborts with a descriptive
+// error after 64 consecutive socket write failures, and bounds the
+// in-flight bookkeeping at 65 536 packets so a receiver that never acks
+// cannot grow sender memory without limit. Config.WrapConn lets a
+// fault-injection shim (mocc/internal/faults) interpose on the socket for
+// chaos testing.
 package transport
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"math"
+	"math/rand"
 	"net"
 	"sync"
 	"sync/atomic"
@@ -32,13 +34,35 @@ import (
 
 	"mocc"
 	"mocc/internal/datapath"
-	"mocc/internal/obs"
+)
+
+// The sender's fixed operating constants.
+const (
+	// monitorInterval is how often Send closes the books and asks the
+	// controller for the next rate.
+	monitorInterval = 20 * time.Millisecond
+	// payloadBytes sizes data packets: the wire header plus padding.
+	payloadBytes = 1200
+	// blackoutAfter consecutive ackless intervals with traffic in flight
+	// start blackout probing.
+	blackoutAfter = 3
+	// blackoutFloorPps is the slowest probing rate: one packet per interval.
+	blackoutFloorPps = float64(time.Second / monitorInterval)
+	// maxConsecWriteErrs consecutive socket write failures abort a transfer.
+	maxConsecWriteErrs = 64
+	// maxOutstanding bounds the in-flight map; beyond it the oldest
+	// entries are evicted and counted lost.
+	maxOutstanding = 1 << 16
 )
 
 // Receiver is a UDP sink that acknowledges every data packet, optionally
 // dropping a configured fraction to emulate loss on loopback links.
 type Receiver struct {
-	r *datapath.Receiver
+	conn     *net.UDPConn
+	dropProb float64
+	rng      *rand.Rand // serve goroutine only
+	received atomic.Int64
+	done     chan struct{} // closed when serve returns
 }
 
 // ReceiverConfig tunes Listen.
@@ -53,113 +77,94 @@ type ReceiverConfig struct {
 // Listen binds a UDP socket on addr ("127.0.0.1:0" picks a free port) and
 // serves acknowledgements until Close.
 func Listen(addr string, cfg ReceiverConfig) (*Receiver, error) {
-	r, err := datapath.StartReceiver(addr, cfg.DropProb, cfg.Seed)
+	udpAddr, err := net.ResolveUDPAddr("udp", addr)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("transport: resolving %q: %w", addr, err)
 	}
-	return &Receiver{r: r}, nil
+	conn, err := net.ListenUDP("udp", udpAddr)
+	if err != nil {
+		return nil, fmt.Errorf("transport: listening on %q: %w", addr, err)
+	}
+	r := &Receiver{
+		conn:     conn,
+		dropProb: cfg.DropProb,
+		rng:      rand.New(rand.NewSource(cfg.Seed)),
+		done:     make(chan struct{}),
+	}
+	go r.serve()
+	return r, nil
 }
 
 // Addr returns the bound address (useful with port 0).
-func (r *Receiver) Addr() string { return r.r.Addr() }
+func (r *Receiver) Addr() string { return r.conn.LocalAddr().String() }
 
 // Received returns the count of accepted data packets.
-func (r *Receiver) Received() int { return r.r.Received() }
+func (r *Receiver) Received() int { return int(r.received.Load()) }
 
-// Close stops the receiver and releases the socket.
-func (r *Receiver) Close() error { return r.r.Close() }
+// Close stops the receiver and releases the socket. Closing twice is
+// harmless (the second call returns the socket's already-closed error).
+func (r *Receiver) Close() error {
+	err := r.conn.Close()
+	<-r.done
+	return err
+}
 
-// PacketConn is the socket surface Send drives — the subset of
-// *net.UDPConn it uses. Config.WrapConn can interpose on it. It aliases
-// the internal datapath definition (both packages grew structurally
-// identical seams with the WrapConn hooks), so a wrapper written against
-// one works verbatim against the other.
-type PacketConn = datapath.PacketConn
+// serve acks data packets until the socket is closed. The ack echoes the
+// data header's sequence number and send timestamp.
+func (r *Receiver) serve() {
+	defer close(r.done)
+	buf := make([]byte, 64*1024)
+	ack := make([]byte, datapath.WireHeaderBytes)
+	for {
+		n, peer, err := r.conn.ReadFromUDPAddrPort(buf)
+		if err != nil {
+			if errors.Is(err, net.ErrClosed) {
+				return
+			}
+			continue
+		}
+		typ, seq, ok := datapath.DecodeHeader(buf[:n])
+		if !ok || typ != datapath.WireTypeData {
+			continue
+		}
+		if r.dropProb > 0 && r.rng.Float64() < r.dropProb {
+			continue
+		}
+		r.received.Add(1)
+		datapath.EncodeAck(ack, seq, int64(binary.BigEndian.Uint64(buf[10:18])))
+		// A failed ack write is a loss the sender infers by timeout.
+		_, _ = r.conn.WriteToUDPAddrPort(ack, peer)
+	}
+}
+
+// PacketConn is the socket surface Send and DialServe drive — the subset
+// of *net.UDPConn they use. Config.WrapConn can interpose on it.
+type PacketConn interface {
+	Read(b []byte) (int, error)
+	Write(b []byte) (int, error)
+	SetReadDeadline(t time.Time) error
+	Close() error
+}
+
+// Controller decides a Send loop's pacing rate in packets/second: Rate is
+// the rate for the first monitor interval, and Report closes each interval
+// and returns the rate for the next. *mocc.App satisfies it.
+type Controller interface {
+	Rate() float64
+	Report(mocc.Status) (float64, error)
+}
 
 // Config tunes a Send loop.
 type Config struct {
-	// MI is the monitor-interval length (default 20ms).
-	MI time.Duration
-	// PayloadBytes sizes data packets (default 1200).
-	PayloadBytes int
 	// MaxRatePps caps pacing (default 20000 pkts/s; loopback is fast).
 	MaxRatePps float64
 	// LossTimeout declares unacked packets lost after this long
 	// (default 4x the observed min RTT, floor 20ms).
 	LossTimeout time.Duration
-
 	// WrapConn, if set, interposes on the dialed socket before any
 	// traffic flows — the hook the fault-injection shim
 	// (mocc/internal/faults.Plan.WrapConn) plugs into.
 	WrapConn func(PacketConn) PacketConn
-	// BlackoutAfter is how many consecutive ackless monitor intervals
-	// (with traffic in flight) trigger blackout probing (default 3).
-	BlackoutAfter int
-	// BlackoutFloorPps is the minimum probing rate during a blackout
-	// (default one packet per MI).
-	BlackoutFloorPps float64
-	// MaxConsecWriteErrs aborts the transfer after this many consecutive
-	// socket write failures (default 64).
-	MaxConsecWriteErrs int
-	// MaxOutstanding bounds the in-flight bookkeeping map; beyond it the
-	// oldest entries are evicted and counted lost (default 65536).
-	MaxOutstanding int
-
-	// Metrics, when non-nil, registers the sender-side path-health series
-	// (mocc_transport_*) on the sink and emits blackout begin/end events
-	// into its event log. Several concurrent Send loops may share one
-	// sink — series register idempotently and counters accumulate across
-	// transfers.
-	Metrics *mocc.Metrics
-}
-
-// txMetrics is the sender-side instrumentation (zero value = off; every
-// method on a nil counter/histogram/event log is a no-op).
-type txMetrics struct {
-	writeErrs   *obs.Counter
-	blackouts   *obs.Counter
-	blackoutDur *obs.Histogram
-	events      *obs.EventLog
-}
-
-func newTxMetrics(m *mocc.Metrics) txMetrics {
-	reg := m.Registry()
-	if reg == nil {
-		return txMetrics{}
-	}
-	return txMetrics{
-		writeErrs: reg.Counter("mocc_transport_write_errors_total",
-			"Failed socket writes across all Send loops."),
-		blackouts: reg.Counter("mocc_transport_blackouts_total",
-			"Detected ack-blackout spans across all Send loops."),
-		blackoutDur: reg.Histogram("mocc_transport_blackout_seconds",
-			"Duration of each ack-blackout span (sum is total dark time).", 1e-9),
-		events: m.EventLog(),
-	}
-}
-
-func (cfg *Config) applyDefaults() {
-	if cfg.MI <= 0 {
-		cfg.MI = 20 * time.Millisecond
-	}
-	if cfg.PayloadBytes < datapath.WireHeaderBytes {
-		cfg.PayloadBytes = 1200
-	}
-	if cfg.MaxRatePps <= 0 {
-		cfg.MaxRatePps = 20000
-	}
-	if cfg.BlackoutAfter <= 0 {
-		cfg.BlackoutAfter = 3
-	}
-	if cfg.BlackoutFloorPps <= 0 {
-		cfg.BlackoutFloorPps = float64(time.Second) / float64(cfg.MI)
-	}
-	if cfg.MaxConsecWriteErrs <= 0 {
-		cfg.MaxConsecWriteErrs = 64
-	}
-	if cfg.MaxOutstanding <= 0 {
-		cfg.MaxOutstanding = 1 << 16
-	}
 }
 
 // Stats summarizes a finished transfer. It is populated even when Send
@@ -173,7 +178,7 @@ type Stats struct {
 	ThroughputMbps float64
 	// Duration is the wall-clock transfer time.
 	Duration time.Duration
-	// Intervals counts monitor intervals reported to the App.
+	// Intervals counts monitor intervals reported to the controller.
 	Intervals int
 
 	// WriteErrors counts failed socket writes over the transfer.
@@ -185,15 +190,15 @@ type Stats struct {
 	BlackoutTime      time.Duration
 	BlackoutIntervals int
 	// Evicted counts in-flight entries dropped (and counted lost) because
-	// the outstanding map hit MaxOutstanding.
+	// the outstanding map hit its 65 536-entry bound.
 	Evicted int
 }
 
 // sender is the per-transfer state behind Send: one pacing goroutine
-// drives step/closeInterval while one ack-collector goroutine drives
+// drives run/closeInterval while one ack-collector goroutine drives
 // collectAcks; they share the mu-guarded interval counters.
 type sender struct {
-	app  *mocc.App
+	c    Controller
 	cfg  Config
 	conn PacketConn
 
@@ -212,39 +217,42 @@ type sender struct {
 	// error: the ack path is gone, so the pacing loop must treat the path
 	// as blacked out rather than wait for acks that cannot arrive.
 	readDead atomic.Bool
-	readErr  error // written once before readDead is set
 
 	// Pacing-loop-only blackout state.
-	appRate    float64 // last rate the handle decided
+	ctlRate    float64 // last usable rate the controller decided
 	rate       float64 // effective pacing rate
 	acklessMIs int
 	inBlackout bool
 	blackoutAt time.Time
 
 	consecWriteErrs int
-	lastWriteErr    error
-
-	met txMetrics
 }
 
-// Send paces packets to addr under the control of app for the given
+// Send paces packets to addr under the control of c for the given
 // duration: each monitor interval it closes the books (acks collected,
-// timeouts declared lost), builds a mocc.Status, and lets app.Report decide
-// the next pacing rate. The App keeps accumulating telemetry across calls,
-// so app.Stats() after Send shows the transfer from the controller's side.
+// timeouts declared lost), builds a mocc.Status, and lets c.Report decide
+// the next pacing rate. A *mocc.App keeps accumulating telemetry across
+// calls, so app.Stats() after Send shows the transfer from the
+// controller's side.
+//
+// The initial c.Rate() must be positive. A later decision that is not
+// (NaN, zero, negative) is ignored and the previous rate kept; decisions
+// above cfg.MaxRatePps are capped.
 //
 // Send returns (with Stats populated) rather than hanging when the path
 // dies mid-transfer: an ack blackout switches pacing to conservative
 // probing until acks return or the duration ends, and persistent socket
 // write failures abort with a descriptive error.
-func Send(addr string, app *mocc.App, duration time.Duration, cfg Config) (Stats, error) {
-	if app == nil {
+func Send(addr string, c Controller, duration time.Duration, cfg Config) (Stats, error) {
+	if app, isApp := c.(*mocc.App); c == nil || isApp && app == nil {
 		return Stats{}, errors.New("transport: nil app")
 	}
 	if duration <= 0 {
 		return Stats{}, errors.New("transport: duration must be positive")
 	}
-	cfg.applyDefaults()
+	if cfg.MaxRatePps <= 0 {
+		cfg.MaxRatePps = 20000
+	}
 
 	raddr, err := net.ResolveUDPAddr("udp", addr)
 	if err != nil {
@@ -261,17 +269,22 @@ func Send(addr string, app *mocc.App, duration time.Duration, cfg Config) (Stats
 	defer conn.Close()
 
 	s := &sender{
-		app:         app,
+		c:           c,
 		cfg:         cfg,
 		conn:        conn,
 		outstanding: make(map[uint64]time.Time),
 		evictCursor: 1,
-		met:         newTxMetrics(cfg.Metrics),
 	}
 	return s.run(duration)
 }
 
 func (s *sender) run(duration time.Duration) (Stats, error) {
+	s.ctlRate = math.Min(s.c.Rate(), s.cfg.MaxRatePps)
+	s.rate = s.ctlRate
+	if !(s.rate > 0) {
+		return s.stats, fmt.Errorf("transport: app rate %v is not a usable pacing rate", s.rate)
+	}
+
 	stop := make(chan struct{})
 	var ackWG sync.WaitGroup
 	ackWG.Add(1)
@@ -280,18 +293,10 @@ func (s *sender) run(duration time.Duration) (Stats, error) {
 		s.collectAcks(stop)
 	}()
 
-	s.appRate = math.Min(s.app.Rate(), s.cfg.MaxRatePps)
-	s.rate = s.appRate
-	if s.rate <= 0 {
-		close(stop)
-		ackWG.Wait()
-		return s.stats, fmt.Errorf("transport: app rate %v is not a usable pacing rate", s.rate)
-	}
-
-	pkt := make([]byte, s.cfg.PayloadBytes)
+	pkt := make([]byte, payloadBytes)
 	start := time.Now()
 	deadline := start.Add(duration)
-	nextMI := start.Add(s.cfg.MI)
+	nextMI := start.Add(monitorInterval)
 	nextSend := start
 	var seq uint64
 	miSent := 0
@@ -307,12 +312,10 @@ func (s *sender) run(duration time.Duration) (Stats, error) {
 		datapath.EncodeDataHeader(pkt, seq, time.Now().UnixNano())
 		if _, err := s.conn.Write(pkt); err != nil {
 			s.stats.WriteErrors++
-			s.met.writeErrs.Add(1)
 			s.consecWriteErrs++
-			s.lastWriteErr = err
-			if s.consecWriteErrs >= s.cfg.MaxConsecWriteErrs {
+			if s.consecWriteErrs >= maxConsecWriteErrs {
 				loopErr = fmt.Errorf("transport: aborting after %d consecutive socket write failures (%d total): %w",
-					s.consecWriteErrs, s.stats.WriteErrors, s.lastWriteErr)
+					s.consecWriteErrs, s.stats.WriteErrors, err)
 				break
 			}
 		} else {
@@ -331,7 +334,7 @@ func (s *sender) run(duration time.Duration) (Stats, error) {
 			if loopErr != nil {
 				break
 			}
-			nextMI = nextMI.Add(s.cfg.MI)
+			nextMI = nextMI.Add(monitorInterval)
 		}
 	}
 
@@ -339,7 +342,7 @@ func (s *sender) run(duration time.Duration) (Stats, error) {
 	ackWG.Wait()
 
 	if s.inBlackout {
-		s.endBlackout("transfer ended mid-blackout")
+		s.stats.BlackoutTime += time.Since(s.blackoutAt)
 	}
 	s.stats.Duration = time.Since(start)
 	s.mu.Lock()
@@ -349,17 +352,17 @@ func (s *sender) run(duration time.Duration) (Stats, error) {
 	}
 	s.mu.Unlock()
 	if secs := s.stats.Duration.Seconds(); secs > 0 {
-		s.stats.ThroughputMbps = float64(s.stats.Acked*s.cfg.PayloadBytes) * 8 / 1e6 / secs
+		s.stats.ThroughputMbps = float64(s.stats.Acked*payloadBytes) * 8 / 1e6 / secs
 	}
 	return s.stats, loopErr
 }
 
 // track records an in-flight packet, evicting the oldest entries (counted
-// lost) when the bookkeeping map would exceed MaxOutstanding — a receiver
+// lost) when the bookkeeping map would exceed maxOutstanding — a receiver
 // that never acks cannot grow sender memory without bound.
 func (s *sender) track(seq uint64) {
 	s.mu.Lock()
-	for len(s.outstanding) >= s.cfg.MaxOutstanding {
+	for len(s.outstanding) >= maxOutstanding {
 		for s.evictCursor < seq {
 			if _, ok := s.outstanding[s.evictCursor]; ok {
 				delete(s.outstanding, s.evictCursor)
@@ -375,9 +378,9 @@ func (s *sender) track(seq uint64) {
 }
 
 // collectAcks drains acknowledgements until stop closes. A fatal
-// (non-timeout) read error does not end the transfer silently: it records
-// the error and flags readDead so the pacing loop enters blackout
-// handling instead of waiting for acks that can no longer arrive.
+// (non-timeout) read error does not end the transfer silently: it flags
+// readDead so the pacing loop enters blackout handling instead of waiting
+// for acks that can no longer arrive.
 func (s *sender) collectAcks(stop <-chan struct{}) {
 	buf := make([]byte, 2048)
 	for {
@@ -392,7 +395,6 @@ func (s *sender) collectAcks(stop <-chan struct{}) {
 					continue
 				}
 			}
-			s.readErr = err
 			s.readDead.Store(true)
 			return
 		}
@@ -418,9 +420,9 @@ func (s *sender) collectAcks(stop <-chan struct{}) {
 }
 
 // closeInterval ends one monitor interval: it infers losses from the
-// timeout, builds the application-visible Status, asks the handle for the
-// next rate, and runs the blackout detector that decides whether the
-// handle's rate or a conservative probing rate paces the next interval.
+// timeout, builds the controller-visible Status, asks the controller for
+// the next rate, and runs the blackout detector that decides whether the
+// controller's rate or a conservative probing rate paces the next interval.
 func (s *sender) closeInterval(miSent *int) error {
 	s.mu.Lock()
 	minRTT := s.minRTT // written by the ack goroutine under mu
@@ -469,8 +471,8 @@ func (s *sender) closeInterval(miSent *int) error {
 	if acked+lost > effSent {
 		effSent = acked + lost
 	}
-	next, err := s.app.Report(mocc.Status{
-		Duration:     s.cfg.MI,
+	next, err := s.c.Report(mocc.Status{
+		Duration:     monitorInterval,
 		PacketsSent:  float64(effSent),
 		PacketsAcked: float64(acked),
 		PacketsLost:  float64(lost),
@@ -480,62 +482,46 @@ func (s *sender) closeInterval(miSent *int) error {
 	if err != nil {
 		return err
 	}
-	s.appRate = math.Min(next, s.cfg.MaxRatePps)
+	// A decision that is not a positive rate would become a negative send
+	// gap, and the catch-up guard would then send back to back: keep the
+	// previous rate instead.
+	if next > 0 {
+		s.ctlRate = math.Min(next, s.cfg.MaxRatePps)
+	}
 	s.blackoutStep(acked, sent, inFlight)
 	return nil
 }
 
 // blackoutStep updates the ack-blackout detector after one monitor
-// interval and picks the effective pacing rate: the handle's rate
+// interval and picks the effective pacing rate: the controller's rate
 // normally, or a conservative probe (quarter of the last good rate,
-// halving each blacked-out interval down to BlackoutFloorPps) while the
-// path is dark. The first ack ends the blackout and control returns to
-// the handle immediately.
+// halving each blacked-out interval down to one packet per interval) while
+// the path is dark. The first ack ends the blackout and control returns to
+// the controller immediately.
 func (s *sender) blackoutStep(acked, sent, inFlight int) {
 	if acked > 0 {
 		s.acklessMIs = 0
 		if s.inBlackout {
 			s.inBlackout = false
-			s.endBlackout("acks returned")
+			s.stats.BlackoutTime += time.Since(s.blackoutAt)
 		}
-		s.rate = s.appRate
+		s.rate = s.ctlRate
 		return
 	}
 	if sent > 0 || inFlight > 0 || s.readDead.Load() {
 		s.acklessMIs++
 	}
-	if !s.inBlackout && (s.acklessMIs >= s.cfg.BlackoutAfter || s.readDead.Load()) {
+	if !s.inBlackout && (s.acklessMIs >= blackoutAfter || s.readDead.Load()) {
 		s.inBlackout = true
 		s.blackoutAt = time.Now()
 		s.stats.Blackouts++
-		s.met.blackouts.Add(1)
-		if s.met.events != nil {
-			why := fmt.Sprintf("%d consecutive ackless monitor intervals", s.acklessMIs)
-			if s.readDead.Load() {
-				why = "fatal ack-socket read error"
-			}
-			s.met.events.Emit(obs.Event{Type: obs.EvBlackout, Msg: why})
-		}
-		s.rate = math.Max(s.appRate/4, s.cfg.BlackoutFloorPps)
+		s.rate = math.Max(s.ctlRate/4, blackoutFloorPps)
 	} else if s.inBlackout {
-		s.rate = math.Max(s.rate/2, s.cfg.BlackoutFloorPps)
+		s.rate = math.Max(s.rate/2, blackoutFloorPps)
 	} else {
-		s.rate = s.appRate
+		s.rate = s.ctlRate
 	}
 	if s.inBlackout {
 		s.stats.BlackoutIntervals++
-	}
-}
-
-// endBlackout closes one blackout span's books: the stats accumulation
-// every transfer does, plus the duration observation and the end event
-// when a Metrics sink is attached.
-func (s *sender) endBlackout(why string) {
-	span := time.Since(s.blackoutAt)
-	s.stats.BlackoutTime += span
-	s.met.blackoutDur.Observe(uint64(span))
-	if s.met.events != nil {
-		s.met.events.Emit(obs.Event{Type: obs.EvBlackoutEnd,
-			Msg: fmt.Sprintf("%s after %v dark", why, span.Round(time.Millisecond))})
 	}
 }
