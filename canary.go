@@ -87,12 +87,12 @@ func (l *Library) canarySample() canarySample {
 }
 
 // canaryLoop watches for epoch changes and judges each new generation over
-// a sliding window. cfg is already normalized.
-func (l *Library) canaryLoop(cfg CanaryConfig) {
+// a sliding window, starting from trusted, the generation in force when the
+// library was built. cfg is already normalized.
+func (l *Library) canaryLoop(cfg CanaryConfig, trusted uint64) {
 	tick := time.NewTicker(cfg.Interval)
 	defer tick.Stop()
 
-	trusted := l.engine.Epoch() // the generation in force when the monitor started
 	watching := false
 	var (
 		watch    uint64 // epoch under observation

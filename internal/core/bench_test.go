@@ -69,8 +69,8 @@ func BenchmarkOfflineTrain(b *testing.B) {
 }
 
 // BenchmarkInferenceActFor measures one single-sample actor decision
-// (preference head + trunk under one read-lock round trip) — the per-call
-// cost the serving engine's coalescing replaces.
+// (ActBatch on a batch of one: preference head + trunk under one read-lock
+// round trip) — the per-call cost the serving engine's coalescing replaces.
 func BenchmarkInferenceActFor(b *testing.B) {
 	m := NewModel(HistoryLen, 1)
 	inf := m.NewInference()
@@ -88,10 +88,10 @@ func BenchmarkInferenceActFor(b *testing.B) {
 }
 
 // BenchmarkBatchInferenceActBatch measures the same decision through the
-// batched path at serving batch size: one lock round trip and one
-// weight-row traversal per 8 rows instead of per decision. The gap to
-// BenchmarkInferenceActFor is the per-report headroom the serving engine
-// has to pay its coalescing overhead out of.
+// batched path at serving batch size: the same n = 1 kernel per row, but
+// one lock round trip and one pass over the layers per batch instead of per
+// decision. The gap to BenchmarkInferenceActFor is the per-report headroom
+// the serving engine has to pay its coalescing overhead out of.
 func BenchmarkBatchInferenceActBatch(b *testing.B) {
 	const batch = 64
 	m := NewModel(HistoryLen, 1)

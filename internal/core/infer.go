@@ -7,61 +7,43 @@ import (
 	"mocc/internal/objective"
 )
 
-// Inference is a goroutine-private deployment view of a Model: it shares
-// the model's parameters (taking the read side of the model's parameter
-// lock per evaluation) but owns every scratch buffer, so N applications on
-// N cores evaluate one model concurrently without contending on anything
-// except that uncontended read lock. Results are bit-identical to
-// Model.ActFor.
+// Inference is a goroutine-private deployment view of a Model for one
+// decision at a time: a BatchInference run on a batch of one, so it shares
+// the model's parameters (taking the read side of the model's parameter lock
+// per evaluation), owns every scratch buffer, and returns exactly what
+// ActBatch returns for the same pair. N applications on N cores evaluate one
+// model concurrently without contending on anything except that uncontended
+// read lock.
 //
 // An Inference is not itself safe for concurrent use — create one per
 // goroutine (they are a few KB each).
 type Inference struct {
-	model      *Model
-	actorPref  *nn.Evaluator
-	actorTrunk *nn.Evaluator
-	wBuf       [WeightDim]float64
-	joint      []float64 // [3η + PrefFeatures] trunk input assembly
+	batch *BatchInference
 }
 
 // NewInference builds a private inference view of the actor half-network.
 func (m *Model) NewInference() *Inference {
-	return &Inference{
-		model:      m,
-		actorPref:  m.actorPref.NewEvaluator(),
-		actorTrunk: m.actorTrunk.NewEvaluator(),
-		joint:      make([]float64, 3*m.HistoryLen+PrefFeatures),
-	}
+	return &Inference{batch: m.NewBatchInference()}
 }
 
 // ActFor returns the deterministic action for a network-history observation
 // under preference w, exactly like Model.ActFor but safe to call from many
-// goroutines at once (each on its own Inference).
+// goroutines at once (each on its own Inference). The batch of one lives on
+// the stack — ActBatch keeps none of its arguments — so a decision allocates
+// nothing and the caller's observation is not retained.
 func (inf *Inference) ActFor(w objective.Weights, netObs []float64) float64 {
-	netDim := 3 * inf.model.HistoryLen
-	if len(netObs) != netDim {
-		panic(fmt.Sprintf("core: network observation length %d, want %d", len(netObs), netDim))
-	}
-	inf.wBuf[0], inf.wBuf[1], inf.wBuf[2] = w.Thr, w.Lat, w.Loss
-	copy(inf.joint[:netDim], netObs)
-
-	inf.model.RLockParams()
-	feat := inf.actorPref.Forward(inf.wBuf[:])
-	for i, v := range feat {
-		inf.joint[netDim+i] = nn.FastTanh(v)
-	}
-	out := inf.actorTrunk.Forward(inf.joint)[0]
-	inf.model.RUnlockParams()
-	return out
+	ws, obs := [1]objective.Weights{w}, [1][]float64{netObs}
+	var out [1]float64
+	inf.batch.ActBatch(ws[:], obs[:], out[:])
+	return out[0]
 }
 
 // BatchInference is a goroutine-private batched deployment view of a Model:
-// one call evaluates many (preference, observation) pairs through the
-// batched kernels, taking the read side of the parameter lock once per
-// batch instead of once per decision. Every output is bit-identical to
-// Inference.ActFor on the same pair — batching amortizes weight-row
-// traversal across rows without changing any row's accumulation order —
-// so a serving engine may coalesce concurrent requests freely.
+// one call evaluates many (preference, observation) pairs, taking the read
+// side of the parameter lock once per batch instead of once per decision.
+// Every layer runs the n = 1 kernel on each row (nn.Evaluator), so every
+// output is bit-identical to Model.ActFor on the same pair whatever the
+// batch size — a serving engine may coalesce concurrent requests freely.
 //
 // A BatchInference is not safe for concurrent use — create one per shard.
 type BatchInference struct {

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"math/rand"
 	"sync"
 	"testing"
@@ -33,13 +34,12 @@ func TestInferenceMatchesActFor(t *testing.T) {
 }
 
 // TestBatchInferenceBitIdentical pins every BatchInference.ActBatch row to
-// the single-sample Inference.ActFor result bit for bit, across batch sizes
-// covering the blocked and tail kernel paths. This is the determinism pin
-// behind request coalescing: a decision must not depend on how many other
-// apps happened to land in the same micro-batch.
+// Model.ActFor — the training-side MLP layers at n = 1 — bit for bit, across
+// batch sizes on both sides of every blocking the training kernels use. This
+// is the determinism pin behind request coalescing: a decision must not
+// depend on how many other apps happened to land in the same micro-batch.
 func TestBatchInferenceBitIdentical(t *testing.T) {
 	m := NewModel(HistoryLen, 42)
-	inf := m.NewInference()
 	bi := m.NewBatchInference()
 	rng := rand.New(rand.NewSource(17))
 	prefs := objective.UniformObjectives(16, 5)
@@ -57,7 +57,7 @@ func TestBatchInferenceBitIdentical(t *testing.T) {
 		out := make([]float64, n)
 		bi.ActBatch(ws, obs, out)
 		for r := 0; r < n; r++ {
-			if want := inf.ActFor(ws[r], obs[r]); out[r] != want {
+			if want := m.ActFor(ws[r], obs[r]); math.Float64bits(out[r]) != math.Float64bits(want) {
 				t.Fatalf("batch %d row %d: batched %v, single %v", n, r, out[r], want)
 			}
 		}
@@ -83,6 +83,18 @@ func TestBatchInferenceAllocFree(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("ActBatch allocates %v per call", allocs)
+	}
+}
+
+// TestInferenceAllocFree pins the single-decision path — ActBatch on a
+// batch of one built on the stack — to zero allocations.
+func TestInferenceAllocFree(t *testing.T) {
+	m := NewModel(HistoryLen, 8)
+	inf := m.NewInference()
+	obs := make([]float64, 3*m.HistoryLen)
+	inf.ActFor(objective.BalancePref, obs) // grow scratch
+	if allocs := testing.AllocsPerRun(100, func() { inf.ActFor(objective.BalancePref, obs) }); allocs != 0 {
+		t.Fatalf("Inference.ActFor allocates %v per call", allocs)
 	}
 }
 

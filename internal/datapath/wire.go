@@ -164,6 +164,16 @@ func EncodeDataHeader(pkt []byte, seq uint64, unixNanos int64) {
 	binary.BigEndian.PutUint64(pkt[10:18], uint64(unixNanos))
 }
 
+// DecodeData parses a received datagram as a data packet, returning its
+// sequence number and send timestamp — what the receiver echoes in the ack.
+// ok is false for short, foreign, or non-data datagrams.
+func DecodeData(buf []byte) (seq uint64, unixNanos int64, ok bool) {
+	if len(buf) < headerBytes || buf[0] != magicByte || buf[1] != typeData {
+		return 0, 0, false
+	}
+	return binary.BigEndian.Uint64(buf[2:10]), int64(binary.BigEndian.Uint64(buf[10:18])), true
+}
+
 // DecodeAck parses a received datagram as an acknowledgement, returning the
 // acked sequence number and the echoed send timestamp. ok is false for
 // short, foreign, or non-ack datagrams.

@@ -10,8 +10,9 @@ import (
 
 // FuzzWireDecode feeds arbitrary datagrams to every decoder: none may
 // panic, DecodeHeader accepts exactly the datagrams of at least header
-// length that carry the magic byte, and every accepted ack, report or rate
-// re-encodes to the datagram's leading bytes — NaN payload bits included.
+// length that carry the magic byte, and every accepted data header, ack,
+// report or rate re-encodes to the datagram's leading bytes — NaN payload
+// bits included.
 // The seeds (one valid datagram of each type, truncations, a foreign magic
 // byte) run with every `go test`.
 func FuzzWireDecode(f *testing.F) {
@@ -43,6 +44,13 @@ func FuzzWireDecode(f *testing.F) {
 		}
 		if ok && (typ != b[1] || seq != binary.BigEndian.Uint64(b[2:10])) {
 			t.Fatalf("DecodeHeader = (%d, %d) for %x", typ, seq, b)
+		}
+		if seq, nanos, ok := DecodeData(b); ok {
+			out := make([]byte, WireHeaderBytes)
+			EncodeDataHeader(out, seq, nanos)
+			if !bytes.Equal(out, b[:WireHeaderBytes]) {
+				t.Fatalf("data header re-encodes to %x, want %x", out, b[:WireHeaderBytes])
+			}
 		}
 		if seq, nanos, ok := DecodeAck(b); ok {
 			out := make([]byte, WireHeaderBytes)

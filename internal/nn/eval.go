@@ -13,8 +13,9 @@ func FastTanh(x float64) float64 { return fastTanh(x) }
 // (training, adaptation) still need external synchronization against all
 // Evaluators reading them.
 //
-// Evaluation is bit-identical to MLP.Forward: both paths run the same
-// dotRowBatch kernel per output unit and the same fastTanh activation.
+// Every row is evaluated by the one kernel MLP.Forward runs at n = 1
+// (linearRows) and the same fastTanh activation, so each output row is
+// bit-identical to MLP.Forward on that row at any batch size.
 type Evaluator struct {
 	steps  []evalStep
 	maxDim int       // widest layer, per batch row
@@ -53,44 +54,12 @@ func (m *MLP) NewEvaluator() *Evaluator {
 	return e
 }
 
-// Forward evaluates one input vector. The returned slice aliases evaluator
-// scratch and is valid until the next Forward on the same Evaluator; the
-// input is never written.
-func (e *Evaluator) Forward(x []float64) []float64 {
-	cur := x
-	out, next := e.a, e.b
-	for _, s := range e.steps {
-		if l := s.linear; l != nil {
-			if len(cur) != l.In {
-				panic(fmt.Sprintf("nn: Evaluator input size %d, want %d", len(cur), l.In))
-			}
-			dst := out[:l.Out]
-			for o := 0; o < l.Out; o++ {
-				dotRowBatch(l.W.Value[o*l.In:(o+1)*l.In], cur, dst, 1, l.In, l.Out, o, l.B.Value[o])
-			}
-			cur = dst
-		} else {
-			dst := out[:s.size]
-			for i, v := range cur {
-				dst[i] = fastTanh(v)
-			}
-			cur = dst
-		}
-		out, next = next, out
-	}
-	return cur
-}
-
 // ForwardBatch evaluates n input vectors packed row-major in x
 // (len(x) must be n times the network's input width) and returns the
 // n outputs row-major. The returned slice aliases evaluator scratch and is
-// valid until the next Forward/ForwardBatch on the same Evaluator; the
-// input is never written. Scratch grows to the largest batch seen and is
-// reused, so steady-state calls allocate nothing.
-//
-// Every output row is bit-identical to Forward on the same input row:
-// batching changes how many rows share a pass over each weight row, never
-// the per-row accumulation order (linearBatchSame).
+// valid until the next ForwardBatch on the same Evaluator; the input is
+// never written. Scratch grows to the largest batch seen and is reused, so
+// steady-state calls allocate nothing.
 func (e *Evaluator) ForwardBatch(x []float64, n int) []float64 {
 	if n <= 0 {
 		panic(fmt.Sprintf("nn: Evaluator batch size %d", n))
@@ -105,7 +74,7 @@ func (e *Evaluator) ForwardBatch(x []float64, n int) []float64 {
 				panic(fmt.Sprintf("nn: Evaluator batch input size %d, want %d", len(cur), n*l.In))
 			}
 			dst := out[:n*l.Out]
-			linearBatchSame(l.W.Value, l.B.Value, cur, dst, n, l.In, l.Out)
+			linearRows(l.W.Value, l.B.Value, cur, dst, n, l.In, l.Out)
 			cur = dst
 		} else {
 			dst := out[:n*s.size]

@@ -1,6 +1,7 @@
 package nn
 
 import (
+	"math"
 	"math/rand"
 	"sync"
 	"testing"
@@ -18,7 +19,7 @@ func TestEvaluatorMatchesForward(t *testing.T) {
 			x[i] = rng.NormFloat64()
 		}
 		want := mlp.Forward(x)[0]
-		got := ev.Forward(x)[0]
+		got := ev.ForwardBatch(x, 1)[0]
 		if got != want {
 			t.Fatalf("trial %d: evaluator %v, forward %v", trial, got, want)
 		}
@@ -32,13 +33,13 @@ func TestEvaluatorSharesParameters(t *testing.T) {
 	mlp := NewMLP(rng, 4, 6, 1)
 	ev := mlp.NewEvaluator()
 	x := []float64{0.1, -0.2, 0.3, -0.4}
-	before := ev.Forward(x)[0]
+	before := ev.ForwardBatch(x, 1)[0]
 	for _, p := range mlp.Params() {
 		for i := range p.Value {
 			p.Value[i] += 0.05
 		}
 	}
-	after := ev.Forward(x)[0]
+	after := ev.ForwardBatch(x, 1)[0]
 	if before == after {
 		t.Fatal("evaluator did not observe parameter update")
 	}
@@ -65,7 +66,7 @@ func TestEvaluatorsConcurrent(t *testing.T) {
 			defer wg.Done()
 			ev := mlp.NewEvaluator()
 			for i := 0; i < 200; i++ {
-				if got := ev.Forward(x)[0]; got != want {
+				if got := ev.ForwardBatch(x, 1)[0]; got != want {
 					t.Errorf("concurrent evaluator diverged: %v vs %v", got, want)
 					return
 				}
@@ -76,31 +77,26 @@ func TestEvaluatorsConcurrent(t *testing.T) {
 }
 
 // TestEvaluatorForwardBatchBitIdentical pins every ForwardBatch output row
-// to the single-sample Forward result bit for bit, across batch sizes that
-// exercise the 4-row blocks, the scalar tail, and both at once. This is the
-// serving engine's core determinism guarantee: coalescing requests into one
-// batch must not change any app's decision.
+// to the training-side MLP.Forward on that row bit for bit, across batch
+// sizes on both sides of every blocking the training kernels use. This is
+// the serving engine's core determinism guarantee: coalescing requests into
+// one batch must not change any app's decision.
 func TestEvaluatorForwardBatchBitIdentical(t *testing.T) {
 	rng := rand.New(rand.NewSource(19))
 	mlp := NewMLP(rng, 9, 16, 8, 1)
 	ev := mlp.NewEvaluator()
-	ref := mlp.NewEvaluator()
 	for _, n := range []int{1, 2, 3, 4, 5, 7, 8, 17, 64, 65} {
 		x := make([]float64, n*9)
 		for i := range x {
 			x[i] = rng.NormFloat64()
-		}
-		want := make([]float64, n)
-		for r := 0; r < n; r++ {
-			want[r] = ref.Forward(x[r*9 : (r+1)*9])[0]
 		}
 		got := ev.ForwardBatch(x, n)
 		if len(got) != n {
 			t.Fatalf("batch %d: got %d outputs", n, len(got))
 		}
 		for r := 0; r < n; r++ {
-			if got[r] != want[r] {
-				t.Fatalf("batch %d row %d: batched %v, single %v", n, r, got[r], want[r])
+			if want := mlp.Forward(x[r*9 : (r+1)*9])[0]; math.Float64bits(got[r]) != math.Float64bits(want) {
+				t.Fatalf("batch %d row %d: batched %v, MLP.Forward %v", n, r, got[r], want)
 			}
 		}
 	}
@@ -125,17 +121,17 @@ func TestEvaluatorForwardBatchAllocFree(t *testing.T) {
 	}
 }
 
-// TestEvaluatorAllocFree pins the steady-state forward path to zero
-// allocations.
+// TestEvaluatorAllocFree pins the steady-state single-row forward path to
+// zero allocations.
 func TestEvaluatorAllocFree(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	mlp := NewMLP(rng, 8, 16, 8, 1)
 	ev := mlp.NewEvaluator()
 	x := make([]float64, 8)
 	allocs := testing.AllocsPerRun(100, func() {
-		ev.Forward(x)
+		ev.ForwardBatch(x, 1)
 	})
 	if allocs != 0 {
-		t.Fatalf("Evaluator.Forward allocates %v per call", allocs)
+		t.Fatalf("Evaluator.ForwardBatch(x, 1) allocates %v per call", allocs)
 	}
 }

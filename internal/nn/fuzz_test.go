@@ -2,11 +2,22 @@ package nn
 
 import (
 	"bytes"
+	"encoding/binary"
 	"math"
 	"math/rand"
 	"os"
 	"testing"
 )
+
+// specialValues are the floating-point inputs every kernel comparison mixes
+// in: signed zeros, denormals, the extremes, infinities and NaNs with
+// distinct payloads.
+var specialValues = []float64{
+	0, math.Copysign(0, -1), 1, -1,
+	math.SmallestNonzeroFloat64, -math.SmallestNonzeroFloat64, 0x1p-1040,
+	math.MaxFloat64, -math.MaxFloat64, math.Inf(1), math.Inf(-1),
+	math.NaN(), math.Float64frombits(0x7ff8_0000_dead_beef), math.Float64frombits(0xfff0_0000_0000_0001),
+}
 
 // sameSnapshot reports the first difference between two snapshots, comparing
 // values by bit pattern.
@@ -90,6 +101,77 @@ func FuzzReadSnapshot(f *testing.F) {
 		sameSnapshot(t, "in-place refresh", stale, snap)
 		if &stale.Params[0].Values[0] != storage {
 			t.Fatal("refreshing a snapshot of the same network reallocated its storage")
+		}
+	})
+}
+
+// fuzzShape packs an MLP of len(widths)-1 Linear layers (one to three, each
+// width 1…64) into FuzzEvaluatorForwardBatch's shape argument.
+func fuzzShape(widths ...int) uint32 {
+	s := uint32(len(widths) - 2)
+	for i, w := range widths {
+		s |= uint32(w-1) << (2 + 6*i)
+	}
+	return s
+}
+
+// FuzzEvaluatorForwardBatch pins the serving forward to the training one:
+// for a one- to three-layer MLP of widths 1…64, a batch of 1…64 rows whose
+// inputs mix special values, raw bit patterns (any NaN payload) and finite
+// draws, every row of Evaluator.ForwardBatch is bit-equal to MLP.Forward on
+// that row alone. The seeds (the model's own layer shapes at n = 1, 8 and
+// 64, every special value) run with every `go test`.
+func FuzzEvaluatorForwardBatch(f *testing.F) {
+	allSpecial := make([]byte, len(specialValues))
+	for i := range allSpecial {
+		allSpecial[i] = byte(i)
+	}
+	rawNaN := binary.LittleEndian.AppendUint64([]byte{64}, 0x7ff0_0000_0000_0bad)
+	f.Add(fuzzShape(3, 16), uint8(0), int64(1), allSpecial)
+	f.Add(fuzzShape(46, 64, 32, 1), uint8(7), int64(2), rawNaN)
+	f.Add(fuzzShape(64, 32, 1), uint8(63), int64(3), append(allSpecial, rawNaN...))
+	f.Add(fuzzShape(5, 1, 9), uint8(2), int64(4), []byte{})
+
+	f.Fuzz(func(t *testing.T, shape uint32, rows uint8, seed int64, data []byte) {
+		widths := make([]int, 2+shape%3)
+		for i := range widths {
+			widths[i] = 1 + int((shape>>(2+6*i))&63)
+		}
+		n, in, out := 1+int(rows%64), widths[0], widths[len(widths)-1]
+		rng := rand.New(rand.NewSource(seed))
+		mlp := NewMLP(rng, widths...)
+
+		// Each input takes a tag byte: a special value, the raw bits of the
+		// next eight bytes, or a finite draw of mixed magnitude; inputs past
+		// the end of data are plain normal draws.
+		x := make([]float64, n*in)
+		for i := range x {
+			x[i] = rng.NormFloat64()
+			if len(data) == 0 {
+				continue
+			}
+			tag := data[0]
+			data = data[1:]
+			switch {
+			case tag < 64:
+				x[i] = specialValues[int(tag)%len(specialValues)]
+			case tag < 96 && len(data) >= 8:
+				x[i] = math.Float64frombits(binary.LittleEndian.Uint64(data))
+				data = data[8:]
+			default:
+				x[i] *= math.Exp2(float64(int(tag)%41 - 20))
+			}
+		}
+
+		got := mlp.NewEvaluator().ForwardBatch(x, n)
+		for r := 0; r < n; r++ {
+			want := mlp.Forward(x[r*in : (r+1)*in])
+			for o, w := range want {
+				if g := got[r*out+o]; math.Float64bits(g) != math.Float64bits(w) {
+					t.Fatalf("widths %v n %d row %d out %d: ForwardBatch %016x (%v), MLP.Forward %016x (%v)",
+						widths, n, r, o, math.Float64bits(g), g, math.Float64bits(w), w)
+				}
+			}
 		}
 	})
 }

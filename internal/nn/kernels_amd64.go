@@ -31,103 +31,22 @@ func cpuHasAVX() bool
 // useAVX selects the AVX kernels over their SSE2 counterparts. Each pair
 // produces identical bits for every input (pinned by the tests in
 // kernels_amd64_test.go), so the choice shows in speed only.
-var useAVX bool
+var useAVX = cpuHasAVX()
 
-// dotRowBatch computes y[r*out+o] = bias + dot(w, x[r*in:(r+1)*in]) for
-// every batch row r.
-func dotRowBatch(w, x, y []float64, n, in, out, o int, bias float64) {
-	dotRowBatchAsm(&w[0], &x[0], &y[0], n, in, out, o, bias)
-}
-
-// linearBatchSame computes one full Linear layer over n batch rows
-// (y[r*out+o] = b[o] + dot(w[o*in:], x[r*in:])) with the guarantee that
-// every row is accumulated in the exact floating-point order of the n=1
-// path, so batched evaluation is bit-identical to per-sample evaluation.
-// The SSE2 kernel above cannot make that promise: its 4-row blocks sum two
-// interleaved lanes and fold them at the end, which rounds differently from
-// the scalar tail it uses for n=1.
-//
-// Loop order is row-block-outer / output-neuron-inner: an 8-row block of
-// input activations (a few KB) stays cache-resident while every weight row
-// streams through it exactly once per block. The transposed order (one
-// output neuron across all n rows) re-streams the whole n-row activation
-// block once per output neuron — out/8 times the memory traffic, which at
-// serving batch sizes puts the kernel memory-bound instead of
-// throughput-bound. The 8 rows give eight independent dependency chains;
-// each row is still accumulated scalar-sequentially from zero with the
-// bias added last — the same order as the SSE2 kernel's scalar tail — so
-// the blocking and the loop order change throughput, never rounding.
-func linearBatchSame(w, b, x, y []float64, n, in, out int) {
-	r := 0
-	for ; r+7 < n; r += 8 {
-		x0 := x[(r+0)*in : (r+1)*in]
-		x1 := x[(r+1)*in : (r+2)*in]
-		x2 := x[(r+2)*in : (r+3)*in]
-		x3 := x[(r+3)*in : (r+4)*in]
-		x4 := x[(r+4)*in : (r+5)*in]
-		x5 := x[(r+5)*in : (r+6)*in]
-		x6 := x[(r+6)*in : (r+7)*in]
-		x7 := x[(r+7)*in : (r+8)*in]
-		for o := 0; o < out; o++ {
-			wo := w[o*in : (o+1)*in]
-			var s0, s1, s2, s3, s4, s5, s6, s7 float64
-			for i, wi := range wo {
-				s0 += wi * x0[i]
-				s1 += wi * x1[i]
-				s2 += wi * x2[i]
-				s3 += wi * x3[i]
-				s4 += wi * x4[i]
-				s5 += wi * x5[i]
-				s6 += wi * x6[i]
-				s7 += wi * x7[i]
-			}
-			bias := b[o]
-			y[(r+0)*out+o] = s0 + bias
-			y[(r+1)*out+o] = s1 + bias
-			y[(r+2)*out+o] = s2 + bias
-			y[(r+3)*out+o] = s3 + bias
-			y[(r+4)*out+o] = s4 + bias
-			y[(r+5)*out+o] = s5 + bias
-			y[(r+6)*out+o] = s6 + bias
-			y[(r+7)*out+o] = s7 + bias
-		}
-	}
-	for ; r+3 < n; r += 4 {
-		x0 := x[(r+0)*in : (r+1)*in]
-		x1 := x[(r+1)*in : (r+2)*in]
-		x2 := x[(r+2)*in : (r+3)*in]
-		x3 := x[(r+3)*in : (r+4)*in]
-		for o := 0; o < out; o++ {
-			wo := w[o*in : (o+1)*in]
-			var s0, s1, s2, s3 float64
-			for i, wi := range wo {
-				s0 += wi * x0[i]
-				s1 += wi * x1[i]
-				s2 += wi * x2[i]
-				s3 += wi * x3[i]
-			}
-			bias := b[o]
-			y[(r+0)*out+o] = s0 + bias
-			y[(r+1)*out+o] = s1 + bias
-			y[(r+2)*out+o] = s2 + bias
-			y[(r+3)*out+o] = s3 + bias
-		}
-	}
-	for ; r < n; r++ {
-		xr := x[r*in : (r+1)*in]
-		for o := 0; o < out; o++ {
-			wo := w[o*in : (o+1)*in]
-			var sum float64
-			for i, wi := range wo {
-				sum += wi * xr[i]
-			}
-			y[r*out+o] = sum + b[o]
-		}
+// linearRows computes one full Linear layer over n batch rows, every row
+// exactly as the n = 1 forward computes it: each (row, output) summed from
+// zero in index order, the bias added last. No row's bits depend on n or on
+// the rows beside it, which is what lets serving batch requests freely.
+func linearRows(w, b, x, y []float64, n, in, out int) {
+	// The kernel takes bare pointers: fail here on a short slice.
+	_, _, _, _ = w[in*out-1], b[out-1], x[n*in-1], y[n*out-1]
+	for r := 0; r < n; r++ {
+		linearRow1Asm(&w[0], &b[0], &x[r*in], &y[r*out], in, out)
 	}
 }
 
 // linearForward computes one full Linear layer over n batch rows, every
-// element exactly as dotRowBatch over each output unit in turn would: rows
+// element exactly as dotRowBatchAsm over each output unit in turn would: rows
 // in the leading blocks of four through that kernel's two interleaved lanes,
 // the last n mod 4 rows (the only row at n = 1) as plain sums in index
 // order. It only spends fewer instructions on it: one pass of four
@@ -197,10 +116,3 @@ func addTo(dst, src []float64) {
 	}
 	addToAsm(&dst[0], &src[0], len(dst))
 }
-
-// The probe runs from a function at the end of the file, not from useAVX's
-// initializer: code added to the package's init function moves every
-// function linked after it, and the speed of linearBatchSame's scalar loops
-// — a sixth of a serve-sparse decision — depends on which half of a 64-byte
-// line the function starts in (CHANGES.md, PR 17).
-func init() { useAVX = cpuHasAVX() }

@@ -8,19 +8,12 @@ import (
 	"testing"
 )
 
-// The tests below are the whole case for selecting kernels by CPU, and for
-// the fused n = 1 forward, with no tolerance mode: over every shape that
-// exercises a block, tail or mask combination, at slice offsets that break
-// 16- and 32-byte alignment, on values that include signed zeros, denormals,
-// infinities and NaNs, each fast kernel leaves the bits of the kernel it
-// stands in for.
-
-var specialValues = []float64{
-	0, math.Copysign(0, -1), 1, -1,
-	math.SmallestNonzeroFloat64, -math.SmallestNonzeroFloat64, 0x1p-1040,
-	math.MaxFloat64, -math.MaxFloat64, math.Inf(1), math.Inf(-1),
-	math.NaN(), math.Float64frombits(0x7ff8_0000_dead_beef), math.Float64frombits(0xfff0_0000_0000_0001),
-}
+// The tests below are the whole case for selecting kernels by CPU, for the
+// fused n = 1 forward and for serving's row-by-row use of it, with no
+// tolerance mode: over every shape that exercises a block, tail or mask
+// combination, at slice offsets that break 16- and 32-byte alignment, on
+// values that include signed zeros, denormals, infinities and NaNs, each
+// fast kernel leaves the bits of the kernel it stands in for.
 
 // drawer returns a generator of finite values of mixed magnitude with, one
 // time in four, a special value.
@@ -122,6 +115,16 @@ func TestLinearForwardKernelsBitEqual(t *testing.T) {
 					withoutAVX(func() { linearForward(w, b, x, got, n, in, out) })
 					sameBits(t, "linearForward without AVX", got[:n*out], want, true)
 				}
+
+				// The serving forward: every row is dotRowBatchAsm's n = 1
+				// sum of that row, whatever n is.
+				for r := 0; r < n; r++ {
+					for o := 0; o < out; o++ {
+						dotRowBatchAsm(&w[o*in], &x[r*in], &want[r*out], 1, in, out, o, b[o])
+					}
+				}
+				linearRows(w, b, x, got, n, in, out)
+				sameBits(t, "linearRows", got[:n*out], want, true)
 			}
 		}
 	}

@@ -36,50 +36,6 @@ func dotRowBatch(w, x, y []float64, n, in, out, o int, bias float64) {
 	}
 }
 
-// linearBatchSame computes one full Linear layer over n batch rows
-// (y[r*out+o] = b[o] + dot(w[o*in:], x[r*in:])) with the guarantee that
-// every row is accumulated in the floating-point order of the n=1 path —
-// here that means bias-first, matching dotRowBatch's single-row tail. Loop
-// order is row-block-outer / output-neuron-inner so a block of input
-// activations stays cache-resident while the weight matrix streams through
-// it once per block (see the amd64 twin for the full rationale); blocking
-// and loop order change throughput, never rounding.
-func linearBatchSame(w, b, x, y []float64, n, in, out int) {
-	r := 0
-	for ; r+3 < n; r += 4 {
-		x0 := x[(r+0)*in : (r+1)*in]
-		x1 := x[(r+1)*in : (r+2)*in]
-		x2 := x[(r+2)*in : (r+3)*in]
-		x3 := x[(r+3)*in : (r+4)*in]
-		for o := 0; o < out; o++ {
-			wo := w[o*in : (o+1)*in]
-			bias := b[o]
-			s0, s1, s2, s3 := bias, bias, bias, bias
-			for i, wi := range wo {
-				s0 += wi * x0[i]
-				s1 += wi * x1[i]
-				s2 += wi * x2[i]
-				s3 += wi * x3[i]
-			}
-			y[(r+0)*out+o] = s0
-			y[(r+1)*out+o] = s1
-			y[(r+2)*out+o] = s2
-			y[(r+3)*out+o] = s3
-		}
-	}
-	for ; r < n; r++ {
-		xr := x[r*in : (r+1)*in]
-		for o := 0; o < out; o++ {
-			wo := w[o*in : (o+1)*in]
-			sum := b[o]
-			for i, wi := range wo {
-				sum += wi * xr[i]
-			}
-			y[r*out+o] = sum
-		}
-	}
-}
-
 // linearForward computes one full Linear layer over n batch rows, one
 // dotRowBatch pass per output unit.
 func linearForward(w, b, x, y []float64, n, in, out int) {
@@ -87,6 +43,10 @@ func linearForward(w, b, x, y []float64, n, in, out int) {
 		dotRowBatch(w[o*in:(o+1)*in], x, y, n, in, out, o, b[o])
 	}
 }
+
+// linearRows is the n = 1 forward of every row. Here that is linearForward
+// itself: dotRowBatch sums each row on its own, bias first, at any n.
+func linearRows(w, b, x, y []float64, n, in, out int) { linearForward(w, b, x, y, n, in, out) }
 
 // axpyRows accumulates rows scaled rows into dst, one after the other:
 // dst[i] += a[row*aStride+i] * g[row*gStride] for row = 0 … rows-1.

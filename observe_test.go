@@ -59,7 +59,12 @@ func TestObsChaosFlightRecorder(t *testing.T) {
 				OnRollback:   func(ev RollbackEvent) { rolled <- ev },
 			},
 		}),
-		WithObservability(ObservabilityOptions{Metrics: met, FlightDepth: 256}),
+		// The report loop below only stops when OnRollback has run, and the
+		// monitor goroutine can be descheduled between rolling back and
+		// calling it while every app keeps deciding cleanly: at ≈ 5 µs a
+		// decision a 256-deep ring forgot the poisoned ones after ≈ 5 ms of
+		// that. 4096 covers a stall of ≈ 80 ms.
+		WithObservability(ObservabilityOptions{Metrics: met, FlightDepth: 4096}),
 		WithoutAdaptation())
 	if err != nil {
 		t.Fatal(err)

@@ -263,10 +263,13 @@ func New(model *Model, opts ...Option) (*Library, error) {
 		if cfg.serving.Canary != nil {
 			l.canaryStop = make(chan struct{})
 			canaryCfg := cfg.serving.Canary.normalized()
+			// Read the trusted epoch here, not in the goroutine: a Publish
+			// that ran before the goroutine did would be trusted unjudged.
+			trusted := l.engine.Epoch()
 			l.bgWG.Add(1)
 			go func() {
 				defer l.bgWG.Done()
-				l.canaryLoop(canaryCfg)
+				l.canaryLoop(canaryCfg, trusted)
 			}()
 		}
 	}

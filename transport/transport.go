@@ -22,7 +22,6 @@
 package transport
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"math"
@@ -123,15 +122,15 @@ func (r *Receiver) serve() {
 			}
 			continue
 		}
-		typ, seq, ok := datapath.DecodeHeader(buf[:n])
-		if !ok || typ != datapath.WireTypeData {
+		seq, sent, ok := datapath.DecodeData(buf[:n])
+		if !ok {
 			continue
 		}
 		if r.dropProb > 0 && r.rng.Float64() < r.dropProb {
 			continue
 		}
 		r.received.Add(1)
-		datapath.EncodeAck(ack, seq, int64(binary.BigEndian.Uint64(buf[10:18])))
+		datapath.EncodeAck(ack, seq, sent)
 		// A failed ack write is a loss the sender infers by timeout.
 		_, _ = r.conn.WriteToUDPAddrPort(ack, peer)
 	}
