@@ -34,7 +34,9 @@ chaos:
 # Serving-resilience chaos suite: engine overload shedding (queue bound +
 # decision deadline), shard panic watchdog, epoch canary auto-rollback on a
 # finite-but-poisoned publish, crash-safe state snapshots, daemon demux
-# hardening against malformed datagrams, and client failover across a
+# hardening against malformed datagrams (plus the demux fuzz seeds), the
+# daemon's per-flow order and drop, its bit-identity to a shadow library,
+# its flat session table and zero-alloc round trip, and client failover across a
 # daemon killed and restarted mid-load (seeded fault plans, zero Report
 # errors end to end).
 chaos-serve:

@@ -31,24 +31,43 @@ type App struct {
 	// without touching the controller mutex.
 	rateBits atomic.Uint64
 
-	mu      sync.Mutex // serializes Report/SetWeights/Stats on this handle
+	// mu serializes decisions, SetWeights and Stats on this handle. A
+	// decision holds it from begin to settle — on the ReportAsync path
+	// across goroutines: taken by the caller, released by the completion on
+	// the serving shard.
+	mu      sync.Mutex
 	alg     *cc.RLRate
 	pol     appPolicy
 	weights objective.Weights
 	closed  bool
 	tele    telemetry
 
-	// Safe mode (nil when built with WithoutSafeMode): gp observes every
-	// learned decision, guard judges it and owns the fallback controller.
-	gp    *guardPolicy
+	// guard is safe mode (nil when built with WithoutSafeMode): it judges
+	// every learned decision and owns the fallback controller. fault is the
+	// WithInferenceFault hook; timed says whether a decision's policy
+	// latency is measured (for the guard's stall verdict and the flight
+	// recorder).
 	guard *guard
+	fault func(act float64) float64
+	timed bool
 
 	// client is the serving-engine handle behind pol (nil without
 	// WithServing); it knows which model epoch served each decision.
+	// onAct is settleAsync as a func value, built once at registration.
 	client *serve.Client
+	onAct  func(act float64)
 	// flight is the per-handle decision flight recorder (nil without
 	// WithObservability).
 	flight *obs.Flight
+
+	// cur is the decision between begin and settle (guarded by mu).
+	cur struct {
+		st    Status
+		rep   cc.Report
+		now   time.Time // library clock
+		start time.Time // wall clock, set when timed
+		done  func(rate float64, err error)
+	}
 }
 
 // appPolicy is what a handle needs from its decision backend: a cc.Policy
@@ -160,19 +179,109 @@ func (a *App) Report(st Status) (float64, error) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	if a.closed {
-		return 0, fmt.Errorf("mocc: app %d is unregistered", a.id)
+		return 0, a.errClosed()
 	}
-	now := a.lib.clock()
+	act, panicMsg := a.learned(a.begin(st), 0)
+	return a.settle(act, panicMsg), nil
+}
+
+// ReportAsync is Report for event-driven hosts such as a rate daemon: it
+// does not wait for the decision, and done receives what Report would have
+// returned. With serving (WithServing) the observation is submitted to the
+// handle's shard and done runs on that shard's goroutine, after the batched
+// forward pass, the guard verdict and the telemetry update. It runs on the
+// calling goroutine instead, before ReportAsync returns, when the status is
+// refused, the handle is unregistered or the engine answers at the door
+// (closed, or shed). Without serving, ReportAsync is Report followed by
+// done on the calling goroutine.
+//
+// done must not block or panic: on a shard, every decision batched behind
+// this one waits for it. It may call ReportAsync on the same handle again.
+// The handle stays locked until done is about to run, so a Report,
+// ReportAsync, SetWeights or Stats on the same handle waits for the
+// decision in flight.
+func (a *App) ReportAsync(st Status, done func(rate float64, err error)) {
+	if a.client == nil {
+		done(a.Report(st))
+		return
+	}
+	if err := st.validate(); err != nil {
+		done(0, err)
+		return
+	}
+	a.mu.Lock()
+	if a.closed {
+		a.mu.Unlock()
+		done(0, a.errClosed())
+		return
+	}
+	a.cur.done = done
+	a.client.Submit(a.begin(st), a.onAct)
+}
+
+// settleAsync is ReportAsync's completion, run by the serving engine with
+// the action for the observation begin returned.
+func (a *App) settleAsync(act float64) {
+	act, panicMsg := a.learned(nil, act)
+	rate := a.settle(act, panicMsg)
+	done := a.cur.done
+	a.cur.done = nil
+	a.mu.Unlock()
+	done(rate, nil)
+}
+
+func (a *App) errClosed() error { return fmt.Errorf("mocc: app %d is unregistered", a.id) }
+
+// begin opens one decision under a.mu: it stamps the clocks, stages the
+// status for settle and returns the observation the policy must act on.
+func (a *App) begin(st Status) []float64 {
+	c := &a.cur
+	c.st, c.rep, c.now = st, st.report(), a.lib.clock()
+	if a.timed {
+		c.start = time.Now()
+	}
+	return a.alg.Observe(c.rep)
+}
+
+// learned finishes the policy step of a decision: the policy's action on
+// obs — unless obs is nil, when in is the action the serving engine already
+// computed — then the fault hook. A panic anywhere in it becomes a NaN
+// action with a verdict instead of escaping the decision.
+func (a *App) learned(obs []float64, in float64) (act float64, panicMsg string) {
+	defer func() {
+		if r := recover(); r != nil {
+			act, panicMsg = math.NaN(), fmt.Sprintf("inference panic: %v", r)
+		}
+	}()
+	act = in
+	if obs != nil {
+		act = a.pol.Act(obs)
+	}
+	if a.fault != nil {
+		act = a.fault(act)
+	}
+	return act, ""
+}
+
+// settle closes the decision begin opened, still under a.mu: the guard
+// judges the action (without safe mode the controller just applies it),
+// and the rate is published, recorded and counted.
+func (a *App) settle(act float64, panicMsg string) float64 {
+	c := &a.cur
+	var dur time.Duration
+	if a.timed {
+		dur = time.Since(c.start)
+	}
 	var rate float64
 	if a.guard != nil {
-		rate = a.guard.decide(a.alg, a.gp, st.report(), now)
+		rate = a.guard.settle(a.alg, act, dur, panicMsg, c.rep, c.now)
 	} else {
-		rate = a.alg.Update(st.report())
+		rate = a.alg.Apply(act)
 	}
 	a.publishRate(rate)
-	a.observe(now, rate)
+	a.observe(c.now, rate, act, dur)
 
-	t := &a.tele
+	st, t := &c.st, &a.tele
 	t.reports++
 	t.sent += st.PacketsSent
 	t.acked += st.PacketsAcked
@@ -184,8 +293,8 @@ func (a *App) Report(st Status) (float64, error) {
 	if st.MinRTT > 0 && (t.minRTT == 0 || st.MinRTT < t.minRTT) {
 		t.minRTT = st.MinRTT
 	}
-	t.lastReport = now
-	return rate, nil
+	t.lastReport = c.now
+	return rate
 }
 
 // observe records the decision in the handle's flight recorder and emits
@@ -193,19 +302,16 @@ func (a *App) Report(st Status) (float64, error) {
 // this decision still fresh. The clean path allocates nothing: the
 // flight store is a ring write, and events fire only on the rare
 // trip/recover transitions.
-func (a *App) observe(now time.Time, rate float64) {
+func (a *App) observe(now time.Time, rate, act float64, dur time.Duration) {
 	g := a.guard
 	if a.flight != nil {
 		var d obs.Decision
 		d.TimeNs = now.UnixNano()
 		d.Rate = rate
-		d.Act = rate // without a guard observer the raw action is the rate
+		d.Act = act
+		d.LatNs = int64(dur)
 		if a.client != nil {
 			d.Epoch = a.client.LastEpoch()
-		}
-		if a.gp != nil {
-			d.Act = a.gp.lastAct
-			d.LatNs = int64(a.gp.lastDur)
 		}
 		if g != nil {
 			d.Verdict = g.lastClass
@@ -254,7 +360,7 @@ func (a *App) SetWeights(w Weights) error {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	if a.closed {
-		return fmt.Errorf("mocc: app %d is unregistered", a.id)
+		return a.errClosed()
 	}
 	old := a.weights
 	a.weights = iw

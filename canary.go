@@ -75,14 +75,22 @@ type canarySample struct {
 	faults  int64  // fleet guard faults (sum over registered handles)
 }
 
+// canarySample reads the counters. Handle stats are read after l.mu is
+// released: App.Stats waits for the handle's decision in flight, whose
+// completion may run on a serving shard that needs l.mu (RateServer's
+// eviction check), so waiting for it under l.mu could deadlock.
 func (l *Library) canarySample() canarySample {
 	est := l.engine.Stats()
-	var faults int64
 	l.mu.RLock()
+	apps := make([]*App, 0, len(l.apps))
 	for _, a := range l.apps {
-		faults += a.Stats().Faults
+		apps = append(apps, a)
 	}
 	l.mu.RUnlock()
+	var faults int64
+	for _, a := range apps {
+		faults += a.Stats().Faults
+	}
 	return canarySample{reports: est.Reports, shed: est.Shed(), faults: faults}
 }
 

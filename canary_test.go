@@ -4,6 +4,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -31,6 +32,68 @@ func reportAll(t *testing.T, apps []*App, round int) {
 			t.Fatalf("app %d round %d: %v", i, round, err)
 		}
 	}
+}
+
+// TestCanarySampleWhileDecisionInFlight pins the lock order ReportAsync
+// relies on: a completion on a serving shard may read the library (the
+// daemon's eviction check does), so nothing may wait for a handle's
+// decision while holding the library lock. Y's completion holds the only
+// shard, X's decision queues behind it, a canary sample waits for X's stats
+// and a Register for the library lock; releasing Y's completion, which
+// reads the library, must let every one of them finish.
+func TestCanarySampleWhileDecisionInFlight(t *testing.T) {
+	hold := make(chan struct{})
+	var held atomic.Bool
+	gate := func(act float64) float64 {
+		if held.CompareAndSwap(false, true) {
+			<-hold
+		}
+		return act
+	}
+	lib, err := New(perturbedClone(sharedLibrary(t).Model(), 0),
+		WithServing(ServingOptions{Shards: 1}), WithoutAdaptation(), WithInferenceFault(gate))
+	if err != nil {
+		t.Fatal(err)
+	}
+	y, err := lib.Register(BalancedPreference)
+	if err != nil {
+		t.Fatal(err)
+	}
+	x, err := lib.Register(BalancedPreference)
+	if err != nil {
+		t.Fatal(err)
+	}
+	finished := make(chan string, 4)
+	y.ReportAsync(servingStatus(0, 0), func(float64, error) {
+		lib.App(y.ID())
+		finished <- "Y's completion"
+	})
+	for !held.Load() {
+		time.Sleep(time.Millisecond)
+	}
+	x.ReportAsync(servingStatus(1, 0), func(float64, error) { finished <- "X's completion" })
+	go func() {
+		lib.canarySample()
+		finished <- "canary sample"
+	}()
+	// The sleeps only order the blocking calls; a missed interleaving makes
+	// the test pass vacuously, never fail.
+	time.Sleep(10 * time.Millisecond)
+	go func() {
+		lib.Register(LatencyPreference)
+		finished <- "Register"
+	}()
+	time.Sleep(10 * time.Millisecond)
+	close(hold)
+	for i := 0; i < cap(finished); i++ {
+		select {
+		case <-finished:
+		case <-time.After(10 * time.Second):
+			// No deferred Close: it would wait for the stuck decisions.
+			t.Fatalf("deadlock: %d of %d calls finished", i, cap(finished))
+		}
+	}
+	lib.Close()
 }
 
 // TestCanaryAutoRollback is the poisoned-publish chaos pin: a model that

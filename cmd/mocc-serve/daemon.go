@@ -154,8 +154,8 @@ func (d *daemon) serve() { d.srv.Serve() }
 //     logs, scrapes or publishes mid-teardown;
 //  2. metrics-http — scrape endpoints close before the library state
 //     they read goes away;
-//  3. rate-server — socket closed, session workers joined: no goroutine
-//     can write to the engine past this point;
+//  3. rate-server — socket closed, read loop exited and every decision in
+//     flight answered: nothing submits to the engine past this point;
 //  4. library — canary monitor and idle janitor joined, serving engine
 //     drained and closed;
 //  5. state — final crash-safe snapshot of the served model + epoch.

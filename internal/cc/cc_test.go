@@ -291,6 +291,53 @@ func TestFeatureTrackerMatchesGym(t *testing.T) {
 	}
 }
 
+// TestFeatureTrackerPushAllocFree pins the in-place history window: Push
+// allocates nothing, and over 1000 varied reports every observation is bit
+// for bit the one a sliding append(history[1:], newest) window gives.
+func TestFeatureTrackerPushAllocFree(t *testing.T) {
+	const eta = 10
+	tr := NewFeatureTracker(eta)
+	ref := append([]gym.Stat(nil), tr.history...)
+	var got, want []float64
+	for i := 0; i < 1000; i++ {
+		rtt := 0.02 + 0.001*float64(i%37)
+		tr.Push(steadyReport(800+float64(i%13)*50, 700+float64(i%7)*60, rtt, 0.02, 0.01*float64(i%5)))
+		ref = append(ref[1:], tr.history[eta-1])
+		got = tr.ObservationInto(got)
+		want = (&FeatureTracker{history: ref}).ObservationInto(want)
+		for j := range want {
+			if math.Float64bits(got[j]) != math.Float64bits(want[j]) {
+				t.Fatalf("push %d obs[%d] = %v, append window gives %v", i, j, got[j], want[j])
+			}
+		}
+	}
+	r := steadyReport(900, 850, 0.03, 0.02, 0)
+	if allocs := testing.AllocsPerRun(1000, func() { tr.Push(r) }); allocs != 0 {
+		t.Errorf("Push: %v allocs/op, want 0", allocs)
+	}
+}
+
+// TestRLRateObserveApplyMatchesUpdate pins Update = Apply(Act(Observe(r)))
+// bit for bit over a run whose probe restart and pacing floor both fire.
+func TestRLRateObserveApplyMatchesUpdate(t *testing.T) {
+	pol := PolicyFunc(func(obs []float64) float64 { return 1.5 - 40*obs[len(obs)-2] })
+	whole := NewRLRate("whole", pol, 4)
+	split := NewRLRate("split", pol, 4)
+	rate := whole.InitialRate(0.04)
+	split.InitialRate(0.04)
+	for i := 0; i < 300; i++ {
+		thr := 1000.0
+		if i%50 > 40 {
+			thr = 50 // a starved stretch
+		}
+		r := steadyReport(rate, math.Min(rate, thr), 0.04+0.0005*float64(i%9), 0.04, 0)
+		rate = whole.Update(r)
+		if got := split.Apply(pol.Act(split.Observe(r))); math.Float64bits(got) != math.Float64bits(rate) {
+			t.Fatalf("interval %d: Observe/Apply %v, Update %v", i, got, rate)
+		}
+	}
+}
+
 func TestRLRateAppliesEquationOne(t *testing.T) {
 	up := NewRLRate("up", PolicyFunc(func([]float64) float64 { return 1 }), 4)
 	r0 := up.InitialRate(0.04)

@@ -72,12 +72,14 @@ func (t *FeatureTracker) Push(r Report) {
 	if r.AvgRTT > 0 {
 		t.prevRTT = r.AvgRTT
 	}
-	st := gym.Stat{
+	// Shift the window in place: an append onto history[1:] would walk the
+	// slice through its backing array and reallocate every few pushes.
+	copy(t.history, t.history[1:])
+	t.history[len(t.history)-1] = gym.Stat{
 		SendRatio:    stats.Clamp(sendRatio, 1, 10),
 		LatencyRatio: stats.Clamp(latRatio, 1, 10),
 		LatencyGrad:  stats.Clamp(grad, -2, 2),
 	}
-	t.history = append(t.history[1:], st)
 }
 
 // Observation returns the flattened feature window (same layout as
@@ -173,14 +175,28 @@ func (a *RLRate) InitialRate(baseRTT float64) float64 {
 	return a.rate
 }
 
-// Update implements Algorithm.
+// Update implements Algorithm: Apply(policy.Act(Observe(r))).
 func (a *RLRate) Update(r Report) float64 {
+	return a.Apply(a.policy.Act(a.Observe(r)))
+}
+
+// Observe is the first half of Update: it ingests the interval report and
+// returns the observation the policy must act on. The slice is the
+// controller's own buffer, valid until the next Observe.
+func (a *RLRate) Observe(r Report) []float64 {
 	a.tracker.Push(r)
 	if r.Throughput > a.maxThr {
 		a.maxThr = r.Throughput
 	}
 	a.obsBuf = a.tracker.ObservationInto(a.obsBuf)
-	act := stats.Clamp(a.policy.Act(a.obsBuf), -a.MaxAction, a.MaxAction)
+	return a.obsBuf
+}
+
+// Apply is the second half of Update: it turns the policy's action on the
+// last Observe into the next rate. A NaN action leaves the rate unchanged
+// (the probe restart and the pacing floor still apply).
+func (a *RLRate) Apply(act float64) float64 {
+	act = stats.Clamp(act, -a.MaxAction, a.MaxAction)
 	if act > 0 {
 		a.rate = clampRate(a.rate * (1 + gym.ActionScale*act))
 	} else if act < 0 {

@@ -111,13 +111,13 @@ type epochState struct {
 // request is one in-flight decision. Each Client owns exactly one, reused
 // across calls: the submit path allocates nothing.
 type request struct {
-	next  *request // intrusive Treiber-stack link, owned by the shard after push
-	w     objective.Weights
-	obs   []float64
-	enq   time.Time // submit time, set only when deadline shedding is on
-	out   float64
-	epoch uint64 // model generation that served (or shed) the request
-	done  chan struct{}
+	next   *request // intrusive Treiber-stack link, owned by the shard after push
+	w      objective.Weights
+	obs    []float64
+	enq    time.Time // submit time, set only for deadline shedding or a latency sample
+	sample bool      // observe this request's submit-to-answer latency
+	epoch  uint64    // model generation that served (or shed) the request
+	done   func(act float64)
 }
 
 // Stats is a point-in-time snapshot of engine counters.
@@ -337,9 +337,10 @@ func (e *Engine) Stats() Stats {
 	}
 }
 
-// Close drains every queued request, stops the shard goroutines, and
-// returns once they have exited. Act calls racing Close either complete
-// normally or return NaN without enqueueing. Close is idempotent.
+// Close drains every queued request, runs its completion, stops the shard
+// goroutines, and returns once they have exited. Act and Submit calls
+// racing Close either complete normally or are answered NaN without
+// enqueueing. Close is idempotent.
 func (e *Engine) Close() {
 	e.closeOnce.Do(func() {
 		e.closed.Store(true)
@@ -373,22 +374,31 @@ func (e *Engine) shardFor(key uint64) *shard {
 }
 
 // Client is one application's handle onto the engine. It satisfies the same
-// contract as core.SharedPolicy: Act and SetWeights must be serialized by
-// the caller (the public library does this per application handle), but any
-// number of Clients submit concurrently.
+// contract as core.SharedPolicy: Act, Submit and SetWeights must be
+// serialized by the caller (the public library does this per application
+// handle) — at most one decision per Client is in flight — but any number
+// of Clients submit concurrently.
 type Client struct {
 	eng *Engine
 	sh  *shard
 	w   objective.Weights
 	nth uint8 // request counter driving 1-in-8 latency sampling
 	req request
+
+	// Act's own completion: deliver stores the action and wakes Act.
+	out     float64
+	wake    chan struct{}
+	deliver func(act float64)
 }
 
 // NewClient returns a client bound to the shard selected by key's hash,
 // initially acting under preference w.
 func (e *Engine) NewClient(key uint64, w objective.Weights) *Client {
-	c := &Client{eng: e, sh: e.shardFor(key), w: w}
-	c.req.done = make(chan struct{}, 1)
+	c := &Client{eng: e, sh: e.shardFor(key), w: w, wake: make(chan struct{}, 1)}
+	c.deliver = func(act float64) {
+		c.out = act
+		c.wake <- struct{}{}
+	}
 	return c
 }
 
@@ -400,44 +410,63 @@ func (c *Client) Weights() objective.Weights { return c.w }
 
 // Act submits one observation and blocks until its micro-batch is served,
 // returning the deterministic action — bit-identical to what
-// core.Inference.ActFor would produce on the current epoch's model. The
-// submit path is lock-free: one CAS push onto the shard's intrusive stack
-// plus at most one non-blocking channel wake. obs must stay valid and
-// unmodified until Act returns (it is read, never written, and no reference
-// is retained afterwards). Act returns NaN — which the controller layer
-// treats as "leave the rate unchanged" — after Close, when the shard's
-// queue is at MaxQueue (shed at the door, without blocking), or when the
-// request waited past the configured Deadline before being served.
+// core.Inference.ActFor would produce on the current epoch's model. It is
+// Submit plus a wait on the client's own completion; see Submit for the
+// answer's contract.
 func (c *Client) Act(obs []float64) float64 {
+	c.Submit(obs, c.deliver)
+	<-c.wake
+	return c.out
+}
+
+// Submit enqueues one observation and returns without waiting: done
+// receives the action once the observation's micro-batch is served. done
+// runs exactly once, on the shard's consumer goroutine — or on the calling
+// goroutine, before Submit returns, when the request is answered at the
+// door — so it must not block or panic: every other request of the shard
+// waits behind it. done may Submit the client's next observation.
+//
+// The submit path is lock-free: one CAS push onto the shard's intrusive
+// stack plus at most one non-blocking channel wake. obs must stay valid and
+// unmodified until done runs (it is read, never written, and no reference
+// is retained afterwards). The action is NaN — which the controller layer
+// treats as "leave the rate unchanged" — after Close, when the shard's
+// queue is at MaxQueue (shed at the door), or when the request waited past
+// the configured Deadline before being served.
+func (c *Client) Submit(obs []float64, done func(act float64)) {
 	e := c.eng
 	if e.closed.Load() {
-		return math.NaN()
+		done(math.NaN())
+		return
 	}
 	s := c.sh
 	if max := e.cfg.MaxQueue; max > 0 && s.queued.Load() >= int64(max) {
 		e.shedQueue.Add(1)
 		e.shedEvent("queue")
-		return math.NaN()
+		done(math.NaN())
+		return
 	}
 	e.inflight.Add(1)
 	if e.closed.Load() {
 		// Raced with Close: it may already have observed inflight==0, so
 		// the shards may be gone. Back out without enqueueing.
 		e.inflight.Add(-1)
-		return math.NaN()
+		done(math.NaN())
+		return
 	}
 	r := &c.req
 	r.w = c.w
 	r.obs = obs
+	r.done = done
 	// The latency histogram samples 1 in 8 requests per client: reading
 	// the clock twice per decision is the single largest observability
 	// cost on this path, and the percentiles of a fleet-scale request
 	// stream are statistically indistinguishable at a 1/8 sampling rate.
 	// A configured Deadline needs the enqueue time on every request
 	// regardless, so sampling then costs only the time.Since.
-	sample := e.met.latency != nil && c.nth&7 == 0
+	r.sample = e.met.latency != nil && c.nth&7 == 0
 	c.nth++
-	if e.cfg.Deadline > 0 || sample {
+	if e.cfg.Deadline > 0 || r.sample {
 		r.enq = time.Now()
 	}
 	s.queued.Add(1)
@@ -457,17 +486,11 @@ func (c *Client) Act(obs []float64) float64 {
 			break
 		}
 	}
-	<-r.done
-	r.obs = nil
-	e.inflight.Add(-1)
-	if sample {
-		e.met.latency.Observe(uint64(time.Since(r.enq)))
-	}
-	return r.out
 }
 
 // LastEpoch returns the model generation that served (or shed) the most
-// recent Act. Like Act itself it must be serialized per client.
+// recent decision; inside Submit's done it is the epoch of the decision
+// being delivered. Like Act itself it must be serialized per client.
 func (c *Client) LastEpoch() uint64 { return c.req.epoch }
 
 // shard is one batching queue plus its consumer goroutine.
@@ -490,13 +513,19 @@ type shard struct {
 	live     []*request // deadline-filtered chunk scratch
 }
 
-// finish delivers one result and releases the request's queue slot. The
-// request may be reused by its submitter immediately after the done send,
-// so no field is touched afterwards.
+// finish releases the request's queue slot and runs its completion. The
+// submitter may reuse the request from inside done, so every field is read
+// before the call. The in-flight reference is dropped only after done has
+// returned, so Close also waits for every completion.
 func (s *shard) finish(r *request, v float64) {
-	r.out = v
+	done := r.done
+	r.obs = nil // do not pin the submitter's buffer between decisions
+	if r.sample {
+		s.eng.met.latency.Observe(uint64(time.Since(r.enq)))
+	}
 	s.queued.Add(-1)
-	r.done <- struct{}{}
+	done(v)
+	s.eng.inflight.Add(-1)
 }
 
 // takeAll detaches the whole pending stack and appends it to into in one

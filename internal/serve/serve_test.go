@@ -66,6 +66,58 @@ func TestEngineBitIdentical(t *testing.T) {
 	}
 }
 
+// TestSubmitChainsFromDone pins the asynchronous submit path: each client
+// submits its next observation from inside the previous one's done, on the
+// shard goroutine, with nobody blocked in Act. Every action is bit-identical
+// to the single-sample path, done runs once per submit, and a Submit after
+// Close is answered NaN on the caller's goroutine.
+func TestSubmitChainsFromDone(t *testing.T) {
+	m := core.NewModel(core.HistoryLen, 11)
+	e := New(m, Config{Shards: 2, MaxBatch: 8})
+
+	const clients, rounds = 24, 20
+	prefs := objective.UniformObjectives(clients, 3)
+	got := make([][]float64, clients)
+	var wg sync.WaitGroup
+	for c := 0; c < clients; c++ {
+		cl := e.NewClient(uint64(c), prefs[c])
+		ins := make([][]float64, rounds)
+		for r := range ins {
+			ins[r] = testObs(m, c, r)
+		}
+		var done func(float64)
+		done = func(act float64) {
+			got[c] = append(got[c], act)
+			if r := len(got[c]); r < rounds {
+				cl.Submit(ins[r], done)
+			} else {
+				wg.Done()
+			}
+		}
+		wg.Add(1)
+		cl.Submit(ins[0], done)
+	}
+	wg.Wait()
+	e.Close()
+
+	inf := m.NewInference()
+	for c := range got {
+		if len(got[c]) != rounds {
+			t.Fatalf("client %d: done ran %d times, want %d", c, len(got[c]), rounds)
+		}
+		for r, act := range got[c] {
+			if want := inf.ActFor(prefs[c], testObs(m, c, r)); act != want {
+				t.Fatalf("client %d round %d: engine %v, single-sample %v", c, r, act, want)
+			}
+		}
+	}
+	ran := false
+	e.NewClient(0, prefs[0]).Submit(testObs(m, 0, 0), func(act float64) { ran = math.IsNaN(act) })
+	if !ran {
+		t.Fatal("Submit after Close was not answered NaN before returning")
+	}
+}
+
 // TestEngineCoalesces pins the one batching path: a shard serves whatever
 // queued while it was busy, in one forward pass. The single shard is held
 // inside its first pass, burst-1 more clients enqueue behind it, and on

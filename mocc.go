@@ -288,6 +288,8 @@ func (l *Library) Register(w Weights) (*App, error) {
 		lib:     l,
 		id:      id,
 		weights: iw,
+		fault:   l.inferenceFault,
+		timed:   l.safeMode != nil || l.inferenceFault != nil,
 	}
 	// With serving enabled the handle's decisions go through the sharded
 	// batching engine (one enqueue + one wake per Report, coalesced into a
@@ -296,18 +298,12 @@ func (l *Library) Register(w Weights) (*App, error) {
 	if l.engine != nil {
 		app.client = l.engine.NewClient(uint64(id), iw)
 		app.pol = app.client
+		app.onAct = app.settleAsync
 	} else {
 		app.pol = l.model.SharedPolicyFor(iw)
 	}
 	if l.obs.flightDepth > 0 {
 		app.flight = obs.NewFlight(l.obs.flightDepth)
-	}
-	// Safe mode interposes a decision observer between the shared model and
-	// the controller; App.SetWeights keeps retuning through app.pol.
-	var pol cc.Policy = app.pol
-	if l.safeMode != nil || l.inferenceFault != nil {
-		app.gp = &guardPolicy{inner: app.pol, fault: l.inferenceFault}
-		pol = app.gp
 	}
 	if l.safeMode != nil {
 		app.guard = newGuard(*l.safeMode)
@@ -319,7 +315,7 @@ func (l *Library) Register(w Weights) (*App, error) {
 		app.guard.mTrips = l.obs.trips
 		app.guard.mRecoveries = l.obs.recoveries
 	}
-	app.alg = cc.NewRLRate(fmt.Sprintf("mocc-app-%d", id), pol, l.model.HistoryLen)
+	app.alg = cc.NewRLRate(fmt.Sprintf("mocc-app-%d", id), app.pol, l.model.HistoryLen)
 	app.alg.Reset(int64(id))
 	app.publishRate(app.alg.InitialRate(l.initialRTT.Seconds()))
 	app.tele.registered = l.clock()

@@ -59,32 +59,12 @@ func (c SafeModeConfig) normalized() SafeModeConfig {
 	return c
 }
 
-// guardPolicy wraps the application's shared-model policy so the guard can
-// inspect every decision: the raw action value and the wall-clock inference
-// latency. The optional fault hook (WithInferenceFault) runs inside the
-// timed window, which is how the chaos suite emulates NaN-poisoned and
-// stalled models without touching model internals.
-type guardPolicy struct {
-	inner   cc.Policy
-	fault   func(act float64) float64
-	lastAct float64
-	lastDur time.Duration
-}
-
-// Act implements cc.Policy.
-func (g *guardPolicy) Act(obs []float64) float64 {
-	start := time.Now()
-	act := g.inner.Act(obs)
-	if g.fault != nil {
-		act = g.fault(act)
-	}
-	g.lastDur = time.Since(start)
-	g.lastAct = act
-	return act
-}
-
 // guard is the per-application safe-mode state machine (guarded by App.mu,
-// like the controller it wraps).
+// like the controller it wraps). It sees every learned decision as the raw
+// policy action plus its wall-clock latency, measured by the App from begin
+// to settle; the optional fault hook (WithInferenceFault) runs inside that
+// window, which is how the chaos suite emulates NaN-poisoned and stalled
+// models without touching model internals.
 type guard struct {
 	cfg      SafeModeConfig
 	fallback *cc.AIMD
@@ -103,7 +83,7 @@ type guard struct {
 	lastFaultAt       time.Time
 
 	// Per-decision observability state (read by App.observe under the
-	// same App.mu that serialized decide): the verdict class of the last
+	// same App.mu that serialized settle): the verdict class of the last
 	// decision and whether it tripped or recovered the guard.
 	lastClass     uint8
 	justTripped   bool
@@ -122,44 +102,38 @@ func newGuard(cfg SafeModeConfig) *guard {
 	return &guard{cfg: cfg.normalized(), fallback: cc.NewAIMD()}
 }
 
-// runLearned evaluates the learned controller, converting a panic anywhere
-// in the inference path into a pathological decision instead of letting it
-// escape App.Report.
-func runLearned(alg *cc.RLRate, rep cc.Report) (rate float64, panicMsg string) {
-	defer func() {
-		if r := recover(); r != nil {
-			rate, panicMsg = 0, fmt.Sprintf("inference panic: %v", r)
-		}
-	}()
-	return alg.Update(rep), ""
-}
-
 // judge classifies the learned decision; the empty string means clean.
 // The uint8 is the obs.Verdict* class of the same verdict, recorded in
 // the flight recorder without string formatting.
-func (g *guard) judge(learned float64, gp *guardPolicy, panicMsg string) (string, uint8) {
+func (g *guard) judge(learned, act float64, dur time.Duration, panicMsg string) (string, uint8) {
 	switch {
 	case panicMsg != "":
 		return panicMsg, obs.VerdictPanic
-	case !finite(gp.lastAct):
-		return fmt.Sprintf("non-finite policy action %v", gp.lastAct), obs.VerdictNonFinite
+	case !finite(act):
+		return fmt.Sprintf("non-finite policy action %v", act), obs.VerdictNonFinite
 	case !cc.ValidRate(learned):
 		return fmt.Sprintf("rate %v outside the pacing envelope [%v, %v]",
 			learned, float64(cc.MinPacingRate), float64(cc.MaxPacingRate)), obs.VerdictEnvelope
-	case g.cfg.StallThreshold > 0 && gp.lastDur > g.cfg.StallThreshold:
-		return fmt.Sprintf("stalled inference (%v > %v)", gp.lastDur, g.cfg.StallThreshold), obs.VerdictStall
+	case g.cfg.StallThreshold > 0 && dur > g.cfg.StallThreshold:
+		return fmt.Sprintf("stalled inference (%v > %v)", dur, g.cfg.StallThreshold), obs.VerdictStall
 	}
 	return "", obs.VerdictOK
 }
 
-// decide runs one monitor interval through the guard: the learned
-// controller always executes (as the primary decision when healthy, as the
-// shadow probe when degraded), its verdict drives the trip/recover state
-// machine, and the returned rate is always inside the pacing envelope.
-func (g *guard) decide(alg *cc.RLRate, gp *guardPolicy, rep cc.Report, now time.Time) float64 {
+// settle closes one monitor interval through the guard, given the policy's
+// action on the interval's observation (alg has already ingested rep with
+// RLRate.Observe), the action's latency and the panic it raised, if any.
+// The learned controller always applies the action (as the primary
+// decision when healthy, as the shadow probe when degraded) unless the
+// policy panicked, its verdict drives the trip/recover state machine, and
+// the returned rate is always inside the pacing envelope.
+func (g *guard) settle(alg *cc.RLRate, act float64, dur time.Duration, panicMsg string, rep cc.Report, now time.Time) float64 {
 	g.justTripped, g.justRecovered = false, false
-	learned, panicMsg := runLearned(alg, rep)
-	verdict, class := g.judge(learned, gp, panicMsg)
+	var learned float64
+	if panicMsg == "" {
+		learned = alg.Apply(act)
+	}
+	verdict, class := g.judge(learned, act, dur, panicMsg)
 	g.lastClass = class
 	clean := verdict == ""
 	if clean {

@@ -103,6 +103,105 @@ func TestServingBitIdentical(t *testing.T) {
 	}
 }
 
+// TestReportAsyncMatchesReport pins the asynchronous decision path: apps
+// chaining ReportAsync from inside done (on the shard goroutines) publish
+// the rates, guard verdicts and telemetry that App.Report gives on a plain
+// library, with a fault hook poisoning about one action in seven so the
+// guard trips and recovers along the way. Refused statuses and unregistered
+// handles are answered on the calling goroutine.
+func TestReportAsyncMatchesReport(t *testing.T) {
+	model := sharedLibrary(t).Model()
+	poison := func(act float64) float64 {
+		if math.Float64bits(act)%7 == 0 {
+			return math.NaN()
+		}
+		return act
+	}
+	opts := []Option{WithoutAdaptation(), WithInferenceFault(poison),
+		WithSafeMode(SafeModeConfig{TripAfter: 2, RecoverAfter: 3})}
+	servingLib, err := New(model, append(opts, WithServing(ServingOptions{Shards: 2, MaxBatch: 8}))...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer servingLib.Close()
+	baseLib, err := New(model, opts...)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	const apps, rounds = 16, 60
+	prefs := []Weights{ThroughputPreference, LatencyPreference, RTCPreference, BalancedPreference}
+	got := make([][]float64, apps)
+	servingApps := make([]*App, apps)
+	var wg sync.WaitGroup
+	for a := range servingApps {
+		app, err := servingLib.Register(prefs[a%len(prefs)])
+		if err != nil {
+			t.Fatal(err)
+		}
+		servingApps[a] = app
+		var done func(float64, error)
+		done = func(rate float64, err error) {
+			if err != nil {
+				t.Errorf("app %d: %v", a, err)
+				wg.Done()
+				return
+			}
+			if got[a] = append(got[a], rate); len(got[a]) < rounds {
+				app.ReportAsync(servingStatus(a, len(got[a])), done)
+			} else {
+				wg.Done()
+			}
+		}
+		wg.Add(1)
+		app.ReportAsync(servingStatus(a, 0), done)
+	}
+	wg.Wait()
+
+	faults := int64(0)
+	for a, app := range servingApps {
+		base, err := baseLib.Register(prefs[a%len(prefs)])
+		if err != nil {
+			t.Fatal(err)
+		}
+		for r := 0; r < rounds; r++ {
+			want, err := base.Report(servingStatus(a, r))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if math.Float64bits(got[a][r]) != math.Float64bits(want) {
+				t.Fatalf("app %d round %d: ReportAsync rate %v, Report rate %v", a, r, got[a][r], want)
+			}
+		}
+		gs, ws := app.Stats(), base.Stats()
+		gs.Registered, gs.LastReport, gs.LastFaultAt = ws.Registered, ws.LastReport, ws.LastFaultAt // wall-clock stamps
+		if gs != ws {
+			t.Fatalf("app %d stats differ:\n async  %+v\n report %+v", a, gs, ws)
+		}
+		faults += gs.Faults
+	}
+	if faults == 0 {
+		t.Fatal("the fault hook never fired; the guard path went untested")
+	}
+
+	app := servingApps[0]
+	bad := servingStatus(0, 0)
+	bad.PacketsLost = bad.PacketsSent + 1
+	var inline error
+	app.ReportAsync(bad, func(_ float64, err error) { inline = err })
+	if inline == nil {
+		t.Fatal("ReportAsync accepted an inconsistent status")
+	}
+	if err := app.Unregister(); err != nil {
+		t.Fatal(err)
+	}
+	inline = nil
+	app.ReportAsync(servingStatus(0, 0), func(_ float64, err error) { inline = err })
+	if inline == nil {
+		t.Fatal("ReportAsync on an unregistered handle did not fail before returning")
+	}
+}
+
 // TestServingHotSwapLive publishes new model generations while registered
 // apps keep reporting: every Report must keep succeeding with a finite
 // rate, the epoch must advance, and publishing a foreign model must sync

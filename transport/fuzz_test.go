@@ -1,0 +1,120 @@
+package transport
+
+import (
+	"math"
+	"net"
+	"net/netip"
+	"path/filepath"
+	"testing"
+	"time"
+
+	"mocc"
+	"mocc/internal/core"
+	"mocc/internal/datapath"
+)
+
+// FuzzRateServerDatagram feeds arbitrary datagrams to the daemon's
+// per-datagram step, each twice from one of two source sockets, on a
+// library without serving (so every decision completes inside handle).
+// handle must not panic; a datagram that is not a report moves the
+// malformed+foreign counters by exactly one and touches nothing else; a
+// report either registers exactly one session, keyed by its source and
+// flow, or is rejected — and a repeat finds that session instead of
+// registering another. The seeds (one per datagram class: short, bad
+// magic, foreign type, truncated report, valid report, NaN weights) run
+// with every `go test`.
+func FuzzRateServerDatagram(f *testing.F) {
+	path := filepath.Join(f.TempDir(), "model.json")
+	if err := core.NewModel(core.HistoryLen, 1).Snapshot().SaveFile(path); err != nil {
+		f.Fatal(err)
+	}
+	model, err := mocc.LoadModelFile(path)
+	if err != nil {
+		f.Fatal(err)
+	}
+	lib, err := mocc.New(model, mocc.WithoutAdaptation())
+	if err != nil {
+		f.Fatal(err)
+	}
+	listen := func() *net.UDPConn {
+		c, err := net.ListenUDP("udp", &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1)})
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Cleanup(func() { c.Close() })
+		return c
+	}
+	srv := NewRateServer(lib, listen())
+	f.Cleanup(func() { srv.Close() })
+	// Replies go to two sockets nobody reads; the kernel drops what
+	// overflows their buffers.
+	var sources [2]netip.AddrPort
+	for i := range sources {
+		sources[i] = listen().LocalAddr().(*net.UDPAddr).AddrPort()
+	}
+
+	report := func(mut func(*datapath.WireReport)) []byte {
+		r := datapath.WireReport{
+			Flow: 7, Thr: 0.4, Lat: 0.3, Loss: 0.3,
+			DurationNs: int64(40 * time.Millisecond), Sent: 50, Acked: 48, Lost: 1,
+			AvgRTTNs: int64(45 * time.Millisecond), MinRTTNs: int64(40 * time.Millisecond),
+		}
+		if mut != nil {
+			mut(&r)
+		}
+		pkt := make([]byte, datapath.WireReportBytes)
+		datapath.EncodeReport(pkt, 1, 2, r)
+		return pkt
+	}
+	valid := report(nil)
+	badMagic := append([]byte(nil), valid...)
+	badMagic[0] ^= 0xFF
+	foreign := append([]byte(nil), valid...)
+	foreign[1] = datapath.WireTypeAck
+	f.Add([]byte{datapath.WireMagic}, false)
+	f.Add(badMagic, false)
+	f.Add(foreign, true)
+	f.Add(valid[:datapath.WireReportBytes-1], false)
+	f.Add(valid, true)
+	f.Add(report(func(r *datapath.WireReport) { r.Lat = math.NaN() }), false)
+
+	f.Fuzz(func(t *testing.T, b []byte, second bool) {
+		from := sources[0]
+		if second {
+			from = sources[1]
+		}
+		defer func() {
+			for _, sess := range srv.sessions {
+				sess.app.Unregister()
+			}
+			clear(srv.sessions)
+		}()
+		_, _, rep, isReport := datapath.DecodeReport(b)
+		for round := 0; round < 2; round++ {
+			before := srv.Stats()
+			srv.handle(b, from)
+			after := srv.Stats()
+			classified := after.Malformed + after.Foreign - before.Malformed - before.Foreign
+			if !isReport {
+				rest := after
+				rest.Malformed, rest.Foreign = before.Malformed, before.Foreign
+				if classified != 1 || rest != before {
+					t.Fatalf("round %d: %x is not a report; stats %+v -> %+v", round, b, before, after)
+				}
+				continue
+			}
+			if classified != 0 || after.Dropped != 0 {
+				t.Fatalf("round %d: report %x classified or dropped: %+v -> %+v", round, b, before, after)
+			}
+			rejected := after.Rejected - before.Rejected
+			if !(after.Sessions == 1 && rejected == 0) && !(after.Sessions == 0 && rejected == 1) {
+				t.Fatalf("round %d: report %x: %+v -> %+v, want one session or one rejection", round, b, before, after)
+			}
+			for key := range srv.sessions {
+				if key != (sessionKey{from, rep.Flow}) {
+					t.Fatalf("session keyed %v, want %v flow %d", key, from, rep.Flow)
+				}
+			}
+		}
+	})
+}

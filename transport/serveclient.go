@@ -120,6 +120,7 @@ func DialServe(addr string, cfg ServeConnConfig) (*ServeConn, error) {
 	if err != nil {
 		return nil, fmt.Errorf("transport: serve dial: %w", err)
 	}
+	_ = raw.SetReadBuffer(fleetReadBuffer) // best effort, see fleetReadBuffer
 	var conn PacketConn = raw
 	if cfg.WrapConn != nil {
 		conn = cfg.WrapConn(conn)
@@ -195,14 +196,16 @@ func (c *ServeConn) nextSeq() uint64 {
 	return s
 }
 
-// request performs one report->rate exchange: encode, write, await the
-// matching reply. ok=false is a timeout or a transient write failure (the
-// daemon is unreachable); a non-nil error means the ServeConn is closed.
-func (c *ServeConn) request(flow uint64, ch chan rateReply, rep datapath.WireReport, timeout time.Duration, pkt []byte) (rateReply, bool, error) {
+// request performs one report->rate exchange of the flow: encode, write,
+// await the matching reply. ok=false is a timeout or a transient write
+// failure (the daemon is unreachable); a non-nil error means the ServeConn
+// is closed.
+func (f *ServeFlow) request(rep datapath.WireReport) (rateReply, bool, error) {
+	c := f.conn
 	seq := c.nextSeq()
-	datapath.EncodeReport(pkt, seq, time.Now().UnixNano(), rep)
+	datapath.EncodeReport(f.pkt, seq, time.Now().UnixNano(), rep)
 	c.writeMu.Lock()
-	_, werr := c.conn.Write(pkt)
+	_, werr := c.conn.Write(f.pkt)
 	c.writeMu.Unlock()
 	if werr != nil {
 		if c.closed.Load() || errors.Is(werr, net.ErrClosed) {
@@ -212,16 +215,19 @@ func (c *ServeConn) request(flow uint64, ch chan rateReply, rep datapath.WireRep
 		// it as an unreachable daemon, not an error.
 		return rateReply{}, false, nil
 	}
-	timer := time.NewTimer(timeout)
-	defer timer.Stop()
+	// The flow's own timer, re-armed per exchange: a fresh one would be
+	// the largest allocation of a report. Stop guarantees no stale expiry
+	// is delivered to the next exchange.
+	f.timer.Reset(f.cfg.Timeout)
+	defer f.timer.Stop()
 	for {
 		select {
-		case r := <-ch:
+		case r := <-f.ch:
 			if r.seq == seq {
 				return r, true, nil
 			}
 			// Stale reply from an earlier timed-out attempt: discard.
-		case <-timer.C:
+		case <-f.timer.C:
 			return rateReply{}, false, nil
 		case <-c.stop:
 			return rateReply{}, false, net.ErrClosed
@@ -305,13 +311,14 @@ type ServeFlowStats struct {
 // serialized (different flows on one ServeConn are free to run
 // concurrently).
 type ServeFlow struct {
-	conn *ServeConn
-	flow uint64
-	w    mocc.Weights
-	cfg  FailoverConfig
-	ch   chan rateReply
-	pkt  []byte
-	rng  *rand.Rand
+	conn  *ServeConn
+	flow  uint64
+	w     mocc.Weights
+	cfg   FailoverConfig
+	ch    chan rateReply
+	pkt   []byte
+	timer *time.Timer // per-exchange reply timeout, stopped between exchanges
+	rng   *rand.Rand  // jitter source, built on first use
 
 	fallback   *cc.AIMD
 	lastServed float64 // last rate the daemon answered (0 before the first)
@@ -338,11 +345,12 @@ func (c *ServeConn) Flow(flow uint64, w mocc.Weights, cfg FailoverConfig) *Serve
 		cfg:      cfg.withDefaults(),
 		ch:       make(chan rateReply, 4),
 		pkt:      make([]byte, datapath.WireReportBytes),
+		timer:    time.NewTimer(time.Hour),
 		fallback: cc.NewAIMD(),
 		met:      c.met,
 		stripe:   int(flow),
 	}
-	f.rng = rand.New(rand.NewSource(f.cfg.Seed + int64(flow)))
+	f.timer.Stop()
 	c.mu.Lock()
 	c.flows[flow] = f.ch
 	c.mu.Unlock()
@@ -359,8 +367,12 @@ func (f *ServeFlow) Stats() ServeFlowStats {
 	return f.stats
 }
 
-// jitter spreads d over [d/2, d).
+// jitter spreads d over [d/2, d). The source is built on the first retry
+// or failover: it is ≈ 5 KB per flow, and most flows never need it.
 func (f *ServeFlow) jitter(d time.Duration) time.Duration {
+	if f.rng == nil {
+		f.rng = rand.New(rand.NewSource(f.cfg.Seed + int64(f.flow)))
+	}
 	return d/2 + time.Duration(f.rng.Float64()*float64(d/2))
 }
 
@@ -394,7 +406,7 @@ func (f *ServeFlow) report(st mocc.Status) (float64, error) {
 		}
 		// Probe the daemon: one attempt, no retries — a dead daemon must
 		// not stall the flow's monitor loop for more than one timeout.
-		r, ok, err := f.conn.request(f.flow, f.ch, rep, f.cfg.Timeout, f.pkt)
+		r, ok, err := f.request(rep)
 		if err != nil {
 			return 0, err
 		}
@@ -423,7 +435,7 @@ func (f *ServeFlow) report(st mocc.Status) (float64, error) {
 
 	backoff := f.cfg.BackoffBase
 	for attempt := 0; ; attempt++ {
-		r, ok, err := f.conn.request(f.flow, f.ch, rep, f.cfg.Timeout, f.pkt)
+		r, ok, err := f.request(rep)
 		if err != nil {
 			return 0, err
 		}

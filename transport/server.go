@@ -4,6 +4,7 @@ import (
 	"errors"
 	"math"
 	"net"
+	"net/netip"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -20,11 +21,14 @@ import (
 // embedders) can start, kill and restart a daemon in-process.
 //
 // Flows are registered lazily on first report, keyed by (source address,
-// flow id); a flow evicted by the library's idle janitor simply
-// re-registers on its next report. Each flow's reports are serialized by a
-// per-session worker goroutine with a small buffer, so a slow decision
-// (one batch flush) never blocks the socket read loop — a full session
-// buffer drops the report instead (the flow retries next interval).
+// flow id), in a flat session table; a flow evicted by the library's idle
+// janitor simply re-registers on its next report. There is no goroutine per
+// flow: the read loop decodes a report and submits it with App.ReportAsync,
+// and the serving shard that decides it also writes the reply. A flow has
+// at most one report in flight and one waiting behind it, so its replies
+// keep report order; a report arriving while both are taken is dropped and
+// counted, never allowed to block the socket read loop (the flow retries
+// next interval).
 //
 // The read loop never trusts the network: datagrams that are short, carry
 // the wrong magic, are truncated below the report length, or are of a
@@ -36,8 +40,9 @@ type RateServer struct {
 	mu       sync.Mutex
 	sessions map[sessionKey]*session
 
-	started atomic.Bool
-	done    chan struct{} // closed when Serve has exited and sessions are stopped
+	started  atomic.Bool
+	done     chan struct{}  // closed when Serve has exited and every decision is answered
+	inflight sync.WaitGroup // one count per session with a report in flight
 
 	replies   atomic.Int64
 	dropped   atomic.Int64
@@ -52,8 +57,9 @@ type RateServerStats struct {
 	// Sessions is the number of currently registered flow sessions.
 	Sessions int
 	// Replies counts rate datagrams sent; Dropped counts reports dropped
-	// on a full session queue (socket backpressure); Rejected counts
-	// registrations refused (invalid preference weights).
+	// because their flow already had one in flight and one waiting (socket
+	// backpressure); Rejected counts registrations refused (invalid
+	// preference weights).
 	Replies  int64
 	Dropped  int64
 	Rejected int64
@@ -71,17 +77,27 @@ type RateServerStats struct {
 // sessionKey identifies a flow: the datagram's source address plus its
 // self-assigned flow id (many flows may share one socket).
 type sessionKey struct {
-	addr string
+	addr netip.AddrPort
 	flow uint64
 }
 
-// session is one registered flow: its library handle and the channel its
-// worker goroutine consumes.
+// session is one registered flow: its library handle and its two report
+// slots. The read loop fills the slots under mu; the holder of the
+// in-flight slot — the read loop when it starts a decision, the completion
+// afterwards — owns w and out.
 type session struct {
-	app  *mocc.App
-	addr *net.UDPAddr
-	ch   chan reportMsg
-	w    mocc.Weights
+	srv   *RateServer
+	key   sessionKey
+	app   *mocc.App
+	reply func(rate float64, err error) // answer as a func value, built once
+	w     mocc.Weights
+	out   [datapath.WireRateBytes]byte
+
+	mu      sync.Mutex
+	busy    bool      // cur is in flight
+	waiting bool      // next is queued behind it
+	cur     reportMsg // in flight
+	next    reportMsg // waiting
 }
 
 type reportMsg struct {
@@ -90,9 +106,19 @@ type reportMsg struct {
 	rep   datapath.WireReport
 }
 
+// fleetReadBuffer is the SO_RCVBUF asked for on the two sockets that carry
+// every flow: the daemon's (all reports) and ServeConn's (all replies). At
+// -apps 512 over loopback, default-sized buffers overflowed at both ends:
+// the kernel dropped datagrams (Udp RcvbufErrors, the drops column of
+// /proc/net/udp) and the flows timed out. The kernel silently caps the
+// request at net.core.rmem_max. Best effort: a smaller buffer only means
+// drops under a burst, which the flows survive by retrying.
+const fleetReadBuffer = 4 << 20
+
 // NewRateServer wraps an already-bound UDP socket. The caller runs Serve
 // (usually in its own goroutine) and shuts down with Close.
 func NewRateServer(lib *mocc.Library, conn *net.UDPConn) *RateServer {
+	_ = conn.SetReadBuffer(fleetReadBuffer) // best effort, see fleetReadBuffer
 	return &RateServer{
 		lib:      lib,
 		conn:     conn,
@@ -121,7 +147,7 @@ func (s *RateServer) RegisterMetrics(m *mocc.Metrics) {
 		})
 	reg.CounterFunc("mocc_daemon_replies_total", "Rate datagrams sent to flows.",
 		func() uint64 { return uint64(s.replies.Load()) })
-	reg.CounterFunc("mocc_daemon_dropped_total", "Reports dropped on a full session queue.",
+	reg.CounterFunc("mocc_daemon_dropped_total", "Reports dropped: their flow already had one in flight and one waiting.",
 		func() uint64 { return uint64(s.dropped.Load()) })
 	reg.CounterFunc("mocc_daemon_rejected_total", "Flow registrations refused (invalid preference).",
 		func() uint64 { return uint64(s.rejected.Load()) })
@@ -177,15 +203,16 @@ func classifyDatagram(buf []byte) dgramKind {
 }
 
 // Serve runs the socket read loop until the socket is closed (Close, or an
-// external close of the conn), then stops every session worker. It is the
-// daemon hot path: decode, demux to the session worker, never block.
+// external close of the conn), then waits for every decision in flight to
+// be answered. It is the daemon hot path: read, decode, hand the report to
+// its session, never block.
 func (s *RateServer) Serve() {
 	s.started.Store(true)
 	defer close(s.done)
 	defer s.closeSessions()
 	buf := make([]byte, 64*1024)
 	for {
-		n, raddr, err := s.conn.ReadFromUDP(buf)
+		n, from, err := s.conn.ReadFromUDPAddrPort(buf)
 		if err != nil {
 			var nerr net.Error
 			if errors.As(err, &nerr) && nerr.Timeout() {
@@ -193,35 +220,52 @@ func (s *RateServer) Serve() {
 			}
 			return // closed socket (shutdown) or a fatal socket error
 		}
-		switch classifyDatagram(buf[:n]) {
-		case dgramMalformed:
-			s.malformed.Add(1)
-			continue
-		case dgramForeign:
-			s.foreign.Add(1)
-			continue
-		}
-		seq, nanos, rep, ok := datapath.DecodeReport(buf[:n])
-		if !ok {
-			s.malformed.Add(1)
-			continue
-		}
-		sess := s.lookup(sessionKey{raddr.String(), rep.Flow}, raddr, rep)
-		if sess == nil {
-			continue
-		}
-		select {
-		case sess.ch <- reportMsg{seq: seq, nanos: nanos, rep: rep}:
-		default:
-			s.dropped.Add(1) // backpressure: drop rather than stall the socket
-		}
+		s.handle(buf[:n], from)
 	}
 }
 
-// Close shuts the daemon down: the socket closes, Serve returns and stops
-// every session worker, and Close waits for that teardown to finish. The
-// library is not closed — it belongs to the caller (and may be resumed
-// into a new RateServer after a snapshot restore).
+// handle is the read loop's per-datagram step: classify, decode, find (or
+// register) the flow's session, and start the decision or queue it behind
+// the one in flight.
+func (s *RateServer) handle(buf []byte, from netip.AddrPort) {
+	switch classifyDatagram(buf) {
+	case dgramMalformed:
+		s.malformed.Add(1)
+		return
+	case dgramForeign:
+		s.foreign.Add(1)
+		return
+	}
+	seq, nanos, rep, ok := datapath.DecodeReport(buf)
+	if !ok {
+		s.malformed.Add(1)
+		return
+	}
+	sess := s.lookup(sessionKey{from, rep.Flow}, rep)
+	if sess == nil {
+		return
+	}
+	m := reportMsg{seq: seq, nanos: nanos, rep: rep}
+	sess.mu.Lock()
+	switch {
+	case !sess.busy:
+		sess.busy, sess.cur = true, m
+		sess.mu.Unlock()
+		s.inflight.Add(1)
+		sess.submit()
+	case !sess.waiting:
+		sess.waiting, sess.next = true, m
+		sess.mu.Unlock()
+	default:
+		sess.mu.Unlock()
+		s.dropped.Add(1) // backpressure: drop rather than stall the socket
+	}
+}
+
+// Close shuts the daemon down: the socket closes, Serve returns once every
+// decision in flight is answered, and Close waits for that. The library is
+// not closed — it belongs to the caller (and may be resumed into a new
+// RateServer after a snapshot restore).
 func (s *RateServer) Close() error {
 	err := s.conn.Close()
 	if s.started.Load() {
@@ -233,7 +277,7 @@ func (s *RateServer) Close() error {
 }
 
 // lookup returns the flow's session, registering it on first contact.
-func (s *RateServer) lookup(key sessionKey, raddr *net.UDPAddr, rep datapath.WireReport) *session {
+func (s *RateServer) lookup(key sessionKey, rep datapath.WireReport) *session {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if sess, ok := s.sessions[key]; ok {
@@ -245,65 +289,90 @@ func (s *RateServer) lookup(key sessionKey, raddr *net.UDPAddr, rep datapath.Wir
 		s.rejected.Add(1)
 		return nil
 	}
-	laddr := *raddr
-	sess := &session{app: app, addr: &laddr, ch: make(chan reportMsg, 16), w: w}
+	sess := &session{srv: s, key: key, app: app, w: w}
+	sess.reply = sess.answer
 	s.sessions[key] = sess
-	go s.runSession(key, sess)
 	return sess
 }
 
 // drop removes a torn-down session so a later report re-registers.
-func (s *RateServer) drop(key sessionKey, sess *session) {
+func (s *RateServer) drop(sess *session) {
 	s.mu.Lock()
-	if s.sessions[key] == sess {
-		delete(s.sessions, key)
+	if s.sessions[sess.key] == sess {
+		delete(s.sessions, sess.key)
 	}
 	s.mu.Unlock()
 }
 
-// runSession serializes one flow's Reports and writes the rate replies.
-func (s *RateServer) runSession(key sessionKey, sess *session) {
-	out := make([]byte, datapath.WireRateBytes)
-	for m := range sess.ch {
-		if w := (mocc.Weights{Thr: m.rep.Thr, Lat: m.rep.Lat, Loss: m.rep.Loss}); w != sess.w {
-			if err := sess.app.SetWeights(w); err == nil {
-				sess.w = w
-			}
+// submit hands the in-flight report to the library; answer completes it.
+func (sess *session) submit() {
+	r := &sess.cur.rep
+	if w := (mocc.Weights{Thr: r.Thr, Lat: r.Lat, Loss: r.Loss}); w != sess.w {
+		if err := sess.app.SetWeights(w); err == nil {
+			sess.w = w
 		}
-		rate, err := sess.app.Report(mocc.Status{
-			Duration:     time.Duration(m.rep.DurationNs),
-			PacketsSent:  m.rep.Sent,
-			PacketsAcked: m.rep.Acked,
-			PacketsLost:  m.rep.Lost,
-			AvgRTT:       time.Duration(m.rep.AvgRTTNs),
-			MinRTT:       time.Duration(m.rep.MinRTTNs),
-		})
-		if err != nil {
+	}
+	sess.app.ReportAsync(mocc.Status{
+		Duration:     time.Duration(r.DurationNs),
+		PacketsSent:  r.Sent,
+		PacketsAcked: r.Acked,
+		PacketsLost:  r.Lost,
+		AvgRTT:       time.Duration(r.AvgRTTNs),
+		MinRTT:       time.Duration(r.MinRTTNs),
+	}, sess.reply)
+}
+
+// answer is the in-flight report's completion, run by the serving shard
+// that decided it (or by the caller of submit when the library answered at
+// once): write the rate to the flow, then submit the waiting report, if
+// any. It must not block beyond the socket write.
+func (sess *session) answer(rate float64, err error) {
+	s := sess.srv
+	m := &sess.cur
+	if err != nil {
+		if _, alive := s.lib.App(sess.app.ID()); !alive {
 			// Evicted by the idle janitor (or unregistered): tear the
-			// session down; the flow's next report re-registers.
-			if _, alive := s.lib.App(sess.app.ID()); !alive {
-				s.drop(key, sess)
-				return
-			}
-			// Otherwise the status itself was refused. Answer NaN — "hold
-			// the previous rate", as for a shed — so the flow fails fast
-			// instead of burning its timeouts and failing over.
-			s.invalid.Add(1)
-			rate = math.NaN()
+			// session down unanswered; the flow's next report re-registers.
+			s.drop(sess)
+			sess.advance()
+			return
 		}
-		datapath.EncodeRate(out, m.seq, m.nanos, m.rep.Flow, rate, s.lib.Epoch())
-		if _, err := s.conn.WriteToUDP(out, sess.addr); err == nil {
-			s.replies.Add(1)
-		}
+		// Otherwise the status itself was refused. Answer NaN — "hold the
+		// previous rate", as for a shed — so the flow fails fast instead
+		// of burning its timeouts and failing over.
+		s.invalid.Add(1)
+		rate = math.NaN()
+	}
+	datapath.EncodeRate(sess.out[:], m.seq, m.nanos, m.rep.Flow, rate, s.lib.Epoch())
+	if _, err := s.conn.WriteToUDPAddrPort(sess.out[:], sess.key.addr); err == nil {
+		s.replies.Add(1)
+	}
+	sess.advance()
+}
+
+// advance retires the in-flight report: the waiting one, if any, takes its
+// place and is submitted; otherwise the session goes idle.
+func (sess *session) advance() {
+	sess.mu.Lock()
+	next := sess.waiting
+	if next {
+		sess.cur = sess.next
+	}
+	sess.busy, sess.waiting = next, false
+	sess.mu.Unlock()
+	if next {
+		sess.submit()
+	} else {
+		sess.srv.inflight.Done()
 	}
 }
 
-// closeSessions stops every session worker.
+// closeSessions runs once the read loop has exited: it waits until every
+// decision in flight, and the report waiting behind it, is answered, then
+// empties the session table.
 func (s *RateServer) closeSessions() {
+	s.inflight.Wait()
 	s.mu.Lock()
-	defer s.mu.Unlock()
-	for key, sess := range s.sessions {
-		close(sess.ch)
-		delete(s.sessions, key)
-	}
+	clear(s.sessions)
+	s.mu.Unlock()
 }

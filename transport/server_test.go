@@ -1,0 +1,231 @@
+package transport_test
+
+import (
+	"errors"
+	"math"
+	"net"
+	"runtime"
+	"sync"
+	"sync/atomic"
+	"testing"
+	"time"
+
+	"mocc"
+	"mocc/internal/datapath"
+	"mocc/transport"
+)
+
+// dialRateServer starts a daemon over lib and connects a client socket to
+// it; both are torn down with the test.
+func dialRateServer(t *testing.T, lib *mocc.Library) (*transport.RateServer, *transport.ServeConn) {
+	t.Helper()
+	srv := startRateServer(t, lib, "127.0.0.1:0")
+	conn, err := transport.DialServe(srv.Addr(), transport.ServeConnConfig{})
+	if err != nil {
+		srv.Close()
+		t.Fatal(err)
+	}
+	t.Cleanup(func() {
+		conn.Close()
+		srv.Close()
+	})
+	return srv, conn
+}
+
+// patient is a failover configuration under which no reply of a healthy
+// daemon times out, so every report is decided exactly once by the daemon.
+var patient = transport.FailoverConfig{Timeout: 5 * time.Second}
+
+// TestRateServerMatchesShadowLibrary pins the daemon end to end: 64 flows
+// reporting concurrently over loopback, each switching preference halfway,
+// are served rate sequences bit-equal to a non-serving Library fed the same
+// statuses and the same weight change.
+func TestRateServerMatchesShadowLibrary(t *testing.T) {
+	lib := chaosLibrary(t, mocc.WithServing(mocc.ServingOptions{Shards: 2}))
+	defer lib.Close()
+	_, conn := dialRateServer(t, lib)
+
+	const flows, reports, switchAt = 64, 50, 25
+	prefs := []mocc.Weights{mocc.ThroughputPreference, mocc.LatencyPreference, mocc.RTCPreference, mocc.BalancedPreference}
+	retuned := mocc.Weights{Thr: 0.2, Lat: 0.6, Loss: 0.2}
+	served := make([][]float64, flows)
+	var wg sync.WaitGroup
+	for i := 0; i < flows; i++ {
+		sf := conn.Flow(uint64(i), prefs[i%len(prefs)], patient)
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			for r := 0; r < reports; r++ {
+				if r == switchAt {
+					sf.SetWeights(retuned)
+				}
+				rate, err := sf.Report(chaosStatus(i + r))
+				if err != nil {
+					t.Errorf("flow %d report %d: %v", i, r, err)
+					return
+				}
+				served[i] = append(served[i], rate)
+			}
+			if st := sf.Stats(); st.Served != reports {
+				t.Errorf("flow %d: %+v, want every report served", i, st)
+			}
+		}(i)
+	}
+	wg.Wait()
+	if t.Failed() {
+		return
+	}
+
+	shadow := chaosLibrary(t)
+	for i := 0; i < flows; i++ {
+		app, err := shadow.Register(prefs[i%len(prefs)])
+		if err != nil {
+			t.Fatal(err)
+		}
+		for r := 0; r < reports; r++ {
+			if r == switchAt {
+				if err := app.SetWeights(retuned); err != nil {
+					t.Fatal(err)
+				}
+			}
+			want, err := app.Report(chaosStatus(i + r))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if math.Float64bits(served[i][r]) != math.Float64bits(want) {
+				t.Fatalf("flow %d report %d: served %v, shadow library %v", i, r, served[i][r], want)
+			}
+		}
+	}
+}
+
+// TestRateServerFlowOrderAndDrop pins the per-flow slots: while one report
+// of a flow is in flight (held in the decision's completion on the shard),
+// a second waits and a third is dropped and counted; on release the two are
+// answered in report order and the third never is.
+func TestRateServerFlowOrderAndDrop(t *testing.T) {
+	hold := make(chan struct{})
+	var release sync.Once
+	var held atomic.Bool
+	gate := func(act float64) float64 {
+		if held.CompareAndSwap(false, true) {
+			<-hold
+		}
+		return act
+	}
+	lib := chaosLibrary(t, mocc.WithServing(mocc.ServingOptions{Shards: 1}), mocc.WithInferenceFault(gate))
+	defer lib.Close()
+	srv := startRateServer(t, lib, "127.0.0.1:0")
+	defer srv.Close()
+	defer release.Do(func() { close(hold) })
+
+	raddr, err := net.ResolveUDPAddr("udp", srv.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	conn, err := net.DialUDP("udp", nil, raddr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	pkt := make([]byte, datapath.WireReportBytes)
+	send := func(seq uint64) {
+		t.Helper()
+		st := chaosStatus(int(seq))
+		datapath.EncodeReport(pkt, seq, time.Now().UnixNano(), datapath.WireReport{
+			Flow: 9, Thr: 0.4, Lat: 0.3, Loss: 0.3,
+			DurationNs: int64(st.Duration), Sent: st.PacketsSent, Acked: st.PacketsAcked, Lost: st.PacketsLost,
+			AvgRTTNs: int64(st.AvgRTT), MinRTTNs: int64(st.MinRTT),
+		})
+		if _, err := conn.Write(pkt); err != nil {
+			t.Fatal(err)
+		}
+	}
+	waitFor := func(what string, cond func() bool) {
+		t.Helper()
+		for deadline := time.Now().Add(5 * time.Second); !cond(); time.Sleep(time.Millisecond) {
+			if time.Now().After(deadline) {
+				t.Fatalf("timed out waiting for %s: %+v", what, srv.Stats())
+			}
+		}
+	}
+
+	send(1)
+	waitFor("the first decision to be held", held.Load)
+	send(2)
+	send(3)
+	waitFor("the third report to be dropped", func() bool { return srv.Stats().Dropped == 1 })
+	release.Do(func() { close(hold) })
+
+	in := make([]byte, 64*1024)
+	for _, want := range []uint64{1, 2} {
+		conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+		n, err := conn.Read(in)
+		if err != nil {
+			t.Fatalf("waiting for the reply to report %d: %v", want, err)
+		}
+		if seq, _, flow, _, _, ok := datapath.DecodeRate(in[:n]); !ok || seq != want || flow != 9 {
+			t.Fatalf("reply (ok %v seq %d flow %d), want seq %d of flow 9", ok, seq, flow, want)
+		}
+	}
+	conn.SetReadDeadline(time.Now().Add(100 * time.Millisecond))
+	var nerr net.Error
+	if n, err := conn.Read(in); !errors.As(err, &nerr) || !nerr.Timeout() {
+		t.Fatalf("a third reply arrived (%d bytes, err %v), want the dropped report unanswered", n, err)
+	}
+	if st := srv.Stats(); st.Replies != 2 || st.Dropped != 1 || st.Sessions != 1 {
+		t.Fatalf("stats %+v, want 2 replies, 1 dropped, 1 session", st)
+	}
+}
+
+// TestRateServerGoroutinesFlatInFlows pins the session table: registering
+// 1024 flows starts no goroutine beyond what serving the first one did.
+func TestRateServerGoroutinesFlatInFlows(t *testing.T) {
+	lib := chaosLibrary(t, mocc.WithServing(mocc.ServingOptions{Shards: 2}))
+	defer lib.Close()
+	srv, conn := dialRateServer(t, lib)
+
+	report := func(flow int) {
+		t.Helper()
+		sf := conn.Flow(uint64(flow), mocc.BalancedPreference, patient)
+		if _, err := sf.Report(chaosStatus(flow)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	report(0)
+	one := runtime.NumGoroutine()
+	for flow := 1; flow < 1024; flow++ {
+		report(flow)
+	}
+	if n := srv.Stats().Sessions; n != 1024 {
+		t.Fatalf("Sessions = %d, want 1024", n)
+	}
+	if many := runtime.NumGoroutine(); many > one {
+		t.Fatalf("%d goroutines with 1024 flows registered, %d with one", many, one)
+	}
+}
+
+// TestServeFlowReportAllocFree pins the steady state of a served decision
+// at zero allocations across both ends of the socket: client encode, write
+// and reply wait; daemon read, demux, batched decision, guard and reply.
+func TestServeFlowReportAllocFree(t *testing.T) {
+	lib := chaosLibrary(t, mocc.WithServing(mocc.ServingOptions{Shards: 1}))
+	defer lib.Close()
+	_, conn := dialRateServer(t, lib)
+	sf := conn.Flow(1, mocc.BalancedPreference, patient)
+	st := chaosStatus(3)
+	report := func() {
+		if _, err := sf.Report(st); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 100; i++ {
+		report() // registration, first-use buffers, the shard's inference view
+	}
+	if allocs := testing.AllocsPerRun(1000, report); allocs != 0 {
+		t.Errorf("ServeFlow.Report round trip: %v allocs/op, want 0", allocs)
+	}
+	if s := sf.Stats(); s.Served != s.Reports {
+		t.Fatalf("not every report was served: %+v", s)
+	}
+}
