@@ -36,7 +36,8 @@ chaos:
 # finite-but-poisoned publish, crash-safe state snapshots, daemon demux
 # hardening against malformed datagrams (plus the demux fuzz seeds), the
 # daemon's per-flow order and drop, its bit-identity to a shadow library,
-# its flat session table and zero-alloc round trip, and client failover across a
+# its flat session table, zero-alloc round trip and per-batch reply
+# coalescing (plus the client demux fuzz seeds), and client failover across a
 # daemon killed and restarted mid-load (seeded fault plans, zero Report
 # errors end to end).
 chaos-serve:

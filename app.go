@@ -55,7 +55,7 @@ type App struct {
 	// WithServing); it knows which model epoch served each decision.
 	// onAct is settleAsync as a func value, built once at registration.
 	client *serve.Client
-	onAct  func(act float64)
+	onAct  func(act float64, more bool)
 	// flight is the per-handle decision flight recorder (nil without
 	// WithObservability).
 	flight *obs.Flight
@@ -66,7 +66,7 @@ type App struct {
 		rep   cc.Report
 		now   time.Time // library clock
 		start time.Time // wall clock, set when timed
-		done  func(rate float64, err error)
+		done  func(rate float64, err error, more bool)
 	}
 }
 
@@ -195,24 +195,32 @@ func (a *App) Report(st Status) (float64, error) {
 // (closed, or shed). Without serving, ReportAsync is Report followed by
 // done on the calling goroutine.
 //
+// more is the serving engine's batch boundary (serve.Client.Submit): true
+// only when the shard runs the completion of another decision of the same
+// forward pass right after this one. A host that answers decisions over a
+// socket may hold the answer while more is true and send what it holds
+// when it sees false. Every answer not from a served forward pass passes
+// false.
+//
 // done must not block or panic: on a shard, every decision batched behind
 // this one waits for it. It may call ReportAsync on the same handle again.
 // The handle stays locked until done is about to run, so a Report,
 // ReportAsync, SetWeights or Stats on the same handle waits for the
 // decision in flight.
-func (a *App) ReportAsync(st Status, done func(rate float64, err error)) {
+func (a *App) ReportAsync(st Status, done func(rate float64, err error, more bool)) {
 	if a.client == nil {
-		done(a.Report(st))
+		rate, err := a.Report(st)
+		done(rate, err, false)
 		return
 	}
 	if err := st.validate(); err != nil {
-		done(0, err)
+		done(0, err, false)
 		return
 	}
 	a.mu.Lock()
 	if a.closed {
 		a.mu.Unlock()
-		done(0, a.errClosed())
+		done(0, a.errClosed(), false)
 		return
 	}
 	a.cur.done = done
@@ -220,14 +228,14 @@ func (a *App) ReportAsync(st Status, done func(rate float64, err error)) {
 }
 
 // settleAsync is ReportAsync's completion, run by the serving engine with
-// the action for the observation begin returned.
-func (a *App) settleAsync(act float64) {
+// the action for the observation begin returned and the engine's more.
+func (a *App) settleAsync(act float64, more bool) {
 	act, panicMsg := a.learned(nil, act)
 	rate := a.settle(act, panicMsg)
 	done := a.cur.done
 	a.cur.done = nil
 	a.mu.Unlock()
-	done(rate, nil)
+	done(rate, nil, more)
 }
 
 func (a *App) errClosed() error { return fmt.Errorf("mocc: app %d is unregistered", a.id) }

@@ -64,14 +64,14 @@ func TestCanarySampleWhileDecisionInFlight(t *testing.T) {
 		t.Fatal(err)
 	}
 	finished := make(chan string, 4)
-	y.ReportAsync(servingStatus(0, 0), func(float64, error) {
+	y.ReportAsync(servingStatus(0, 0), func(float64, error, bool) {
 		lib.App(y.ID())
 		finished <- "Y's completion"
 	})
 	for !held.Load() {
 		time.Sleep(time.Millisecond)
 	}
-	x.ReportAsync(servingStatus(1, 0), func(float64, error) { finished <- "X's completion" })
+	x.ReportAsync(servingStatus(1, 0), func(float64, error, bool) { finished <- "X's completion" })
 	go func() {
 		lib.canarySample()
 		finished <- "canary sample"

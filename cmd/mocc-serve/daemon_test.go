@@ -93,7 +93,7 @@ func TestDaemonShutdownOrdering(t *testing.T) {
 	metrics := httpGet(t, base+"/metrics", http.StatusOK)
 	for _, series := range []string{
 		"mocc_serve_reports_total", "mocc_serve_epoch",
-		"mocc_daemon_replies_total", "mocc_fleet_apps",
+		"mocc_daemon_replies_total", "mocc_daemon_reply_datagrams_total", "mocc_fleet_apps",
 		"mocc_serve_decision_latency_seconds_count",
 	} {
 		if !strings.Contains(metrics, series) {

@@ -2,8 +2,9 @@
 // one trained model, one UDP socket, any number of flows. Each flow sends
 // report datagrams (its preference plus one monitor interval of
 // measurements, see mocc/internal/datapath WireReport) and gets a rate
-// datagram back; concurrent flows' decisions are coalesced into batched
-// forward passes by the serving engine (mocc.WithServing).
+// record back; concurrent flows' decisions are coalesced into batched
+// forward passes by the serving engine (mocc.WithServing), and the records
+// one pass decides for one client socket share one reply datagram.
 //
 // Usage:
 //

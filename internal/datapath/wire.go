@@ -15,7 +15,11 @@ import (
 //	[10:18] sender timestamp, unix nanos (echoed in acks and rate replies)
 //
 // Report datagrams carry one monitor interval of flow measurements to a
-// mocc-serve daemon; rate datagrams carry the pacing decision back.
+// mocc-serve daemon; rate datagrams carry the pacing decisions back. A rate
+// datagram is one or more rate records back to back, each exactly
+// WireRateBytes with its own header — the records one served batch decided
+// for one client socket — so a single-record rate datagram is one
+// EncodeRate output, and DecodeRate reads the first record of any.
 const (
 	// WireHeaderBytes is the fixed header length; data packets are padded
 	// to the payload size.
@@ -29,7 +33,8 @@ const (
 	// datagrams: a flow's interval measurements and the rate decision.
 	WireTypeReport = typeReport
 	WireTypeRate   = typeRate
-	// WireReportBytes / WireRateBytes are their exact datagram lengths.
+	// WireReportBytes is the exact report datagram length; WireRateBytes
+	// the exact length of one rate record.
 	WireReportBytes = headerBytes + 10*8
 	WireRateBytes   = headerBytes + 3*8
 )
@@ -106,7 +111,7 @@ func DecodeReport(buf []byte) (seq uint64, unixNanos int64, r WireReport, ok boo
 	return seq, unixNanos, r, true
 }
 
-// EncodeRate writes a rate-decision datagram into pkt (len >=
+// EncodeRate writes a rate-decision record into pkt (len >=
 // WireRateBytes) and returns WireRateBytes. seq and unixNanos echo the
 // report being answered, so the flow can match replies and measure decision
 // latency; flow disambiguates replies when many flows share one socket;
@@ -122,8 +127,8 @@ func EncodeRate(pkt []byte, seq uint64, unixNanos int64, flow uint64, rate float
 	return WireRateBytes
 }
 
-// DecodeRate parses a received datagram as a rate decision. ok is false for
-// short, foreign, or non-rate datagrams.
+// DecodeRate parses the rate record at the start of buf. ok is false for
+// short, foreign, or non-rate input.
 func DecodeRate(buf []byte) (seq uint64, unixNanos int64, flow uint64, rate float64, epoch uint64, ok bool) {
 	if len(buf) < WireRateBytes || buf[0] != magicByte || buf[1] != typeRate {
 		return 0, 0, 0, 0, 0, false

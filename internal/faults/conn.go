@@ -50,6 +50,10 @@ type ConnStats struct {
 // reordering). Data and report share the write-side injector state, acks
 // and rates the read-side state: a connection carries one kind or the
 // other, so each plan's random streams stay bit-reproducible either way.
+// A rate datagram coalescing several rate records is split into its
+// records, handed up one per Read, so every injector judges each reply on
+// its own — the same stream of draws whether the daemon sent the replies
+// together or apart.
 //
 // Like the *net.UDPConn it wraps, a FaultConn supports one goroutine
 // calling Write concurrently with one goroutine calling Read (the
@@ -73,6 +77,8 @@ type FaultConn struct {
 	burstLeft  int
 	reads      int // successful delivered reads, drives reorder release
 	stash      []stashed
+	rest       []byte // records of a split rate datagram not yet handed up
+	restOff    int
 
 	statsMu sync.Mutex
 	stats   ConnStats
@@ -213,7 +219,7 @@ func (c *FaultConn) Read(b []byte) (int, error) {
 			}
 		}
 
-		n, err := c.inner.Read(b)
+		n, err := c.nextRecord(b)
 		if err != nil {
 			return n, err
 		}
@@ -293,4 +299,28 @@ func (c *FaultConn) Read(b []byte) (int, error) {
 		c.reads++
 		return n, nil
 	}
+}
+
+// nextRecord reads the next datagram to judge into b: the next record of a
+// split rate datagram while one is pending, else a fresh read from the
+// inner conn, whose extra rate records (beyond the first WireRateBytes)
+// are kept for the following calls. A trailing partial record comes up on
+// its own, as the malformed datagram it is.
+func (c *FaultConn) nextRecord(b []byte) (int, error) {
+	if c.restOff < len(c.rest) {
+		end := min(c.restOff+datapath.WireRateBytes, len(c.rest))
+		n := copy(b, c.rest[c.restOff:end])
+		c.restOff = end
+		return n, nil
+	}
+	n, err := c.inner.Read(b)
+	if err != nil || n <= datapath.WireRateBytes {
+		return n, err
+	}
+	if typ, _, ok := datapath.DecodeHeader(b[:n]); !ok || typ != datapath.WireTypeRate {
+		return n, nil
+	}
+	c.rest = append(c.rest[:0], b[datapath.WireRateBytes:n]...)
+	c.restOff = 0
+	return datapath.WireRateBytes, nil
 }

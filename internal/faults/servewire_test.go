@@ -1,6 +1,7 @@
 package faults
 
 import (
+	"bytes"
 	"testing"
 
 	"mocc/internal/datapath"
@@ -116,5 +117,75 @@ func TestServeWireTamperCounters(t *testing.T) {
 	// drained, everything except the dropped ones must have come through.
 	if got, want := len(delivered), 40-st.RatesDropped; got > want {
 		t.Fatalf("delivered %d rates, want <= %d", got, want)
+	}
+}
+
+// coalesce joins rate datagrams back to back into one, as the daemon sends
+// the records of one served batch.
+func coalesce(pkts ...[]byte) []byte {
+	var out []byte
+	for _, p := range pkts {
+		out = append(out, p...)
+	}
+	return out
+}
+
+// TestFaultConnSplitsCoalescedRates pins the read-side injectors per reply:
+// a rate datagram carrying several records is split into them, so a
+// blackout covering the middle record of three drops that record alone,
+// and every plan sees the stream of one record per Read that single-record
+// datagrams give — the same delivered bytes and the same ConnStats.
+func TestFaultConnSplitsCoalescedRates(t *testing.T) {
+	blackout := &Plan{Seed: 1, Blackout: &Blackout{Windows: []Window{{From: 2, To: 3}}}}
+	fc := blackout.WrapConn(&scriptConn{in: [][]byte{coalesce(ratePkt(1), ratePkt(2), ratePkt(3))}})
+	var delivered []uint64
+	for _, pkt := range readAll(fc) {
+		if len(pkt) != datapath.WireRateBytes {
+			t.Fatalf("Read handed up %d bytes, want one %d-byte record", len(pkt), datapath.WireRateBytes)
+		}
+		_, seq, _ := datapath.DecodeHeader(pkt)
+		delivered = append(delivered, seq)
+	}
+	if len(delivered) != 2 || delivered[0] != 1 || delivered[1] != 3 {
+		t.Fatalf("delivered seqs %v, want [1 3]", delivered)
+	}
+	if st := fc.Stats(); st != (ConnStats{RatesDropped: 1}) {
+		t.Fatalf("stats %+v, want one rate dropped", st)
+	}
+
+	plans := []*Plan{
+		blackout,
+		{
+			Seed:     99,
+			AckLoss:  &AckLoss{Prob: 0.1, Burst: 2},
+			Reorder:  &Reorder{Prob: 0.1, Delay: 3},
+			Corrupt:  &Corrupt{Prob: 0.1, Acks: true},
+			Blackout: &Blackout{Windows: []Window{{From: 40, To: 60}}},
+		},
+	}
+	for _, plan := range plans {
+		var single, grouped scriptConn
+		for first := uint64(1); first <= 200; {
+			var group [][]byte
+			for k := 0; k < int(first%34)+1 && first <= 200; k++ {
+				group = append(group, ratePkt(first))
+				first++
+			}
+			single.in = append(single.in, group...)
+			grouped.in = append(grouped.in, coalesce(group...))
+		}
+		a, b := plan.WrapConn(&single), plan.WrapConn(&grouped)
+		outA, outB := readAll(a), readAll(b)
+		if a.Stats() != b.Stats() {
+			t.Fatalf("seed %d: stats single %+v, coalesced %+v", plan.Seed, a.Stats(), b.Stats())
+		}
+		if len(outA) != len(outB) {
+			t.Fatalf("seed %d: delivered %d single, %d coalesced", plan.Seed, len(outA), len(outB))
+		}
+		for i := range outA {
+			if !bytes.Equal(outA[i], outB[i]) {
+				t.Fatalf("seed %d: delivered record %d differs: %x vs %x", plan.Seed, i, outA[i], outB[i])
+			}
+		}
 	}
 }

@@ -74,6 +74,64 @@ func TestEngineQueueBoundShed(t *testing.T) {
 	}
 }
 
+// TestSubmitMoreFalseWhenShed pins Submit's batch boundary on answers that
+// are not a served forward pass: a door shed (answered inline), deadline
+// sheds and a poisoned batch pass more = false to every completion, even
+// where two requests would otherwise have shared a pass.
+func TestSubmitMoreFalseWhenShed(t *testing.T) {
+	m := core.NewModel(core.HistoryLen, 13)
+	obs := testObs(m, 1, 0)
+	cases := []struct {
+		name  string
+		cfg   Config
+		later func(n int)   // batch hook after the held first pass
+		stale time.Duration // wait before release, past cfg.Deadline
+		shed  []int         // clients answered NaN with more false
+	}{
+		{"door", Config{Shards: 1, MaxQueue: 3}, nil, 0, []int{3}},
+		{"deadline", Config{Shards: 1, Deadline: 20 * time.Millisecond}, nil, 40 * time.Millisecond, []int{1, 2}},
+		{"poisoned", Config{Shards: 1}, func(int) { panic("injected inference fault") }, 0, []int{1, 2}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			e := New(m, tc.cfg)
+			arrived, release := holdFirstPass(e, tc.later)
+			defer e.Close()
+			defer release()
+
+			type answer struct{ nan, more bool }
+			got := make([]answer, 4)
+			var wg sync.WaitGroup
+			submit := func(c int) {
+				wg.Add(1)
+				e.NewClient(uint64(c), objective.BalancePref).Submit(obs, func(act float64, more bool) {
+					got[c] = answer{math.IsNaN(act), more}
+					wg.Done()
+				})
+			}
+			submit(0)
+			awaitHeld(t, e, arrived, 1)
+			submit(1)
+			submit(2)
+			awaitHeld(t, e, arrived, 3)
+			if tc.cfg.MaxQueue > 0 {
+				submit(3) // the queue is full: answered before Submit returns
+				if got[3] != (answer{true, false}) {
+					t.Fatalf("door shed answered %+v before Submit returned, want NaN and more false", got[3])
+				}
+			}
+			time.Sleep(tc.stale)
+			release()
+			wg.Wait()
+			for _, c := range tc.shed {
+				if got[c] != (answer{true, false}) {
+					t.Fatalf("client %d answered %+v, want NaN and more false", c, got[c])
+				}
+			}
+		})
+	}
+}
+
 // TestEngineDeadlineShed pins deadline shedding: a request that waited in
 // the queue past Config.Deadline is answered NaN instead of served stale,
 // while the request that made the deadline is served normally.

@@ -117,7 +117,7 @@ type request struct {
 	enq    time.Time // submit time, set only for deadline shedding or a latency sample
 	sample bool      // observe this request's submit-to-answer latency
 	epoch  uint64    // model generation that served (or shed) the request
-	done   func(act float64)
+	done   func(act float64, more bool)
 }
 
 // Stats is a point-in-time snapshot of engine counters.
@@ -388,14 +388,14 @@ type Client struct {
 	// Act's own completion: deliver stores the action and wakes Act.
 	out     float64
 	wake    chan struct{}
-	deliver func(act float64)
+	deliver func(act float64, more bool)
 }
 
 // NewClient returns a client bound to the shard selected by key's hash,
 // initially acting under preference w.
 func (e *Engine) NewClient(key uint64, w objective.Weights) *Client {
 	c := &Client{eng: e, sh: e.shardFor(key), w: w, wake: make(chan struct{}, 1)}
-	c.deliver = func(act float64) {
+	c.deliver = func(act float64, _ bool) {
 		c.out = act
 		c.wake <- struct{}{}
 	}
@@ -426,6 +426,13 @@ func (c *Client) Act(obs []float64) float64 {
 // door — so it must not block or panic: every other request of the shard
 // waits behind it. done may Submit the client's next observation.
 //
+// more says where a batch ends: it is true only when the shard runs the
+// completion of another request of the same forward pass right after this
+// one, so a host answering many requests (a rate daemon) can hold their
+// replies and send them together when it sees false. Every other answer —
+// shed at the door or past the deadline, a poisoned generation or
+// inference panic, Close, a consumer restart — passes false.
+//
 // The submit path is lock-free: one CAS push onto the shard's intrusive
 // stack plus at most one non-blocking channel wake. obs must stay valid and
 // unmodified until done runs (it is read, never written, and no reference
@@ -433,17 +440,17 @@ func (c *Client) Act(obs []float64) float64 {
 // treats as "leave the rate unchanged" — after Close, when the shard's
 // queue is at MaxQueue (shed at the door), or when the request waited past
 // the configured Deadline before being served.
-func (c *Client) Submit(obs []float64, done func(act float64)) {
+func (c *Client) Submit(obs []float64, done func(act float64, more bool)) {
 	e := c.eng
 	if e.closed.Load() {
-		done(math.NaN())
+		done(math.NaN(), false)
 		return
 	}
 	s := c.sh
 	if max := e.cfg.MaxQueue; max > 0 && s.queued.Load() >= int64(max) {
 		e.shedQueue.Add(1)
 		e.shedEvent("queue")
-		done(math.NaN())
+		done(math.NaN(), false)
 		return
 	}
 	e.inflight.Add(1)
@@ -451,7 +458,7 @@ func (c *Client) Submit(obs []float64, done func(act float64)) {
 		// Raced with Close: it may already have observed inflight==0, so
 		// the shards may be gone. Back out without enqueueing.
 		e.inflight.Add(-1)
-		done(math.NaN())
+		done(math.NaN(), false)
 		return
 	}
 	r := &c.req
@@ -513,18 +520,18 @@ type shard struct {
 	live     []*request // deadline-filtered chunk scratch
 }
 
-// finish releases the request's queue slot and runs its completion. The
-// submitter may reuse the request from inside done, so every field is read
-// before the call. The in-flight reference is dropped only after done has
-// returned, so Close also waits for every completion.
-func (s *shard) finish(r *request, v float64) {
+// finish releases the request's queue slot and runs its completion with
+// Submit's more. The submitter may reuse the request from inside done, so
+// every field is read before the call. The in-flight reference is dropped
+// only after done has returned, so Close also waits for every completion.
+func (s *shard) finish(r *request, v float64, more bool) {
 	done := r.done
 	r.obs = nil // do not pin the submitter's buffer between decisions
 	if r.sample {
 		s.eng.met.latency.Observe(uint64(time.Since(r.enq)))
 	}
 	s.queued.Add(-1)
-	done(v)
+	done(v, more)
 	s.eng.inflight.Add(-1)
 }
 
@@ -559,7 +566,7 @@ func (s *shard) loop() {
 			// The submitter may reuse r the instant finish delivers, so
 			// the link must be read before delivery.
 			next = r.next
-			s.finish(r, math.NaN())
+			s.finish(r, math.NaN(), false)
 		}
 		s.bi = nil // rebuild the inference view on the next batch
 	}
@@ -666,7 +673,7 @@ func (s *shard) serve(reqs []*request) {
 				Msg: fmt.Sprintf("shard %d: poisoned generation, batch of %d answered NaN", s.idx, len(reqs))})
 			for _, r := range reqs {
 				r.epoch = ep.seq
-				s.finish(r, math.NaN())
+				s.finish(r, math.NaN(), false)
 			}
 			return
 		}
@@ -689,7 +696,7 @@ func (s *shard) serve(reqs []*request) {
 					s.eng.shedDeadline.Add(1)
 					s.eng.shedEvent("deadline")
 					r.epoch = ep.seq
-					s.finish(r, math.NaN())
+					s.finish(r, math.NaN(), false)
 				} else {
 					s.live = append(s.live, r)
 				}
@@ -716,7 +723,7 @@ func (s *shard) serve(reqs []*request) {
 			s.bi = nil // fresh inference view before the next batch
 			for _, r := range chunk {
 				r.epoch = ep.seq
-				s.finish(r, math.NaN())
+				s.finish(r, math.NaN(), false)
 			}
 			continue
 		}
@@ -732,7 +739,7 @@ func (s *shard) serve(reqs []*request) {
 		}
 		for i, r := range chunk {
 			r.epoch = ep.seq
-			s.finish(r, s.out[i])
+			s.finish(r, s.out[i], i < n-1)
 		}
 	}
 	// Drop observation references so client buffers are not pinned

@@ -3,6 +3,7 @@ package serve
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -85,8 +86,8 @@ func TestSubmitChainsFromDone(t *testing.T) {
 		for r := range ins {
 			ins[r] = testObs(m, c, r)
 		}
-		var done func(float64)
-		done = func(act float64) {
+		var done func(float64, bool)
+		done = func(act float64, _ bool) {
 			got[c] = append(got[c], act)
 			if r := len(got[c]); r < rounds {
 				cl.Submit(ins[r], done)
@@ -112,9 +113,111 @@ func TestSubmitChainsFromDone(t *testing.T) {
 		}
 	}
 	ran := false
-	e.NewClient(0, prefs[0]).Submit(testObs(m, 0, 0), func(act float64) { ran = math.IsNaN(act) })
+	e.NewClient(0, prefs[0]).Submit(testObs(m, 0, 0), func(act float64, _ bool) { ran = math.IsNaN(act) })
 	if !ran {
 		t.Fatal("Submit after Close was not answered NaN before returning")
+	}
+}
+
+// holdFirstPass makes a one-shard engine's first forward pass wait inside
+// the batch hook until release is called; arrived is closed once it waits.
+// Later passes run later, when non-nil. release may be called again (defer
+// it after the engine's Close, so a failing test does not leave Close
+// waiting on the held pass).
+func holdFirstPass(e *Engine, later func(n int)) (arrived chan struct{}, release func()) {
+	arrived, held := make(chan struct{}), make(chan struct{})
+	first := true // consumer goroutine only
+	e.batchHook = func(n int) {
+		if first {
+			first = false
+			close(arrived)
+			<-held
+		} else if later != nil {
+			later(n)
+		}
+	}
+	var once sync.Once
+	return arrived, func() { once.Do(func() { close(held) }) }
+}
+
+// awaitHeld waits for the held first pass, then for n requests to be
+// queued (the held one included).
+func awaitHeld(t *testing.T, e *Engine, arrived chan struct{}, n int64) {
+	t.Helper()
+	select {
+	case <-arrived:
+	case <-time.After(5 * time.Second):
+		t.Fatal("first batch never reached the forward pass")
+	}
+	for deadline := time.Now().Add(5 * time.Second); e.Stats().Queued < n; time.Sleep(100 * time.Microsecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d requests never queued: %+v", n, e.Stats())
+		}
+	}
+}
+
+// TestSubmitMoreMarksBatchEnd pins Submit's batch boundary: the completions
+// of a served forward pass of n see more true n−1 times, then false, chunk
+// by chunk (MaxBatch 4 splits a backlog of 10 into 4, 4 and 2). A
+// completion that Submits a request shed at the door sees that nested
+// completion answered inline with false, although the outer one was true.
+func TestSubmitMoreMarksBatchEnd(t *testing.T) {
+	m := core.NewModel(core.HistoryLen, 12)
+	e := New(m, Config{Shards: 1, MaxBatch: 4, MaxQueue: 11})
+	arrived, release := holdFirstPass(e, nil)
+	defer e.Close()
+	defer release()
+
+	obs := testObs(m, 0, 0)
+	var (
+		wg     sync.WaitGroup
+		seen   []bool // more per completion, in run order (shard goroutine until wg.Wait)
+		nested []bool // more of the inline answers to Submits made inside a completion
+		tried  bool
+	)
+	record := func(_ float64, more bool) {
+		seen = append(seen, more)
+		if more && !tried {
+			tried = true
+			// Nine of the queue's eleven slots hold the rest of this
+			// backlog, so the third Submit is shed at the door.
+			for k := 0; k < 8; k++ {
+				shed := false
+				wg.Add(1)
+				e.NewClient(uint64(100+k), objective.BalancePref).Submit(obs, func(act float64, more bool) {
+					if math.IsNaN(act) {
+						shed = true
+						nested = append(nested, more)
+					}
+					wg.Done()
+				})
+				if shed {
+					break
+				}
+			}
+		}
+		wg.Done()
+	}
+	for c := 0; c < 11; c++ {
+		wg.Add(1)
+		e.NewClient(uint64(c), objective.BalancePref).Submit(obs, record)
+		if c == 0 {
+			awaitHeld(t, e, arrived, 1)
+		}
+	}
+	awaitHeld(t, e, arrived, 11)
+	release()
+	wg.Wait()
+
+	want := []bool{false, true, true, true, false, true, true, true, false, true, false}
+	if !slices.Equal(seen, want) {
+		t.Fatalf("more per completion = %v, want %v", seen, want)
+	}
+	if !slices.Equal(nested, []bool{false}) {
+		t.Fatalf("inline answers inside a completion saw more = %v, want [false]", nested)
+	}
+	if st := e.Stats(); st.ShedQueue != 1 {
+		t.Fatalf("ShedQueue = %d, want 1", st.ShedQueue)
 	}
 }
 

@@ -140,8 +140,8 @@ func TestReportAsyncMatchesReport(t *testing.T) {
 			t.Fatal(err)
 		}
 		servingApps[a] = app
-		var done func(float64, error)
-		done = func(rate float64, err error) {
+		var done func(float64, error, bool)
+		done = func(rate float64, err error, _ bool) {
 			if err != nil {
 				t.Errorf("app %d: %v", a, err)
 				wg.Done()
@@ -188,7 +188,7 @@ func TestReportAsyncMatchesReport(t *testing.T) {
 	bad := servingStatus(0, 0)
 	bad.PacketsLost = bad.PacketsSent + 1
 	var inline error
-	app.ReportAsync(bad, func(_ float64, err error) { inline = err })
+	app.ReportAsync(bad, func(_ float64, err error, _ bool) { inline = err })
 	if inline == nil {
 		t.Fatal("ReportAsync accepted an inconsistent status")
 	}
@@ -196,7 +196,7 @@ func TestReportAsyncMatchesReport(t *testing.T) {
 		t.Fatal(err)
 	}
 	inline = nil
-	app.ReportAsync(servingStatus(0, 0), func(_ float64, err error) { inline = err })
+	app.ReportAsync(servingStatus(0, 0), func(_ float64, err error, _ bool) { inline = err })
 	if inline == nil {
 		t.Fatal("ReportAsync on an unregistered handle did not fail before returning")
 	}

@@ -118,3 +118,76 @@ func FuzzRateServerDatagram(f *testing.F) {
 		}
 	})
 }
+
+// FuzzServeConnReplies feeds arbitrary reply datagrams to the client's
+// per-datagram demux step, with flows 1–3 registered. deliver must not
+// panic; each whole valid rate record ahead of the first invalid one
+// reaches its own flow's channel and no other, in datagram order (records
+// of unknown flows reach none); and a datagram that is empty, or whose tail
+// is not whole valid records, counts exactly one Malformed. The seeds (one
+// record, 34 records, a trailing partial record, bad magic in record 2, an
+// unknown flow, a NaN rate) run with every `go test`.
+func FuzzServeConnReplies(f *testing.F) {
+	record := func(flow, seq uint64, rate float64) []byte {
+		b := make([]byte, datapath.WireRateBytes)
+		datapath.EncodeRate(b, seq, 7, flow, rate, 1)
+		return b
+	}
+	var full []byte
+	for i := uint64(0); i < maxReplyRecords; i++ {
+		full = append(full, record(i%3+1, i, 100+float64(i))...)
+	}
+	two := append(record(1, 1, 10), record(2, 2, 20)...)
+	badMagic := append([]byte(nil), two...)
+	badMagic[datapath.WireRateBytes] ^= 0xFF
+	f.Add(record(1, 1, 500))
+	f.Add(full)
+	f.Add(two[:len(two)-5])
+	f.Add(badMagic)
+	f.Add(record(9, 1, 500))
+	f.Add(record(2, 1, math.NaN()))
+
+	f.Fuzz(func(t *testing.T, b []byte) {
+		c := &ServeConn{flows: make(map[uint64]chan rateReply)}
+		for flow := uint64(1); flow <= 3; flow++ {
+			c.flows[flow] = make(chan rateReply, len(b)/datapath.WireRateBytes+1)
+		}
+		c.deliver(b)
+
+		want := map[uint64][]rateReply{}
+		rest := b
+		for len(rest) > 0 {
+			seq, nanos, flow, rate, epoch, ok := datapath.DecodeRate(rest)
+			if !ok {
+				break
+			}
+			want[flow] = append(want[flow], rateReply{seq: seq, nanos: nanos, rate: rate, epoch: epoch})
+			rest = rest[datapath.WireRateBytes:]
+		}
+		var malformed int64
+		if len(b) == 0 || len(rest) > 0 {
+			malformed = 1
+		}
+		if got := c.Malformed(); got != malformed {
+			t.Fatalf("%x: Malformed %d, want %d", b, got, malformed)
+		}
+		for flow, ch := range c.flows {
+			close(ch)
+			i := 0
+			for got := range ch {
+				if i >= len(want[flow]) {
+					t.Fatalf("%x: flow %d got %d+ records, want %d", b, flow, i+1, len(want[flow]))
+				}
+				w := want[flow][i]
+				if got.seq != w.seq || got.nanos != w.nanos || got.epoch != w.epoch ||
+					math.Float64bits(got.rate) != math.Float64bits(w.rate) {
+					t.Fatalf("%x: flow %d record %d = %+v, want %+v", b, flow, i, got, w)
+				}
+				i++
+			}
+			if i != len(want[flow]) {
+				t.Fatalf("%x: flow %d got %d records, want %d", b, flow, i, len(want[flow]))
+			}
+		}
+	})
+}

@@ -19,8 +19,8 @@ import (
 // ServeConn is the client side of a mocc-serve daemon: one shared UDP
 // socket carrying any number of flows' report/rate exchanges (10k flows
 // over per-flow sockets would exhaust file descriptors). A central reader
-// demuxes rate replies to per-flow channels by flow id; writes are
-// serialized on the shared socket.
+// demuxes the rate records of each reply datagram to per-flow channels by
+// flow id; writes are serialized on the shared socket.
 //
 // ServeConnConfig.WrapConn is the chaos seam: a fault-injection shim
 // (mocc/internal/faults.Plan.WrapConn) interposed here classifies report
@@ -102,7 +102,7 @@ func newClientMetrics(m *mocc.Metrics) clientMetrics {
 	}
 }
 
-// rateReply is one decoded rate datagram.
+// rateReply is one decoded rate record.
 type rateReply struct {
 	seq   uint64
 	nanos int64
@@ -149,13 +149,13 @@ func (c *ServeConn) Close() error {
 	return err
 }
 
-// Malformed counts rate replies that failed to decode (corrupted headers,
-// truncated datagrams) and were dropped.
+// Malformed counts reply datagrams that failed to decode (corrupted
+// headers, truncated records), once per datagram.
 func (c *ServeConn) Malformed() int64 { return c.malformed.Load() }
 
-// readLoop is the central demux: decode each rate reply and hand it to its
-// flow's channel. Malformed datagrams are counted and dropped; transient
-// socket errors (ICMP refused while the daemon restarts) are retried.
+// readLoop is the central reader: one deliver per reply datagram.
+// Transient socket errors (ICMP refused while the daemon restarts) are
+// retried.
 func (c *ServeConn) readLoop() {
 	defer close(c.readerDone)
 	buf := make([]byte, 64*1024)
@@ -167,21 +167,33 @@ func (c *ServeConn) readLoop() {
 			}
 			continue
 		}
-		seq, nanos, flow, rate, epoch, ok := datapath.DecodeRate(buf[:n])
+		c.deliver(buf[:n])
+	}
+}
+
+// deliver demuxes one reply datagram — one or more whole rate records back
+// to back — handing each record to its flow's channel, under one c.mu for
+// the whole datagram. Records of unknown flows are dropped. Decoding stops
+// at the first record that is not a whole valid rate record (or when there
+// is none at all), and the datagram counts one Malformed.
+func (c *ServeConn) deliver(buf []byte) {
+	bad := len(buf) == 0
+	c.mu.Lock()
+	for len(buf) > 0 {
+		seq, nanos, flow, rate, epoch, ok := datapath.DecodeRate(buf)
 		if !ok {
-			c.malformed.Add(1)
-			continue
+			bad = true
+			break
 		}
-		c.mu.Lock()
-		ch := c.flows[flow]
-		c.mu.Unlock()
-		if ch == nil {
-			continue
-		}
+		buf = buf[datapath.WireRateBytes:]
 		select {
-		case ch <- rateReply{seq: seq, nanos: nanos, rate: rate, epoch: epoch}:
-		default: // flow gave up on this seq long ago
+		case c.flows[flow] <- rateReply{seq: seq, nanos: nanos, rate: rate, epoch: epoch}:
+		default: // unknown flow (nil channel), or it gave up on this seq long ago
 		}
+	}
+	c.mu.Unlock()
+	if bad {
+		c.malformed.Add(1)
 	}
 }
 

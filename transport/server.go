@@ -15,7 +15,7 @@ import (
 
 // RateServer hosts a serving *mocc.Library as a shared rate-decision daemon
 // on a UDP socket: flows send report datagrams (preference + one monitor
-// interval of measurements) and get rate datagrams back, with concurrent
+// interval of measurements) and get rate records back, with concurrent
 // flows' decisions coalesced by the library's serving engine. It is the
 // engine room of cmd/mocc-serve, exported so resilience tests (and other
 // embedders) can start, kill and restart a daemon in-process.
@@ -24,11 +24,20 @@ import (
 // flow id), in a flat session table; a flow evicted by the library's idle
 // janitor simply re-registers on its next report. There is no goroutine per
 // flow: the read loop decodes a report and submits it with App.ReportAsync,
-// and the serving shard that decides it also writes the reply. A flow has
+// and the serving shard that decides it also sends the reply. A flow has
 // at most one report in flight and one waiting behind it, so its replies
 // keep report order; a report arriving while both are taken is dropped and
 // counted, never allowed to block the socket read loop (the flow retries
 // next interval).
+//
+// Replies are coalesced per served batch: the records one forward pass
+// decides for one client socket leave in one datagram (at most
+// maxReplyRecords of them), sent when the shard finishes the batch's last
+// completion (see answer). A lone report is answered by its own completion
+// at once; nothing waits on a timer. The batch boundary is the serving
+// engine's, so the library should serve this RateServer alone: a record
+// whose batch ends in another host's completion waits for this server's
+// next batch end (or Close).
 //
 // The read loop never trusts the network: datagrams that are short, carry
 // the wrong magic, are truncated below the report length, or are of a
@@ -44,25 +53,35 @@ type RateServer struct {
 	done     chan struct{}  // closed when Serve has exited and every decision is answered
 	inflight sync.WaitGroup // one count per session with a report in flight
 
-	replies   atomic.Int64
-	dropped   atomic.Int64
-	rejected  atomic.Int64
-	malformed atomic.Int64
-	foreign   atomic.Int64
-	invalid   atomic.Int64
+	// out holds the replies of the batches in progress, one buffer per
+	// destination socket, in first-record order; emptied buffers keep their
+	// capacity past len, so the steady state allocates nothing.
+	outMu sync.Mutex
+	out   []replyBuf
+
+	replies        atomic.Int64
+	replyDatagrams atomic.Int64
+	dropped        atomic.Int64
+	rejected       atomic.Int64
+	malformed      atomic.Int64
+	foreign        atomic.Int64
+	invalid        atomic.Int64
 }
 
 // RateServerStats is a point-in-time snapshot of daemon counters.
 type RateServerStats struct {
 	// Sessions is the number of currently registered flow sessions.
 	Sessions int
-	// Replies counts rate datagrams sent; Dropped counts reports dropped
-	// because their flow already had one in flight and one waiting (socket
-	// backpressure); Rejected counts registrations refused (invalid
-	// preference weights).
-	Replies  int64
-	Dropped  int64
-	Rejected int64
+	// Replies counts rate records sent, one per answered report;
+	// ReplyDatagrams counts the datagrams that carried them (one per client
+	// socket per served batch, so Replies/ReplyDatagrams is the mean
+	// coalescing). Dropped counts reports dropped because their flow
+	// already had one in flight and one waiting (socket backpressure);
+	// Rejected counts registrations refused (invalid preference weights).
+	Replies        int64
+	ReplyDatagrams int64
+	Dropped        int64
+	Rejected       int64
 	// Malformed counts datagrams failing header or length validation
 	// (short, wrong magic, truncated report); Foreign counts well-formed
 	// datagrams of a non-report type (data/ack/rate sent at the daemon).
@@ -84,14 +103,13 @@ type sessionKey struct {
 // session is one registered flow: its library handle and its two report
 // slots. The read loop fills the slots under mu; the holder of the
 // in-flight slot — the read loop when it starts a decision, the completion
-// afterwards — owns w and out.
+// afterwards — owns w.
 type session struct {
 	srv   *RateServer
 	key   sessionKey
 	app   *mocc.App
-	reply func(rate float64, err error) // answer as a func value, built once
+	reply func(rate float64, err error, more bool) // answer as a func value, built once
 	w     mocc.Weights
-	out   [datapath.WireRateBytes]byte
 
 	mu      sync.Mutex
 	busy    bool      // cur is in flight
@@ -105,6 +123,21 @@ type reportMsg struct {
 	nanos int64
 	rep   datapath.WireReport
 }
+
+// replyBuf is the pending reply datagram of one destination socket: whole
+// rate records, back to back.
+type replyBuf struct {
+	to netip.AddrPort
+	b  []byte // len a multiple of WireRateBytes, cap maxReplyBytes
+}
+
+// maxReplyRecords caps the rate records in one reply datagram so it fits
+// one packet on an IPv6 path with a 1500-byte MTU: (1500 − 40 IPv6 − 8 UDP)
+// / WireRateBytes = 34.
+const (
+	maxReplyRecords = (1500 - 40 - 8) / datapath.WireRateBytes
+	maxReplyBytes   = maxReplyRecords * datapath.WireRateBytes
+)
 
 // fleetReadBuffer is the SO_RCVBUF asked for on the two sockets that carry
 // every flow: the daemon's (all reports) and ServeConn's (all replies). At
@@ -145,8 +178,10 @@ func (s *RateServer) RegisterMetrics(m *mocc.Metrics) {
 			s.mu.Unlock()
 			return float64(n)
 		})
-	reg.CounterFunc("mocc_daemon_replies_total", "Rate datagrams sent to flows.",
+	reg.CounterFunc("mocc_daemon_replies_total", "Rate records sent to flows, one per answered report.",
 		func() uint64 { return uint64(s.replies.Load()) })
+	reg.CounterFunc("mocc_daemon_reply_datagrams_total", "Reply datagrams sent: one per client socket per served batch, carrying its rate records.",
+		func() uint64 { return uint64(s.replyDatagrams.Load()) })
 	reg.CounterFunc("mocc_daemon_dropped_total", "Reports dropped: their flow already had one in flight and one waiting.",
 		func() uint64 { return uint64(s.dropped.Load()) })
 	reg.CounterFunc("mocc_daemon_rejected_total", "Flow registrations refused (invalid preference).",
@@ -165,13 +200,14 @@ func (s *RateServer) Stats() RateServerStats {
 	n := len(s.sessions)
 	s.mu.Unlock()
 	return RateServerStats{
-		Sessions:  n,
-		Replies:   s.replies.Load(),
-		Dropped:   s.dropped.Load(),
-		Rejected:  s.rejected.Load(),
-		Malformed: s.malformed.Load(),
-		Foreign:   s.foreign.Load(),
-		Invalid:   s.invalid.Load(),
+		Sessions:       n,
+		Replies:        s.replies.Load(),
+		ReplyDatagrams: s.replyDatagrams.Load(),
+		Dropped:        s.dropped.Load(),
+		Rejected:       s.rejected.Load(),
+		Malformed:      s.malformed.Load(),
+		Foreign:        s.foreign.Load(),
+		Invalid:        s.invalid.Load(),
 	}
 }
 
@@ -324,15 +360,20 @@ func (sess *session) submit() {
 
 // answer is the in-flight report's completion, run by the serving shard
 // that decided it (or by the caller of submit when the library answered at
-// once): write the rate to the flow, then submit the waiting report, if
-// any. It must not block beyond the socket write.
-func (sess *session) answer(rate float64, err error) {
+// once): queue the flow's rate record for its socket, then submit the
+// waiting report, if any. more is the engine's batch boundary: while it is
+// true the shard's next completion belongs to the same forward pass, so
+// the record waits to share a datagram; false sends every pending datagram.
+// It must not block beyond the socket writes.
+func (sess *session) answer(rate float64, err error, more bool) {
 	s := sess.srv
 	m := &sess.cur
 	if err != nil {
 		if _, alive := s.lib.App(sess.app.ID()); !alive {
 			// Evicted by the idle janitor (or unregistered): tear the
 			// session down unanswered; the flow's next report re-registers.
+			// An error is an answer at the door, never a served batch's
+			// last completion, so no pending reply waits for this one.
 			s.drop(sess)
 			sess.advance()
 			return
@@ -343,11 +384,50 @@ func (sess *session) answer(rate float64, err error) {
 		s.invalid.Add(1)
 		rate = math.NaN()
 	}
-	datapath.EncodeRate(sess.out[:], m.seq, m.nanos, m.rep.Flow, rate, s.lib.Epoch())
-	if _, err := s.conn.WriteToUDPAddrPort(sess.out[:], sess.key.addr); err == nil {
-		s.replies.Add(1)
+	var rec [datapath.WireRateBytes]byte
+	datapath.EncodeRate(rec[:], m.seq, m.nanos, m.rep.Flow, rate, s.lib.Epoch())
+	s.outMu.Lock()
+	p := s.pendingFor(sess.key.addr)
+	p.b = append(p.b, rec[:]...)
+	if !more || len(p.b) == maxReplyBytes {
+		s.flushLocked()
 	}
+	s.outMu.Unlock()
 	sess.advance()
+}
+
+// pendingFor returns to's pending reply datagram, starting one (on a
+// recycled buffer when there is one) if to has no records waiting. Called
+// under outMu.
+func (s *RateServer) pendingFor(to netip.AddrPort) *replyBuf {
+	for i := range s.out {
+		if s.out[i].to == to {
+			return &s.out[i]
+		}
+	}
+	if len(s.out) < cap(s.out) {
+		s.out = s.out[:len(s.out)+1]
+	} else {
+		s.out = append(s.out, replyBuf{b: make([]byte, 0, maxReplyBytes)})
+	}
+	p := &s.out[len(s.out)-1]
+	p.to = to
+	return p
+}
+
+// flushLocked sends every pending reply datagram and empties the pending
+// list, keeping the buffers. Called under outMu. A failed write loses its
+// records, as a lost datagram would; the flows retry on their timeouts.
+func (s *RateServer) flushLocked() {
+	for i := range s.out {
+		p := &s.out[i]
+		if _, err := s.conn.WriteToUDPAddrPort(p.b, p.to); err == nil {
+			s.replies.Add(int64(len(p.b) / datapath.WireRateBytes))
+			s.replyDatagrams.Add(1)
+		}
+		p.b = p.b[:0]
+	}
+	s.out = s.out[:0]
 }
 
 // advance retires the in-flight report: the waiting one, if any, takes its
@@ -368,10 +448,14 @@ func (sess *session) advance() {
 }
 
 // closeSessions runs once the read loop has exited: it waits until every
-// decision in flight, and the report waiting behind it, is answered, then
-// empties the session table.
+// decision in flight, and the report waiting behind it, is answered, sends
+// any reply still pending (its batch ended in another host's completion),
+// then empties the session table.
 func (s *RateServer) closeSessions() {
 	s.inflight.Wait()
+	s.outMu.Lock()
+	s.flushLocked()
+	s.outMu.Unlock()
 	s.mu.Lock()
 	clear(s.sessions)
 	s.mu.Unlock()

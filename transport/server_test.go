@@ -1,6 +1,7 @@
 package transport_test
 
 import (
+	"bytes"
 	"errors"
 	"math"
 	"net"
@@ -227,5 +228,205 @@ func TestServeFlowReportAllocFree(t *testing.T) {
 	}
 	if s := sf.Stats(); s.Served != s.Reports {
 		t.Fatalf("not every report was served: %+v", s)
+	}
+}
+
+// dialRaw connects a plain UDP socket to srv: a client that sees reply
+// datagrams exactly as they come off the wire.
+func dialRaw(t *testing.T, srv *transport.RateServer) *net.UDPConn {
+	t.Helper()
+	raddr, err := net.ResolveUDPAddr("udp", srv.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	conn, err := net.DialUDP("udp", nil, raddr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { conn.Close() })
+	return conn
+}
+
+// reportNanos is the send timestamp encodeReport stamps on report seq.
+func reportNanos(seq uint64) int64 { return int64(seq) * 1e6 }
+
+// encodeReport fills pkt with report seq of flow: preference (0.4, 0.3,
+// 0.3) and the interval chaosStatus(seq).
+func encodeReport(pkt []byte, flow, seq uint64) {
+	st := chaosStatus(int(seq))
+	datapath.EncodeReport(pkt, seq, reportNanos(seq), datapath.WireReport{
+		Flow: flow, Thr: 0.4, Lat: 0.3, Loss: 0.3,
+		DurationNs: int64(st.Duration), Sent: st.PacketsSent, Acked: st.PacketsAcked, Lost: st.PacketsLost,
+		AvgRTTNs: int64(st.AvgRTT), MinRTTNs: int64(st.MinRTT),
+	})
+}
+
+// TestRateServerCoalescesBatchReplies pins reply coalescing: with the only
+// shard held in a decision's completion, 80 flows on one socket report
+// once each; on release the shard serves the backlog in batches, and the
+// daemon answers each batch with datagrams of whole rate records — at most
+// 34 per datagram, so a reply fits a 1500-byte IPv6 packet — fewer
+// datagrams than records, and every flow gets exactly one record, carrying
+// its own report's seq.
+func TestRateServerCoalescesBatchReplies(t *testing.T) {
+	hold := make(chan struct{})
+	var release sync.Once
+	var held atomic.Bool
+	gate := func(act float64) float64 {
+		if held.CompareAndSwap(false, true) {
+			<-hold
+		}
+		return act
+	}
+	lib := chaosLibrary(t, mocc.WithServing(mocc.ServingOptions{Shards: 1}), mocc.WithInferenceFault(gate))
+	defer lib.Close()
+	srv := startRateServer(t, lib, "127.0.0.1:0")
+	defer srv.Close()
+	defer release.Do(func() { close(hold) })
+	conn := dialRaw(t, srv)
+
+	const flows, maxRecords = 80, 34
+	seqOf := func(flow uint64) uint64 { return 1000 + flow }
+	pkt := make([]byte, datapath.WireReportBytes)
+	for flow := uint64(1); flow <= flows; flow++ {
+		encodeReport(pkt, flow, seqOf(flow))
+		if _, err := conn.Write(pkt); err != nil {
+			t.Fatal(err)
+		}
+		for flow == 1 && !held.Load() {
+			time.Sleep(time.Millisecond)
+		}
+	}
+	for deadline := time.Now().Add(5 * time.Second); lib.ServingStats().Queued < flows-1; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("backlog never queued: %+v %+v", lib.ServingStats(), srv.Stats())
+		}
+	}
+	release.Do(func() { close(hold) })
+
+	got := map[uint64]int{}
+	var datagrams, records, largest int
+	in := make([]byte, 64*1024)
+	conn.SetReadDeadline(time.Now().Add(10 * time.Second))
+	for records < flows {
+		n, err := conn.Read(in)
+		if err != nil {
+			t.Fatalf("after %d records in %d datagrams: %v", records, datagrams, err)
+		}
+		if n%datapath.WireRateBytes != 0 || n/datapath.WireRateBytes > maxRecords {
+			t.Fatalf("reply datagram of %d bytes, want 1..%d whole %d-byte records", n, maxRecords, datapath.WireRateBytes)
+		}
+		datagrams++
+		largest = max(largest, n/datapath.WireRateBytes)
+		for rec := in[:n]; len(rec) > 0; rec = rec[datapath.WireRateBytes:] {
+			seq, _, flow, _, _, ok := datapath.DecodeRate(rec)
+			if !ok || seq != seqOf(flow) {
+				t.Fatalf("record (ok %v, flow %d, seq %d), want seq %d", ok, flow, seq, seqOf(flow))
+			}
+			got[flow]++
+			records++
+		}
+	}
+	for flow := uint64(1); flow <= flows; flow++ {
+		if got[flow] != 1 {
+			t.Fatalf("flow %d got %d records, want 1", flow, got[flow])
+		}
+	}
+	if datagrams >= records || largest != maxRecords {
+		t.Fatalf("%d records in %d datagrams, largest %d; want fewer datagrams, a full one of %d", records, datagrams, largest, maxRecords)
+	}
+	// The counters are bumped after each write the client just read.
+	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
+		st := srv.Stats()
+		if st.Replies == flows && st.ReplyDatagrams == int64(datagrams) {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("stats %+v, want %d replies in %d datagrams", st, flows, datagrams)
+		}
+	}
+}
+
+// TestRateServerLoneReplyIsOneRecord pins the other end: one report on an
+// idle daemon is answered at once by a single-record datagram, byte for
+// byte what EncodeRate writes for the rate a non-serving library decides.
+func TestRateServerLoneReplyIsOneRecord(t *testing.T) {
+	lib := chaosLibrary(t, mocc.WithServing(mocc.ServingOptions{Shards: 1}))
+	defer lib.Close()
+	srv := startRateServer(t, lib, "127.0.0.1:0")
+	defer srv.Close()
+	conn := dialRaw(t, srv)
+
+	const flow, seq = 5, 17
+	pkt := make([]byte, datapath.WireReportBytes)
+	encodeReport(pkt, flow, seq)
+	if _, err := conn.Write(pkt); err != nil {
+		t.Fatal(err)
+	}
+	in := make([]byte, 64*1024)
+	conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+	n, err := conn.Read(in)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	shadow, err := chaosLibrary(t).Register(mocc.Weights{Thr: 0.4, Lat: 0.3, Loss: 0.3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rate, err := shadow.Report(chaosStatus(seq))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := make([]byte, datapath.WireRateBytes)
+	datapath.EncodeRate(want, seq, reportNanos(seq), flow, rate, lib.Epoch())
+	if !bytes.Equal(in[:n], want) {
+		t.Fatalf("reply %x, want %x", in[:n], want)
+	}
+}
+
+// TestRateServerCoalescedAllocFree pins the daemon's coalesced steady state
+// at zero allocations: each run, 8 flows on one raw socket report at once
+// and wait for all 8 records, so the shard serves them in shared batches
+// and the daemon answers with multi-record datagrams from recycled buffers.
+func TestRateServerCoalescedAllocFree(t *testing.T) {
+	lib := chaosLibrary(t, mocc.WithServing(mocc.ServingOptions{Shards: 1}))
+	defer lib.Close()
+	srv := startRateServer(t, lib, "127.0.0.1:0")
+	defer srv.Close()
+	conn := dialRaw(t, srv)
+
+	const flows = 8
+	pkt := make([]byte, datapath.WireReportBytes)
+	in := make([]byte, 64*1024)
+	seq := uint64(0)
+	round := func() {
+		for flow := uint64(1); flow <= flows; flow++ {
+			seq++
+			encodeReport(pkt, flow, seq)
+			if _, err := conn.Write(pkt); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for records := 0; records < flows; {
+			n, err := conn.Read(in)
+			if err != nil {
+				t.Fatal(err)
+			}
+			records += n / datapath.WireRateBytes
+		}
+	}
+	conn.SetReadDeadline(time.Now().Add(time.Minute))
+	for i := 0; i < 100; i++ {
+		round() // registration, first-use buffers, the shard's inference view
+	}
+	before := srv.Stats()
+	if allocs := testing.AllocsPerRun(500, round); allocs != 0 {
+		t.Errorf("8-flow round: %v allocs/op, want 0", allocs)
+	}
+	after := srv.Stats()
+	replies, datagrams := after.Replies-before.Replies, after.ReplyDatagrams-before.ReplyDatagrams
+	if datagrams >= replies {
+		t.Fatalf("%d replies in %d datagrams: the measured rounds never coalesced", replies, datagrams)
 	}
 }
