@@ -49,12 +49,15 @@ chaos-serve:
 # + -metrics-addr HTTP exposition + stats ticker + canary), drive real flows
 # through it, scrape /metrics and /healthz asserting the key series, and
 # tear down in strict dependency order; then the internal/obs unit suite
-# (zero-alloc pins, exposition formats) and the root-level chaos/scrape
-# pins (flight recorder across a canary rollback, concurrent scrape churn).
+# (zero-alloc pins, exposition formats), the root-level chaos/scrape pins
+# (flight recorder across a canary rollback, concurrent scrape churn) and
+# the client scrape pin (every mocc_client_* counter equals its
+# ServeFlowStats sum across a daemon restart).
 obs:
 	$(GO) test -count=1 -run 'TestDaemon' ./cmd/mocc-serve
 	$(GO) test -count=1 ./internal/obs
 	$(GO) test -count=1 -run 'TestObs|TestLibraryHealthz|TestHandler' .
+	$(GO) test -count=1 -run 'TestServeConnClientSeries' ./transport
 
 # The repository benchmark (bench/, manifest BENCHMARK.json): one process
 # per workload, ~25 s each, the last output line is the JSON result.

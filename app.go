@@ -305,11 +305,12 @@ func (a *App) settle(act float64, panicMsg string) float64 {
 	return rate
 }
 
-// observe records the decision in the handle's flight recorder and emits
-// guard trip/recover events. Called under a.mu with the guard state of
-// this decision still fresh. The clean path allocates nothing: the
-// flight store is a ring write, and events fire only on the rare
-// trip/recover transitions.
+// observe records the decision in the handle's flight recorder, adds its
+// guard fault, trip or recovery to the library's totals and emits trip/
+// recover events. Called under a.mu with the guard state of this decision
+// still fresh. The clean path allocates nothing and writes no shared
+// counter: the flight store is a ring write, and the rest fires only on a
+// fault, trip or recovery.
 func (a *App) observe(now time.Time, rate, act float64, dur time.Duration) {
 	g := a.guard
 	if a.flight != nil {
@@ -331,7 +332,14 @@ func (a *App) observe(now time.Time, rate, act float64, dur time.Duration) {
 		}
 		a.flight.Record(d)
 	}
-	if g == nil || a.lib.obs.events == nil || (!g.justTripped && !g.justRecovered) {
+	if g == nil {
+		return
+	}
+	l := a.lib
+	if g.lastClass != obs.VerdictOK {
+		l.guardFaults.Add(1)
+	}
+	if !g.justTripped && !g.justRecovered {
 		return
 	}
 	var epoch uint64
@@ -339,11 +347,13 @@ func (a *App) observe(now time.Time, rate, act float64, dur time.Duration) {
 		epoch = a.client.LastEpoch()
 	}
 	if g.justTripped {
-		a.lib.obs.events.Emit(obs.Event{Type: obs.EvSafeModeTrip, App: uint64(a.id),
+		l.guardTrips.Add(1)
+		l.obs.events.Emit(obs.Event{Type: obs.EvSafeModeTrip, App: uint64(a.id),
 			Epoch: epoch, Msg: g.lastFault})
 	}
 	if g.justRecovered {
-		a.lib.obs.events.Emit(obs.Event{Type: obs.EvSafeModeRecover, App: uint64(a.id),
+		l.guardRecoveries.Add(1)
+		l.obs.events.Emit(obs.Event{Type: obs.EvSafeModeRecover, App: uint64(a.id),
 			Epoch: epoch})
 	}
 }

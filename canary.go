@@ -72,26 +72,15 @@ func (c CanaryConfig) normalized() CanaryConfig {
 type canarySample struct {
 	reports uint64 // engine decisions served
 	shed    uint64 // engine decisions shed under overload
-	faults  int64  // fleet guard faults (sum over registered handles)
+	faults  uint64 // guard faults of every handle ever registered
 }
 
-// canarySample reads the counters. Handle stats are read after l.mu is
-// released: App.Stats waits for the handle's decision in flight, whose
-// completion may run on a serving shard that needs l.mu (RateServer's
-// eviction check), so waiting for it under l.mu could deadlock.
+// canarySample reads the counters: atomic loads only, so it takes no
+// library or handle lock and never waits for a decision in flight. The
+// fault total counts handles unregistered since the last sample too.
 func (l *Library) canarySample() canarySample {
 	est := l.engine.Stats()
-	l.mu.RLock()
-	apps := make([]*App, 0, len(l.apps))
-	for _, a := range l.apps {
-		apps = append(apps, a)
-	}
-	l.mu.RUnlock()
-	var faults int64
-	for _, a := range apps {
-		faults += a.Stats().Faults
-	}
-	return canarySample{reports: est.Reports, shed: est.Shed(), faults: faults}
+	return canarySample{reports: est.Reports, shed: est.Shed(), faults: l.guardFaults.Load()}
 }
 
 // canaryLoop watches for epoch changes and judges each new generation over
@@ -132,16 +121,11 @@ func (l *Library) canaryLoop(cfg CanaryConfig, trusted uint64) {
 		}
 		cur := l.canarySample()
 		served := cur.reports - base.reports
-		// FleetStats-style fault sums only cover currently registered
-		// handles, so churn can move the delta backwards — clamp. Sheds
-		// also surface as NaN guard faults on the apps they hit, and an
-		// overloaded fleet is not a poisoned model: subtract them.
-		faults := cur.faults - base.faults
-		shed := int64(cur.shed - base.shed)
-		excess := faults - shed
-		if excess < 0 {
-			excess = 0
-		}
+		// Sheds also surface as NaN guard faults on the apps they hit, and
+		// an overloaded fleet is not a poisoned model: subtract them. A
+		// shed sampled before its verdict, or on a handle without safe
+		// mode, has no fault to cancel, hence the clamp.
+		excess := max(0, int64(cur.faults-base.faults)-int64(cur.shed-base.shed))
 		if served >= cfg.MinReports && float64(excess) > cfg.MaxFaultRate*float64(served) {
 			watching = false
 			to, err := l.rollback()

@@ -38,9 +38,10 @@ func reportAll(t *testing.T, apps []*App, round int) {
 // relies on: a completion on a serving shard may read the library (the
 // daemon's eviction check does), so nothing may wait for a handle's
 // decision while holding the library lock. Y's completion holds the only
-// shard, X's decision queues behind it, a canary sample waits for X's stats
-// and a Register for the library lock; releasing Y's completion, which
-// reads the library, must let every one of them finish.
+// shard and X's decision queues behind it while a Register takes the
+// library lock and a canary sample runs; the sample loads atomics only, so
+// it waits on no handle. Releasing Y's completion, which reads the
+// library, must let every one of them finish.
 func TestCanarySampleWhileDecisionInFlight(t *testing.T) {
 	hold := make(chan struct{})
 	var held atomic.Bool
@@ -94,6 +95,48 @@ func TestCanarySampleWhileDecisionInFlight(t *testing.T) {
 		}
 	}
 	lib.Close()
+}
+
+// TestCanarySampleCountsUnregisteredFaults pins the canary's fault total
+// against handle churn: two handles fault under a poisoned publish and are
+// unregistered before the next sample, and their faults must still show in
+// the delta, or a poisoned epoch could hide behind its victims leaving.
+func TestCanarySampleCountsUnregisteredFaults(t *testing.T) {
+	model := perturbedClone(sharedLibrary(t).Model(), 0)
+	lib, err := New(model, WithServing(ServingOptions{Shards: 1}), WithoutAdaptation())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer lib.Close()
+	apps := make([]*App, 2)
+	for i := range apps {
+		if apps[i], err = lib.Register(BalancedPreference); err != nil {
+			t.Fatal(err)
+		}
+	}
+	reportAll(t, apps, 0)
+	base := lib.canarySample()
+	if _, err := lib.Publish(poisonedClone(model)); err != nil {
+		t.Fatal(err)
+	}
+	for round := 1; round <= 3; round++ {
+		reportAll(t, apps, round)
+	}
+	var want int64
+	for i, a := range apps {
+		f := a.Stats().Faults
+		if f == 0 {
+			t.Fatalf("app %d never faulted under the poisoned epoch", i)
+		}
+		want += f
+		if err := a.Unregister(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	cur := lib.canarySample()
+	if got := int64(cur.faults - base.faults); got != want {
+		t.Fatalf("fault delta = %d after unregistering the faulting handles, want their %d faults", got, want)
+	}
 }
 
 // TestCanaryAutoRollback is the poisoned-publish chaos pin: a model that

@@ -64,23 +64,25 @@ func runServeGen(cfg serveGenConfig, out io.Writer) error {
 				BackoffMax:  time.Second,
 				Seed:        cfg.Seed,
 			})
+			var served int64 // Served before this Report: the flow is ours alone
 			for time.Now().Before(deadline) {
-				st := syntheticStatus(rng)
-				served := sf.Stats().Served
+				status := syntheticStatus(rng)
 				start := time.Now()
-				if _, err := sf.Report(st); err != nil {
+				if _, err := sf.Report(status); err != nil {
 					break // ServeConn closed underneath us
 				}
-				if sf.Stats().Served > served {
+				st := sf.Stats()
+				if st.Served > served {
 					// Answered by the daemon with a usable rate: that
 					// round trip is a decision latency sample.
 					hist.Observe(uint64(time.Since(start)))
-				} else if sf.Stats().FallbackActive {
+				} else if st.FallbackActive {
 					// Local fallback decisions return instantly; pace them
 					// like a monitor interval instead of busy-spinning the
 					// load generator while the daemon is unreachable.
 					time.Sleep(time.Millisecond)
 				}
+				served = st.Served
 			}
 			stats[flow] = sf.Stats()
 		}(a)

@@ -148,6 +148,11 @@ type Library struct {
 	safeMode       *SafeModeConfig
 	inferenceFault func(act float64) float64
 
+	// Safe-mode verdicts summed over every handle ever registered, so they
+	// survive handle churn. Written only on a fault, trip or recovery; read
+	// by the canary and the mocc_safemode_* series.
+	guardFaults, guardTrips, guardRecoveries atomic.Uint64
+
 	// engine is the sharded batching inference engine (nil unless built
 	// with WithServing); idleTTL/janitorStop/evicted drive its idle-handle
 	// janitor and closeOnce makes Library.Close idempotent. bgWG tracks
@@ -307,13 +312,6 @@ func (l *Library) Register(w Weights) (*App, error) {
 	}
 	if l.safeMode != nil {
 		app.guard = newGuard(*l.safeMode)
-		// Fleet-level fault/trip/recovery counters survive handle churn
-		// (per-app guard telemetry dies with its handle); the handle id
-		// doubles as the counter stripe.
-		app.guard.stripe = int(id)
-		app.guard.mFaults = l.obs.faults
-		app.guard.mTrips = l.obs.trips
-		app.guard.mRecoveries = l.obs.recoveries
 	}
 	app.alg = cc.NewRLRate(fmt.Sprintf("mocc-app-%d", id), app.pol, l.model.HistoryLen)
 	app.alg.Reset(int64(id))

@@ -72,8 +72,9 @@ func (m *Metrics) Handler() http.Handler {
 // their defaults.
 type ObservabilityOptions struct {
 	// Metrics is the sink to wire the library into (required; see
-	// NewMetrics). Several libraries may share one sink — series are
-	// registered idempotently.
+	// NewMetrics). One sink serves one library, plus its RateServer and
+	// ServeConn: a series is registered once, and reads the component
+	// that registered it first.
 	Metrics *Metrics
 	// FlightDepth is how many recent decisions each handle's flight
 	// recorder retains for post-morteming a rollback or guard trip
@@ -99,9 +100,6 @@ type libObs struct {
 	events      *obs.EventLog
 	flightDepth int // 0 disables the per-handle recorders
 
-	faults          *obs.Counter // mocc_safemode_faults_total
-	trips           *obs.Counter // mocc_safemode_trips_total
-	recoveries      *obs.Counter // mocc_safemode_recoveries_total
 	publishes       *obs.Counter // mocc_epoch_publishes_total
 	canaryRollbacks *obs.Counter // mocc_canary_rollbacks_total
 }
@@ -123,12 +121,12 @@ func (l *Library) initObs(o *ObservabilityOptions) {
 		l.obs.flightDepth = o.FlightDepth
 	}
 	reg := o.Metrics.reg
-	l.obs.faults = reg.Counter("mocc_safemode_faults_total",
-		"Pathological learned decisions detected by the safe-mode guard.")
-	l.obs.trips = reg.Counter("mocc_safemode_trips_total",
-		"Guard trips: handles degraded to the fallback controller.")
-	l.obs.recoveries = reg.Counter("mocc_safemode_recoveries_total",
-		"Guard recoveries: handles resuming the learned path.")
+	reg.CounterFunc("mocc_safemode_faults_total",
+		"Pathological learned decisions detected by the safe-mode guard.", l.guardFaults.Load)
+	reg.CounterFunc("mocc_safemode_trips_total",
+		"Guard trips: handles degraded to the fallback controller.", l.guardTrips.Load)
+	reg.CounterFunc("mocc_safemode_recoveries_total",
+		"Guard recoveries: handles resuming the learned path.", l.guardRecoveries.Load)
 	l.obs.publishes = reg.Counter("mocc_epoch_publishes_total",
 		"Model generations published via Library.Publish.")
 	l.obs.canaryRollbacks = reg.Counter("mocc_canary_rollbacks_total",
@@ -136,21 +134,7 @@ func (l *Library) initObs(o *ObservabilityOptions) {
 	reg.GaugeFunc("mocc_fleet_apps", "Currently registered application handles.",
 		func() float64 { return float64(l.Apps()) })
 	reg.GaugeFunc("mocc_fleet_degraded", "Handles currently served by the fallback controller.",
-		func() float64 {
-			l.mu.RLock()
-			apps := make([]*App, 0, len(l.apps))
-			for _, a := range l.apps {
-				apps = append(apps, a)
-			}
-			l.mu.RUnlock()
-			n := 0
-			for _, a := range apps {
-				if a.Stats().FallbackActive {
-					n++
-				}
-			}
-			return float64(n)
-		})
+		func() float64 { return float64(l.FleetStats().FallbackActive) })
 }
 
 // Handler returns the library's observability endpoints: /metrics,
@@ -172,12 +156,10 @@ func (l *Library) Handler() http.Handler {
 			return a.flight.Dump(), true
 		},
 		FlightIndex: func() []uint64 {
-			l.mu.RLock()
-			defer l.mu.RUnlock()
-			ids := make([]uint64, 0, len(l.apps))
-			for id, a := range l.apps {
+			ids := []uint64{} // "apps": [] rather than null
+			for _, a := range l.handles() {
 				if a.flight != nil {
-					ids = append(ids, uint64(id))
+					ids = append(ids, uint64(a.id))
 				}
 			}
 			return ids
@@ -192,22 +174,11 @@ func (l *Library) Handler() http.Handler {
 // either way.
 func (l *Library) health() (bool, map[string]any) {
 	st := l.ServingStats()
-	l.mu.RLock()
-	apps := make([]*App, 0, len(l.apps))
-	for _, a := range l.apps {
-		apps = append(apps, a)
-	}
-	l.mu.RUnlock()
-	degraded := 0
-	for _, a := range apps {
-		if a.Stats().FallbackActive {
-			degraded++
-		}
-	}
+	f := l.FleetStats()
 	detail := map[string]any{
 		"epoch":            st.Epoch,
-		"apps":             len(apps),
-		"degraded":         degraded,
+		"apps":             f.Apps,
+		"degraded":         f.FallbackActive,
 		"queued":           st.Queued,
 		"shed":             st.Shed(),
 		"rollbacks":        st.Rollbacks,
@@ -218,8 +189,8 @@ func (l *Library) health() (bool, map[string]any) {
 	case l.closed.Load():
 		detail["reason"] = "library closed"
 		ok = false
-	case len(apps) > 0 && degraded*2 > len(apps):
-		detail["reason"] = fmt.Sprintf("%d/%d handles degraded to fallback", degraded, len(apps))
+	case f.Apps > 0 && f.FallbackActive*2 > f.Apps:
+		detail["reason"] = fmt.Sprintf("%d/%d handles degraded to fallback", f.FallbackActive, f.Apps)
 		ok = false
 	}
 	return ok, detail

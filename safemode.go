@@ -64,7 +64,9 @@ func (c SafeModeConfig) normalized() SafeModeConfig {
 // policy action plus its wall-clock latency, measured by the App from begin
 // to settle; the optional fault hook (WithInferenceFault) runs inside that
 // window, which is how the chaos suite emulates NaN-poisoned and stalled
-// models without touching model internals.
+// models without touching model internals. Its counters are this handle's
+// alone; App.observe adds each fault, trip and recovery to the library's
+// fleet totals, which outlive the handle.
 type guard struct {
 	cfg      SafeModeConfig
 	fallback *cc.AIMD
@@ -88,14 +90,6 @@ type guard struct {
 	lastClass     uint8
 	justTripped   bool
 	justRecovered bool
-
-	// Fleet-level counters (nil without WithObservability — nil-receiver
-	// no-ops); stripe is the handle id, so concurrent handles do not
-	// share counter cache lines.
-	stripe      int
-	mFaults     *obs.Counter
-	mTrips      *obs.Counter
-	mRecoveries *obs.Counter
 }
 
 func newGuard(cfg SafeModeConfig) *guard {
@@ -140,7 +134,6 @@ func (g *guard) settle(alg *cc.RLRate, act float64, dur time.Duration, panicMsg 
 		g.lastGoodRate = learned
 	} else {
 		g.faults++
-		g.mFaults.AddAt(g.stripe, 1)
 		g.lastFault = verdict
 		g.lastFaultAt = now
 	}
@@ -154,7 +147,6 @@ func (g *guard) settle(alg *cc.RLRate, act float64, dur time.Duration, panicMsg 
 		if g.badStreak >= g.cfg.TripAfter {
 			g.enterFallback(rep)
 			g.justTripped = true
-			g.mTrips.AddAt(g.stripe, 1)
 			g.fallbackIntervals++
 			return g.fallback.Rate()
 		}
@@ -174,7 +166,6 @@ func (g *guard) settle(alg *cc.RLRate, act float64, dur time.Duration, panicMsg 
 			g.badStreak = 0
 			g.cleanStreak = 0
 			g.justRecovered = true
-			g.mRecoveries.AddAt(g.stripe, 1)
 			// Resync the learned controller to the connection's actual
 			// operating point; it takes over next interval.
 			alg.SetRate(fb)

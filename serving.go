@@ -223,7 +223,8 @@ func (l *Library) ServingStats() ServingStats {
 }
 
 // FleetStats aggregates every registered application's cumulative telemetry
-// (App.Stats) into one fleet-level snapshot.
+// (App.Stats) into one fleet-level snapshot. Engine counters (sheds, queue
+// depth, rollbacks, evictions) live in ServingStats.
 type FleetStats struct {
 	// Apps is the number of currently registered applications.
 	Apps int
@@ -247,41 +248,33 @@ type FleetStats struct {
 	// the fleet; Duration is total reported interval time summed over apps.
 	MeanRate float64
 	Duration time.Duration
-	// Safe-mode aggregates: intervals served by fallback controllers,
-	// degradation episodes, currently-degraded app count, and detected
-	// inference faults.
+	// Safe-mode aggregates over the registered handles: intervals served
+	// by fallback controllers, degradation episodes, currently-degraded app
+	// count, and detected inference faults.
 	FallbackIntervals int64
 	Fallbacks         int64
 	FallbackActive    int
 	Faults            int64
-	// Evicted counts handles removed by the IdleTTL janitor (serving only).
-	Evicted int64
-	// Serving-engine overload/resilience aggregates (zero without serving):
-	// decisions shed NaN under overload, decisions currently queued, and
-	// epoch rollbacks applied.
-	Shed      uint64
-	Queued    int64
-	Rollbacks uint64
+}
+
+// handles copies the registered handles out from under l.mu, so callers
+// can take each handle's lock without holding the library's.
+func (l *Library) handles() []*App {
+	l.mu.RLock()
+	defer l.mu.RUnlock()
+	apps := make([]*App, 0, len(l.apps))
+	for _, a := range l.apps {
+		apps = append(apps, a)
+	}
+	return apps
 }
 
 // FleetStats returns the aggregated telemetry of every registered handle.
 // It takes each handle's lock briefly in turn, so the snapshot is per-app
 // consistent but not a single fleet-wide instant.
 func (l *Library) FleetStats() FleetStats {
-	l.mu.RLock()
-	apps := make([]*App, 0, len(l.apps))
-	for _, a := range l.apps {
-		apps = append(apps, a)
-	}
-	l.mu.RUnlock()
-
-	f := FleetStats{Apps: len(apps), Evicted: l.evicted.Load()}
-	if l.engine != nil {
-		est := l.engine.Stats()
-		f.Shed = est.Shed()
-		f.Queued = est.Queued
-		f.Rollbacks = est.Rollbacks
-	}
+	apps := l.handles()
+	f := FleetStats{Apps: len(apps)}
 	var rttWeighted, rateTime, durSecs float64
 	for _, a := range apps {
 		st := a.Stats()
@@ -365,15 +358,8 @@ func (l *Library) janitor() {
 // against the library clock. Returns how many were evicted.
 func (l *Library) evictIdle() int {
 	now := l.clock()
-	l.mu.RLock()
-	apps := make([]*App, 0, len(l.apps))
-	for _, a := range l.apps {
-		apps = append(apps, a)
-	}
-	l.mu.RUnlock()
-
 	n := 0
-	for _, a := range apps {
+	for _, a := range l.handles() {
 		if now.Sub(a.lastActivity()) > l.idleTTL {
 			if l.unregister(a) == nil {
 				l.evicted.Add(1)

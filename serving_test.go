@@ -655,17 +655,17 @@ func TestFleetStatsEvictionChurn(t *testing.T) {
 				default:
 				}
 				f := lib.FleetStats()
-				if f.Apps < 0 || f.Queued < 0 || f.Reports < 0 || f.FallbackActive < 0 {
+				if f.Apps < 0 || f.Reports < 0 || f.FallbackActive < 0 {
 					fail("negative FleetStats gauge")
 				}
-				if f.Evicted < lastEvicted {
-					fail("Evicted went backwards")
-				}
-				lastEvicted = f.Evicted
 				s := lib.ServingStats()
 				if s.Queued < 0 || s.Evicted < 0 {
 					fail("negative ServingStats gauge")
 				}
+				if s.Evicted < lastEvicted {
+					fail("Evicted went backwards")
+				}
+				lastEvicted = s.Evicted
 			}
 		}()
 	}

@@ -148,9 +148,9 @@ func FuzzServeConnReplies(f *testing.F) {
 	f.Add(record(2, 1, math.NaN()))
 
 	f.Fuzz(func(t *testing.T, b []byte) {
-		c := &ServeConn{flows: make(map[uint64]chan rateReply)}
+		c := &ServeConn{flows: make(map[uint64]*ServeFlow)}
 		for flow := uint64(1); flow <= 3; flow++ {
-			c.flows[flow] = make(chan rateReply, len(b)/datapath.WireRateBytes+1)
+			c.flows[flow] = &ServeFlow{ch: make(chan rateReply, len(b)/datapath.WireRateBytes+1)}
 		}
 		c.deliver(b)
 
@@ -171,10 +171,10 @@ func FuzzServeConnReplies(f *testing.F) {
 		if got := c.Malformed(); got != malformed {
 			t.Fatalf("%x: Malformed %d, want %d", b, got, malformed)
 		}
-		for flow, ch := range c.flows {
-			close(ch)
+		for flow, sf := range c.flows {
+			close(sf.ch)
 			i := 0
-			for got := range ch {
+			for got := range sf.ch {
 				if i >= len(want[flow]) {
 					t.Fatalf("%x: flow %d got %d+ records, want %d", b, flow, i+1, len(want[flow]))
 				}

@@ -4,6 +4,8 @@ import (
 	"math"
 	"net"
 	"path/filepath"
+	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -258,6 +260,69 @@ func TestServeFlowFailoverBlackout(t *testing.T) {
 // crash-safe state snapshot, every flow resyncs and observes the restored
 // epoch.
 func TestDaemonRestartMidLoad(t *testing.T) {
+	_, flows := restartMidLoad(t, transport.ServeConnConfig{})
+	for i, sf := range flows {
+		if st := sf.Stats(); st.Fallbacks == 0 || st.FallbackReports == 0 {
+			t.Fatalf("flow %d never degraded: %+v", i, st)
+		}
+	}
+}
+
+// TestServeConnClientSeries pins the mocc_client_* series to the flows'
+// own counters: after a daemon killed and restarted mid-load, each
+// counter series equals its ServeFlowStats field summed over the flows,
+// and mocc_client_malformed_total equals ServeConn.Malformed.
+func TestServeConnClientSeries(t *testing.T) {
+	m := mocc.NewMetrics()
+	conn, flows := restartMidLoad(t, transport.ServeConnConfig{Metrics: m})
+	var sum transport.ServeFlowStats
+	for _, sf := range flows {
+		st := sf.Stats()
+		sum.Reports += st.Reports
+		sum.Served += st.Served
+		sum.Shed += st.Shed
+		sum.Timeouts += st.Timeouts
+		sum.Retries += st.Retries
+		sum.Fallbacks += st.Fallbacks
+		sum.FallbackReports += st.FallbackReports
+		sum.Resyncs += st.Resyncs
+	}
+	if sum.Served == 0 || sum.Timeouts == 0 || sum.Fallbacks == 0 || sum.Resyncs == 0 {
+		t.Fatalf("restart left a client counter at zero: %+v", sum)
+	}
+
+	var page strings.Builder
+	m.WritePrometheus(&page)
+	scraped := map[string]string{}
+	for _, line := range strings.Split(page.String(), "\n") {
+		if name, v, ok := strings.Cut(line, " "); ok && !strings.HasPrefix(line, "#") {
+			scraped[name] = v
+		}
+	}
+	for name, want := range map[string]int64{
+		"mocc_client_reports_total":          sum.Reports,
+		"mocc_client_served_total":           sum.Served,
+		"mocc_client_shed_total":             sum.Shed,
+		"mocc_client_timeouts_total":         sum.Timeouts,
+		"mocc_client_retries_total":          sum.Retries,
+		"mocc_client_fallbacks_total":        sum.Fallbacks,
+		"mocc_client_fallback_reports_total": sum.FallbackReports,
+		"mocc_client_resyncs_total":          sum.Resyncs,
+		"mocc_client_malformed_total":        conn.Malformed(),
+	} {
+		if got := scraped[name]; got != strconv.FormatInt(want, 10) {
+			t.Errorf("%s = %q, want %d", name, got, want)
+		}
+	}
+}
+
+// restartMidLoad runs four flows on one ServeConn dialed with cfg against
+// a daemon, kills the daemon mid-load and restarts it on the same port
+// from its crash-safe snapshot. It returns once every flow has failed over
+// and resynced to the restored epoch with zero Report errors, and the
+// load has stopped.
+func restartMidLoad(t *testing.T, cfg transport.ServeConnConfig) (*transport.ServeConn, []*transport.ServeFlow) {
+	t.Helper()
 	statePath := filepath.Join(t.TempDir(), "serve.state")
 
 	lib := chaosLibrary(t, mocc.WithServing(mocc.ServingOptions{Shards: 2}))
@@ -271,7 +336,7 @@ func TestDaemonRestartMidLoad(t *testing.T) {
 	srv := startRateServer(t, lib, "127.0.0.1:0")
 	addr := srv.Addr()
 
-	conn, err := transport.DialServe(addr, transport.ServeConnConfig{})
+	conn, err := transport.DialServe(addr, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -282,7 +347,7 @@ func TestDaemonRestartMidLoad(t *testing.T) {
 		stop      = make(chan struct{})
 		wg        sync.WaitGroup
 		reportErr atomic.Int64
-		flows     [nflows]*transport.ServeFlow
+		flows     = make([]*transport.ServeFlow, nflows)
 	)
 	for i := 0; i < nflows; i++ {
 		flows[i] = conn.Flow(uint64(i), mocc.Weights{Thr: 0.4, Lat: 0.3, Loss: 0.3},
@@ -376,13 +441,8 @@ func TestDaemonRestartMidLoad(t *testing.T) {
 	if n := reportErr.Load(); n != 0 {
 		t.Fatalf("%d Report errors across the daemon restart, want 0", n)
 	}
-	for i, sf := range flows {
-		st := sf.Stats()
-		if st.Fallbacks == 0 || st.FallbackReports == 0 {
-			t.Fatalf("flow %d never degraded: %+v", i, st)
-		}
-		if lib2.Epoch() != savedEpoch {
-			t.Fatalf("restarted daemon epoch %d, want %d", lib2.Epoch(), savedEpoch)
-		}
+	if lib2.Epoch() != savedEpoch {
+		t.Fatalf("restarted daemon epoch %d, want %d", lib2.Epoch(), savedEpoch)
 	}
+	return conn, flows
 }

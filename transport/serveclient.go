@@ -31,7 +31,7 @@ type ServeConn struct {
 	raw  *net.UDPConn
 
 	mu    sync.Mutex
-	flows map[uint64]chan rateReply
+	flows map[uint64]*ServeFlow // never shrinks: a flow stays for the conn's life
 
 	writeMu sync.Mutex
 	seqMu   sync.Mutex
@@ -42,64 +42,78 @@ type ServeConn struct {
 	readerDone chan struct{}
 	malformed  atomic.Int64
 
-	met clientMetrics
+	// latency and events come from ServeConnConfig.Metrics (nil without
+	// it; both are nil-safe).
+	latency *obs.Histogram
+	events  *obs.EventLog
 }
 
 // ServeConnConfig tunes DialServe.
 type ServeConnConfig struct {
 	// WrapConn, when non-nil, interposes on the socket (fault injection).
 	WrapConn func(PacketConn) PacketConn
-	// Metrics, when non-nil, registers the serve-client fleet series
+	// Metrics, when non-nil, registers the serve-client series
 	// (mocc_client_*) on the sink and emits failover/resync events into
-	// its event log. Typically the same sink the daemon side passes to
+	// its event log. Typically the sink the daemon side passes to
 	// mocc.WithObservability, so client and server views of an outage
-	// land in one registry with identical latency bucketing.
+	// land in one registry with identical latency bucketing. One sink
+	// serves one library, its RateServer and one ServeConn: a series is
+	// registered once, and reads the conn that registered it first.
 	Metrics *mocc.Metrics
 }
 
-// clientMetrics is the serve-client instrumentation shared by every flow
-// on a ServeConn. The zero value is observability-off: every method on a
-// nil counter/histogram/event log is a no-op, so the hot path needs no
-// branches beyond the nil latency check.
-type clientMetrics struct {
-	reports   *obs.Counter
-	served    *obs.Counter
-	shed      *obs.Counter
-	timeouts  *obs.Counter
-	retries   *obs.Counter
-	fallbacks *obs.Counter
-	fbReports *obs.Counter
-	resyncs   *obs.Counter
-	latency   *obs.Histogram
-	events    *obs.EventLog
+// A flow's client counters, as indexes into ServeFlow.n.
+const (
+	cReports = iota
+	cServed
+	cShed
+	cTimeouts
+	cRetries
+	cFallbacks
+	cFallbackReports
+	cResyncs
+	numCounters
+)
+
+// clientSeries names the fleet series of each client counter: its sum
+// over the conn's flows, read at scrape time.
+var clientSeries = [numCounters]struct{ name, help string }{
+	cReports:         {"mocc_client_reports_total", "Report calls made by serve-client flows."},
+	cServed:          {"mocc_client_served_total", "Reports answered by the daemon with a usable rate."},
+	cShed:            {"mocc_client_shed_total", "Reports the daemon answered with an overload shed."},
+	cTimeouts:        {"mocc_client_timeouts_total", "Report attempts that got no daemon reply in time."},
+	cRetries:         {"mocc_client_retries_total", "Extra report attempts made before failing over."},
+	cFallbacks:       {"mocc_client_fallbacks_total", "Failover episodes: flows degrading to the local controller."},
+	cFallbackReports: {"mocc_client_fallback_reports_total", "Monitor intervals decided by the local fallback controller."},
+	cResyncs:         {"mocc_client_resyncs_total", "Flows resyncing from the fallback to the learned path."},
 }
 
-func newClientMetrics(m *mocc.Metrics) clientMetrics {
+// registerMetrics wires the conn to m. Flows are never removed from a
+// conn, so every scrape-time sum is monotonic.
+func (c *ServeConn) registerMetrics(m *mocc.Metrics) {
 	reg := m.Registry()
 	if reg == nil {
-		return clientMetrics{}
+		return
 	}
-	return clientMetrics{
-		reports: reg.Counter("mocc_client_reports_total",
-			"Report calls made by serve-client flows."),
-		served: reg.Counter("mocc_client_served_total",
-			"Reports answered by the daemon with a usable rate."),
-		shed: reg.Counter("mocc_client_shed_total",
-			"Reports the daemon answered with an overload shed."),
-		timeouts: reg.Counter("mocc_client_timeouts_total",
-			"Report attempts that got no daemon reply in time."),
-		retries: reg.Counter("mocc_client_retries_total",
-			"Extra report attempts made before failing over."),
-		fallbacks: reg.Counter("mocc_client_fallbacks_total",
-			"Failover episodes: flows degrading to the local controller."),
-		fbReports: reg.Counter("mocc_client_fallback_reports_total",
-			"Monitor intervals decided by the local fallback controller."),
-		resyncs: reg.Counter("mocc_client_resyncs_total",
-			"Flows resyncing from the fallback to the learned path."),
-		latency: reg.Histogram("mocc_client_report_latency_seconds",
-			"Client-observed decision latency per Report, including retries and fallback decisions.", 1e-9),
-		events: m.EventLog(),
+	for i, s := range clientSeries {
+		reg.CounterFunc(s.name, s.help, func() uint64 { return c.total(i) })
 	}
+	reg.CounterFunc("mocc_client_malformed_total", "Reply datagrams that failed to decode.",
+		func() uint64 { return uint64(c.malformed.Load()) })
+	c.latency = reg.Histogram("mocc_client_report_latency_seconds",
+		"Client-observed decision latency per Report, including retries and fallback decisions.", 1e-9)
+	c.events = m.EventLog()
+}
+
+// total sums client counter i over the conn's flows.
+func (c *ServeConn) total(i int) uint64 {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	var n int64
+	for _, f := range c.flows {
+		n += f.n[i].Load()
+	}
+	return uint64(n)
 }
 
 // rateReply is one decoded rate record.
@@ -128,11 +142,11 @@ func DialServe(addr string, cfg ServeConnConfig) (*ServeConn, error) {
 	c := &ServeConn{
 		conn:       conn,
 		raw:        raw,
-		flows:      make(map[uint64]chan rateReply),
+		flows:      make(map[uint64]*ServeFlow),
 		stop:       make(chan struct{}),
 		readerDone: make(chan struct{}),
-		met:        newClientMetrics(cfg.Metrics),
 	}
+	c.registerMetrics(cfg.Metrics)
 	go c.readLoop()
 	return c, nil
 }
@@ -186,9 +200,13 @@ func (c *ServeConn) deliver(buf []byte) {
 			break
 		}
 		buf = buf[datapath.WireRateBytes:]
+		f := c.flows[flow]
+		if f == nil {
+			continue // unknown flow
+		}
 		select {
-		case c.flows[flow] <- rateReply{seq: seq, nanos: nanos, rate: rate, epoch: epoch}:
-		default: // unknown flow (nil channel), or it gave up on this seq long ago
+		case f.ch <- rateReply{seq: seq, nanos: nanos, rate: rate, epoch: epoch}:
+		default: // it gave up on this seq long ago
 		}
 	}
 	c.mu.Unlock()
@@ -287,7 +305,9 @@ func (c FailoverConfig) withDefaults() FailoverConfig {
 	return c
 }
 
-// ServeFlowStats is a point-in-time snapshot of one flow's client counters.
+// ServeFlowStats is a snapshot of one flow's client counters. Each field
+// is one atomic load, so a snapshot taken while the flow reports need not
+// be consistent across fields.
 type ServeFlowStats struct {
 	// Reports counts Report calls; Served those answered by the daemon
 	// with a usable rate; Shed those the daemon answered NaN (overload —
@@ -321,7 +341,8 @@ type ServeFlowStats struct {
 //
 // A ServeFlow is owned by one goroutine: like App.Report, calls must be
 // serialized (different flows on one ServeConn are free to run
-// concurrently).
+// concurrently). Its counters are atomics written only by that goroutine;
+// Stats and the ServeConn's mocc_client_* series read them from any.
 type ServeFlow struct {
 	conn  *ServeConn
 	flow  uint64
@@ -334,17 +355,12 @@ type ServeFlow struct {
 
 	fallback   *cc.AIMD
 	lastServed float64 // last rate the daemon answered (0 before the first)
-	degraded   bool
 	probeDelay time.Duration
 	nextProbe  time.Time
 
-	// met shares the ServeConn's fleet counters; stripe is the flow id,
-	// so concurrent flows do not share counter cache lines.
-	met    clientMetrics
-	stripe int
-
-	mu    sync.Mutex // guards stats against concurrent Stats() readers
-	stats ServeFlowStats
+	n        [numCounters]atomic.Int64 // indexed by cReports..cResyncs
+	degraded atomic.Bool               // ServeFlowStats.FallbackActive
+	epoch    atomic.Uint64             // ServeFlowStats.Epoch
 }
 
 // Flow registers a flow id on the shared socket and returns its handle.
@@ -359,12 +375,10 @@ func (c *ServeConn) Flow(flow uint64, w mocc.Weights, cfg FailoverConfig) *Serve
 		pkt:      make([]byte, datapath.WireReportBytes),
 		timer:    time.NewTimer(time.Hour),
 		fallback: cc.NewAIMD(),
-		met:      c.met,
-		stripe:   int(flow),
 	}
 	f.timer.Stop()
 	c.mu.Lock()
-	c.flows[flow] = f.ch
+	c.flows[flow] = f
 	c.mu.Unlock()
 	return f
 }
@@ -374,9 +388,18 @@ func (f *ServeFlow) SetWeights(w mocc.Weights) { f.w = w }
 
 // Stats returns a snapshot of the flow's client counters.
 func (f *ServeFlow) Stats() ServeFlowStats {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.stats
+	return ServeFlowStats{
+		Reports:         f.n[cReports].Load(),
+		Served:          f.n[cServed].Load(),
+		Shed:            f.n[cShed].Load(),
+		Timeouts:        f.n[cTimeouts].Load(),
+		Retries:         f.n[cRetries].Load(),
+		Fallbacks:       f.n[cFallbacks].Load(),
+		FallbackReports: f.n[cFallbackReports].Load(),
+		Resyncs:         f.n[cResyncs].Load(),
+		FallbackActive:  f.degraded.Load(),
+		Epoch:           f.epoch.Load(),
+	}
 }
 
 // jitter spreads d over [d/2, d). The source is built on the first retry
@@ -392,12 +415,13 @@ func (f *ServeFlow) jitter(d time.Duration) time.Duration {
 // reachable, the local fallback when not. See the type comment for the
 // failover contract.
 func (f *ServeFlow) Report(st mocc.Status) (float64, error) {
-	if f.met.latency == nil {
+	lat := f.conn.latency
+	if lat == nil {
 		return f.report(st)
 	}
 	start := time.Now()
 	rate, err := f.report(st)
-	f.met.latency.Observe(uint64(time.Since(start)))
+	lat.Observe(uint64(time.Since(start)))
 	return rate, err
 }
 
@@ -406,13 +430,10 @@ func (f *ServeFlow) report(st mocc.Status) (float64, error) {
 	if st.Duration <= 0 {
 		return 0, fmt.Errorf("transport: serve report: Duration %v must be positive", st.Duration)
 	}
-	f.mu.Lock()
-	f.stats.Reports++
-	f.mu.Unlock()
-	f.met.reports.AddAt(f.stripe, 1)
+	f.n[cReports].Add(1)
 	rep := wireReport(f.flow, f.w, st)
 
-	if f.degraded {
+	if f.degraded.Load() {
 		if time.Now().Before(f.nextProbe) {
 			return f.fallbackDecide(st), nil
 		}
@@ -423,10 +444,7 @@ func (f *ServeFlow) report(st mocc.Status) (float64, error) {
 			return 0, err
 		}
 		if !ok {
-			f.mu.Lock()
-			f.stats.Timeouts++
-			f.mu.Unlock()
-			f.met.timeouts.AddAt(f.stripe, 1)
+			f.n[cTimeouts].Add(1)
 			if f.probeDelay *= 2; f.probeDelay > f.cfg.BackoffMax {
 				f.probeDelay = f.cfg.BackoffMax
 			}
@@ -434,13 +452,9 @@ func (f *ServeFlow) report(st mocc.Status) (float64, error) {
 			return f.fallbackDecide(st), nil
 		}
 		// The daemon answered: resync to the learned path.
-		f.degraded = false
-		f.mu.Lock()
-		f.stats.Resyncs++
-		f.stats.FallbackActive = false
-		f.mu.Unlock()
-		f.met.resyncs.AddAt(f.stripe, 1)
-		f.met.events.Emit(obs.Event{Type: obs.EvResync, App: f.flow, Epoch: r.epoch,
+		f.degraded.Store(false)
+		f.n[cResyncs].Add(1)
+		f.conn.events.Emit(obs.Event{Type: obs.EvResync, App: f.flow, Epoch: r.epoch,
 			Msg: "daemon reachable again; flow resynced to the learned path"})
 		return f.serveDecide(r, st), nil
 	}
@@ -454,32 +468,22 @@ func (f *ServeFlow) report(st mocc.Status) (float64, error) {
 		if ok {
 			return f.serveDecide(r, st), nil
 		}
-		f.mu.Lock()
-		f.stats.Timeouts++
-		f.mu.Unlock()
-		f.met.timeouts.AddAt(f.stripe, 1)
+		f.n[cTimeouts].Add(1)
 		if attempt >= f.cfg.Retries {
 			break
 		}
-		f.mu.Lock()
-		f.stats.Retries++
-		f.mu.Unlock()
-		f.met.retries.AddAt(f.stripe, 1)
+		f.n[cRetries].Add(1)
 		time.Sleep(f.jitter(backoff))
 		if backoff *= 2; backoff > f.cfg.BackoffMax {
 			backoff = f.cfg.BackoffMax
 		}
 	}
 	// Every attempt timed out: fail over to the local controller.
-	f.degraded = true
+	f.degraded.Store(true)
 	f.probeDelay = f.cfg.BackoffBase
 	f.nextProbe = time.Now().Add(f.jitter(f.probeDelay))
-	f.mu.Lock()
-	f.stats.Fallbacks++
-	f.stats.FallbackActive = true
-	f.mu.Unlock()
-	f.met.fallbacks.AddAt(f.stripe, 1)
-	f.met.events.Emit(obs.Event{Type: obs.EvFailover, App: f.flow,
+	f.n[cFallbacks].Add(1)
+	f.conn.events.Emit(obs.Event{Type: obs.EvFailover, App: f.flow,
 		Msg: fmt.Sprintf("daemon unreachable after %d attempts; flow degraded to the local controller", f.cfg.Retries+1)})
 	return f.fallbackDecide(st), nil
 }
@@ -488,14 +492,9 @@ func (f *ServeFlow) report(st mocc.Status) (float64, error) {
 // under overload: the rate is left unchanged, exactly the safe-mode
 // convention the serving engine documents.
 func (f *ServeFlow) serveDecide(r rateReply, st mocc.Status) float64 {
-	f.mu.Lock()
-	f.stats.Epoch = r.epoch
-	f.mu.Unlock()
+	f.epoch.Store(r.epoch)
 	if math.IsNaN(r.rate) {
-		f.mu.Lock()
-		f.stats.Shed++
-		f.mu.Unlock()
-		f.met.shed.AddAt(f.stripe, 1)
+		f.n[cShed].Add(1)
 		if f.lastServed > 0 {
 			return f.lastServed
 		}
@@ -508,19 +507,13 @@ func (f *ServeFlow) serveDecide(r rateReply, st mocc.Status) float64 {
 	// so a later failover continues from the last known-good rate instead
 	// of restarting from the initial window.
 	f.fallback.SetRate(r.rate)
-	f.mu.Lock()
-	f.stats.Served++
-	f.mu.Unlock()
-	f.met.served.AddAt(f.stripe, 1)
+	f.n[cServed].Add(1)
 	return r.rate
 }
 
 // fallbackDecide closes the interval with the local AIMD controller.
 func (f *ServeFlow) fallbackDecide(st mocc.Status) float64 {
-	f.mu.Lock()
-	f.stats.FallbackReports++
-	f.mu.Unlock()
-	f.met.fbReports.AddAt(f.stripe, 1)
+	f.n[cFallbackReports].Add(1)
 	return f.fallback.Update(ccReport(st))
 }
 
