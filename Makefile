@@ -36,10 +36,11 @@ chaos:
 # finite-but-poisoned publish, crash-safe state snapshots, daemon demux
 # hardening against malformed datagrams (plus the demux fuzz seeds), the
 # daemon's per-flow order and drop, its bit-identity to a shadow library,
-# its flat session table, zero-alloc round trip and per-batch reply
-# coalescing (plus the client demux fuzz seeds), and client failover across a
-# daemon killed and restarted mid-load (seeded fault plans, zero Report
-# errors end to end).
+# its flat session table, zero-alloc round trip, per-batch reply coalescing
+# and its walk of coalesced report records (plus the client demux fuzz
+# seeds), the client's report combining and its failed-write fan-out, and
+# client failover across a daemon killed and restarted mid-load (seeded
+# fault plans, zero Report errors end to end).
 chaos-serve:
 	$(GO) test -short -count=1 -run 'Overload|Shed|QueueBound|Panic|Watchdog|Rollback|Canary|BaseEpoch' ./internal/serve
 	$(GO) test -short -count=1 -run 'Rollback|Canary|ServingState|EvictionChurn' .

@@ -219,10 +219,10 @@ func (d *daemon) logStats() {
 	if st.Batches > 0 {
 		avg = float64(st.Reports) / float64(st.Batches)
 	}
-	d.cfg.logf("epoch %d | flows %d | reports %d (batches %d, avg %.1f, max %d) | shed %d (queue %d deadline %d, queued %d) | rollbacks %d panics %d restarts %d | replies %d (datagrams %d) dropped %d rejected %d malformed %d foreign %d invalid %d | evicted %d | fleet thr %.0f pkts/s loss %.3f degraded %d",
+	d.cfg.logf("epoch %d | flows %d | reports %d (batches %d, avg %.1f, max %d) | shed %d (queue %d deadline %d, queued %d) | rollbacks %d panics %d restarts %d | report datagrams %d | replies %d (datagrams %d) dropped %d rejected %d malformed %d foreign %d invalid %d | evicted %d | fleet thr %.0f pkts/s loss %.3f degraded %d",
 		st.Epoch, fl.Apps, st.Reports, st.Batches, avg, st.MaxBatch,
 		st.Shed(), st.ShedQueue, st.ShedDeadline, st.Queued,
 		st.Rollbacks, st.Panics, st.Restarts,
-		ds.Replies, ds.ReplyDatagrams, ds.Dropped, ds.Rejected, ds.Malformed, ds.Foreign, ds.Invalid,
+		ds.ReportDatagrams, ds.Replies, ds.ReplyDatagrams, ds.Dropped, ds.Rejected, ds.Malformed, ds.Foreign, ds.Invalid,
 		st.Evicted, fl.Throughput, fl.LossRate, fl.FallbackActive)
 }

@@ -93,12 +93,18 @@ func TestDaemonShutdownOrdering(t *testing.T) {
 	metrics := httpGet(t, base+"/metrics", http.StatusOK)
 	for _, series := range []string{
 		"mocc_serve_reports_total", "mocc_serve_epoch",
-		"mocc_daemon_replies_total", "mocc_daemon_reply_datagrams_total", "mocc_fleet_apps",
+		"mocc_daemon_report_datagrams_total", "mocc_daemon_replies_total", "mocc_daemon_reply_datagrams_total", "mocc_fleet_apps",
 		"mocc_serve_decision_latency_seconds_count",
 	} {
 		if !strings.Contains(metrics, series) {
 			t.Errorf("/metrics missing %s", series)
 		}
+	}
+	// One flow reporting in turn never shares a datagram: each of its 20
+	// reports arrived as its own, and the series reads the server's counter.
+	n := d.srv.Stats().ReportDatagrams
+	if line := fmt.Sprintf("\nmocc_daemon_report_datagrams_total %d\n", n); n < 20 || !strings.Contains(metrics, line) {
+		t.Errorf("report datagrams %d (want >= 20) not scraped as %q", n, strings.TrimSpace(line))
 	}
 	if hz := httpGet(t, base+"/healthz", http.StatusOK); !strings.Contains(hz, `"status": "ok"`) {
 		t.Errorf("healthz: %s", hz)

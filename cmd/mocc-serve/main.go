@@ -1,8 +1,9 @@
 // Command mocc-serve hosts a MOCC library as a shared rate-decision daemon:
 // one trained model, one UDP socket, any number of flows. Each flow sends
-// report datagrams (its preference plus one monitor interval of
-// measurements, see mocc/internal/datapath WireReport) and gets a rate
-// record back; concurrent flows' decisions are coalesced into batched
+// report records (its preference plus one monitor interval of
+// measurements, see mocc/internal/datapath WireReport) — flows sharing a
+// client socket send theirs together, several to a datagram — and gets a
+// rate record back; concurrent flows' decisions are coalesced into batched
 // forward passes by the serving engine (mocc.WithServing), and the records
 // one pass decides for one client socket share one reply datagram.
 //

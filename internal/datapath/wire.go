@@ -14,12 +14,15 @@ import (
 //	[2:10]  sequence number (big endian)
 //	[10:18] sender timestamp, unix nanos (echoed in acks and rate replies)
 //
-// Report datagrams carry one monitor interval of flow measurements to a
-// mocc-serve daemon; rate datagrams carry the pacing decisions back. A rate
-// datagram is one or more rate records back to back, each exactly
-// WireRateBytes with its own header — the records one served batch decided
-// for one client socket — so a single-record rate datagram is one
-// EncodeRate output, and DecodeRate reads the first record of any.
+// Report datagrams carry flows' monitor-interval measurements to a
+// mocc-serve daemon; rate datagrams carry the pacing decisions back. Both
+// are one or more records back to back, each with its own header. A report
+// datagram's records are exactly WireReportBytes each — the reports of the
+// flows sharing one client socket that were sent together — and a rate
+// datagram's exactly WireRateBytes each — the records one served batch
+// decided for one client socket. A single-record datagram is one
+// EncodeReport or EncodeRate output, and DecodeReport or DecodeRate reads
+// the first record of any.
 const (
 	// WireHeaderBytes is the fixed header length; data packets are padded
 	// to the payload size.
@@ -33,8 +36,8 @@ const (
 	// datagrams: a flow's interval measurements and the rate decision.
 	WireTypeReport = typeReport
 	WireTypeRate   = typeRate
-	// WireReportBytes is the exact report datagram length; WireRateBytes
-	// the exact length of one rate record.
+	// WireReportBytes is the exact length of one report record;
+	// WireRateBytes the exact length of one rate record.
 	WireReportBytes = headerBytes + 10*8
 	WireRateBytes   = headerBytes + 3*8
 )
@@ -68,7 +71,7 @@ type WireReport struct {
 	AvgRTTNs, MinRTTNs int64
 }
 
-// EncodeReport writes a report datagram for (seq, unixNanos, r) into pkt
+// EncodeReport writes a report record for (seq, unixNanos, r) into pkt
 // (len >= WireReportBytes) and returns WireReportBytes.
 func EncodeReport(pkt []byte, seq uint64, unixNanos int64, r WireReport) int {
 	pkt[0] = magicByte
@@ -88,8 +91,8 @@ func EncodeReport(pkt []byte, seq uint64, unixNanos int64, r WireReport) int {
 	return WireReportBytes
 }
 
-// DecodeReport parses a received datagram as a flow report. ok is false for
-// short, foreign, or non-report datagrams.
+// DecodeReport parses the report record at the start of buf. ok is false
+// for short, foreign, or non-report input.
 func DecodeReport(buf []byte) (seq uint64, unixNanos int64, r WireReport, ok bool) {
 	if len(buf) < WireReportBytes || buf[0] != magicByte || buf[1] != typeReport {
 		return 0, 0, WireReport{}, false

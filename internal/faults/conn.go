@@ -53,7 +53,7 @@ type ConnStats struct {
 // A rate datagram coalescing several rate records is split into its
 // records, handed up one per Read, so every injector judges each reply on
 // its own — the same stream of draws whether the daemon sent the replies
-// together or apart.
+// together or apart; Write splits a coalesced report datagram the same way.
 //
 // Like the *net.UDPConn it wraps, a FaultConn supports one goroutine
 // calling Write concurrently with one goroutine calling Read (the
@@ -137,17 +137,37 @@ func corruptHeader(rng *rand.Rand, pkt []byte) {
 	pkt[idx] ^= mask
 }
 
-// Write implements Conn for outgoing data packets. The caller's buffer is
-// never mutated: corruption copies first (transport reuses one packet
-// buffer across sends).
+// Write implements Conn for outgoing data packets and report datagrams. A
+// report datagram coalescing several report records is split into them,
+// each judged by every injector on its own (blackout keyed on its own seq)
+// and, if it survives, sent in its own inner Write — the same stream of
+// draws whether the flows' reports went out together or apart, as
+// nextRecord gives the read side. A trailing partial record goes on its
+// own, as the malformed datagram it is. The caller's buffer is never
+// mutated: corruption copies first (transport reuses one packet buffer
+// across sends).
 func (c *FaultConn) Write(b []byte) (int, error) {
+	c.wMu.Lock()
+	defer c.wMu.Unlock()
+	if typ, _, ok := datapath.DecodeHeader(b); !ok || typ != datapath.WireTypeReport || len(b) <= datapath.WireReportBytes {
+		return c.writeOne(b)
+	}
+	for off := 0; off < len(b); off += datapath.WireReportBytes {
+		if _, err := c.writeOne(b[off:min(off+datapath.WireReportBytes, len(b))]); err != nil {
+			return off, err
+		}
+	}
+	return len(b), nil
+}
+
+// writeOne judges and sends one outgoing datagram or report record; any
+// other traffic passes untouched. Called under wMu.
+func (c *FaultConn) writeOne(b []byte) (int, error) {
 	typ, seq, ok := datapath.DecodeHeader(b)
 	if !ok || (typ != datapath.WireTypeData && typ != datapath.WireTypeReport) {
 		return c.inner.Write(b)
 	}
 	isReport := typ == datapath.WireTypeReport
-	c.wMu.Lock()
-	defer c.wMu.Unlock()
 
 	if c.plan.Blackout.covers(seq) {
 		// Swallowed after a successful send: the sender cannot tell the

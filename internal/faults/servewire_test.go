@@ -189,3 +189,68 @@ func TestFaultConnSplitsCoalescedRates(t *testing.T) {
 		}
 	}
 }
+
+// TestFaultConnSplitsCoalescedReports pins the write-side injectors per
+// report: a report datagram carrying several records is split into them,
+// so a blackout covering the middle record of three swallows that record
+// alone, and a plan judges the records exactly as it judges the same
+// reports sent one per datagram — the same bytes reach the wire, and the
+// same ConnStats.
+func TestFaultConnSplitsCoalescedReports(t *testing.T) {
+	blackout := &Plan{Seed: 1, Blackout: &Blackout{Windows: []Window{{From: 2, To: 3}}}}
+	inner := &scriptConn{}
+	fc := blackout.WrapConn(inner)
+	dgram := coalesce(reportPkt(1), reportPkt(2), reportPkt(3))
+	if n, err := fc.Write(dgram); err != nil || n != len(dgram) {
+		t.Fatalf("Write = (%d, %v), want (%d, nil)", n, err, len(dgram))
+	}
+	if len(inner.out) != 2 || !bytes.Equal(inner.out[0], reportPkt(1)) || !bytes.Equal(inner.out[1], reportPkt(3)) {
+		t.Fatalf("wire saw %d writes %x, want reports 1 and 3", len(inner.out), inner.out)
+	}
+	if st := fc.Stats(); st != (ConnStats{ReportsSwallowed: 1}) {
+		t.Fatalf("stats %+v, want one report swallowed", st)
+	}
+
+	plans := []*Plan{
+		blackout,
+		{
+			Seed:      99,
+			Duplicate: &Duplicate{Prob: 0.1},
+			Corrupt:   &Corrupt{Prob: 0.1, Data: true},
+			Blackout:  &Blackout{Windows: []Window{{From: 40, To: 60}}},
+		},
+	}
+	for _, plan := range plans {
+		var single, grouped scriptConn
+		a, b := plan.WrapConn(&single), plan.WrapConn(&grouped)
+		for first := uint64(1); first <= 200; {
+			var group [][]byte
+			for k := 0; k < int(first%14)+1 && first <= 200; k++ {
+				group = append(group, reportPkt(first))
+				first++
+			}
+			for _, pkt := range group {
+				if _, err := a.Write(pkt); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if _, err := b.Write(coalesce(group...)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if a.Stats() != b.Stats() {
+			t.Fatalf("seed %d: stats single %+v, coalesced %+v", plan.Seed, a.Stats(), b.Stats())
+		}
+		if st := a.Stats(); plan.Duplicate != nil && (st.ReportsSwallowed == 0 || st.ReportsCorrupted == 0 || st.ReportsDuplicated == 0) {
+			t.Fatalf("seed %d: an injector never fired: %+v", plan.Seed, st)
+		}
+		if len(single.out) != len(grouped.out) {
+			t.Fatalf("seed %d: wire saw %d single, %d coalesced", plan.Seed, len(single.out), len(grouped.out))
+		}
+		for i := range single.out {
+			if !bytes.Equal(single.out[i], grouped.out[i]) {
+				t.Fatalf("seed %d: written record %d differs: %x vs %x", plan.Seed, i, single.out[i], grouped.out[i])
+			}
+		}
+	}
+}

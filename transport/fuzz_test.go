@@ -11,18 +11,22 @@ import (
 	"mocc"
 	"mocc/internal/core"
 	"mocc/internal/datapath"
+	"mocc/internal/objective"
 )
 
 // FuzzRateServerDatagram feeds arbitrary datagrams to the daemon's
 // per-datagram step, each twice from one of two source sockets, on a
 // library without serving (so every decision completes inside handle).
-// handle must not panic; a datagram that is not a report moves the
-// malformed+foreign counters by exactly one and touches nothing else; a
-// report either registers exactly one session, keyed by its source and
-// flow, or is rejected — and a repeat finds that session instead of
-// registering another. The seeds (one per datagram class: short, bad
-// magic, foreign type, truncated report, valid report, NaN weights) run
-// with every `go test`.
+// handle must not panic. A datagram that does not open with a whole valid
+// report record moves the malformed+foreign counters by exactly one and
+// touches nothing else. Otherwise it counts one report datagram, and each
+// of its leading whole valid records lands in the session keyed by its
+// source and flow — registering it, or finding it registered by an earlier
+// record — or counts one rejection; anything after them (a partial or
+// invalid record) counts exactly one Malformed. The seeds (one per datagram
+// class: short, bad magic, foreign type, truncated report, valid report,
+// NaN weights; then two flows, 14 records, a trailing partial, bad magic in
+// record 2 and the same flow twice) run with every `go test`.
 func FuzzRateServerDatagram(f *testing.F) {
 	path := filepath.Join(f.TempDir(), "model.json")
 	if err := core.NewModel(core.HistoryLen, 1).Snapshot().SaveFile(path); err != nil {
@@ -66,17 +70,27 @@ func FuzzRateServerDatagram(f *testing.F) {
 		datapath.EncodeReport(pkt, 1, 2, r)
 		return pkt
 	}
+	flow := func(id uint64) []byte { return report(func(r *datapath.WireReport) { r.Flow = id }) }
 	valid := report(nil)
 	badMagic := append([]byte(nil), valid...)
 	badMagic[0] ^= 0xFF
 	foreign := append([]byte(nil), valid...)
 	foreign[1] = datapath.WireTypeAck
+	var fourteen []byte
+	for id := uint64(1); id <= maxReportRecords; id++ {
+		fourteen = append(fourteen, flow(id)...)
+	}
 	f.Add([]byte{datapath.WireMagic}, false)
 	f.Add(badMagic, false)
 	f.Add(foreign, true)
 	f.Add(valid[:datapath.WireReportBytes-1], false)
 	f.Add(valid, true)
 	f.Add(report(func(r *datapath.WireReport) { r.Lat = math.NaN() }), false)
+	f.Add(append(flow(1), flow(2)...), false)
+	f.Add(fourteen, true)
+	f.Add(append(flow(1), valid[:40]...), false)
+	f.Add(append(flow(1), badMagic...), true)
+	f.Add(append(valid, valid...), false)
 
 	f.Fuzz(func(t *testing.T, b []byte, second bool) {
 		from := sources[0]
@@ -89,13 +103,25 @@ func FuzzRateServerDatagram(f *testing.F) {
 			}
 			clear(srv.sessions)
 		}()
-		_, _, rep, isReport := datapath.DecodeReport(b)
+		// The oracle's walk: the whole valid report records b opens with,
+		// and what follows them.
+		var recs []datapath.WireReport
+		rest := b
+		for {
+			_, _, rep, ok := datapath.DecodeReport(rest)
+			if !ok {
+				break
+			}
+			recs = append(recs, rep)
+			rest = rest[datapath.WireReportBytes:]
+		}
+		registered := map[uint64]bool{} // flows with a session, across both rounds
 		for round := 0; round < 2; round++ {
 			before := srv.Stats()
 			srv.handle(b, from)
 			after := srv.Stats()
 			classified := after.Malformed + after.Foreign - before.Malformed - before.Foreign
-			if !isReport {
+			if len(recs) == 0 {
 				rest := after
 				rest.Malformed, rest.Foreign = before.Malformed, before.Foreign
 				if classified != 1 || rest != before {
@@ -103,16 +129,33 @@ func FuzzRateServerDatagram(f *testing.F) {
 				}
 				continue
 			}
-			if classified != 0 || after.Dropped != 0 {
-				t.Fatalf("round %d: report %x classified or dropped: %+v -> %+v", round, b, before, after)
+			var rejected int64
+			for _, rep := range recs {
+				if registered[rep.Flow] {
+					continue
+				}
+				if _, err := objective.New(rep.Thr, rep.Lat, rep.Loss); err != nil {
+					rejected++
+				} else {
+					registered[rep.Flow] = true
+				}
 			}
-			rejected := after.Rejected - before.Rejected
-			if !(after.Sessions == 1 && rejected == 0) && !(after.Sessions == 0 && rejected == 1) {
-				t.Fatalf("round %d: report %x: %+v -> %+v, want one session or one rejection", round, b, before, after)
+			var malformed int64
+			if len(rest) > 0 {
+				malformed = 1
+			}
+			if after.Malformed-before.Malformed != malformed || after.Foreign != before.Foreign ||
+				after.ReportDatagrams-before.ReportDatagrams != 1 || after.Dropped != 0 {
+				t.Fatalf("round %d: %d records then %d bytes: %+v -> %+v, want one report datagram, %d malformed",
+					round, len(recs), len(rest), before, after, malformed)
+			}
+			if after.Rejected-before.Rejected != rejected || after.Sessions != len(registered) {
+				t.Fatalf("round %d: %d records: %+v -> %+v, want %d rejected and %d sessions",
+					round, len(recs), before, after, rejected, len(registered))
 			}
 			for key := range srv.sessions {
-				if key != (sessionKey{from, rep.Flow}) {
-					t.Fatalf("session keyed %v, want %v flow %d", key, from, rep.Flow)
+				if key.addr != from || !registered[key.flow] {
+					t.Fatalf("session keyed %v, want %v and one of the flows %v", key, from, registered)
 				}
 			}
 		}

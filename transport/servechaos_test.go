@@ -52,7 +52,9 @@ func startRateServer(t *testing.T, lib *mocc.Library, addr string) *transport.Ra
 // TestRateServerMalformedDatagrams is the demux-hardening pin: short,
 // truncated, wrong-magic and wrong-type datagrams must be counted and
 // dropped — never parsed past their bounds, never fatal — and the daemon
-// must keep answering well-formed reports afterwards.
+// must keep answering well-formed reports afterwards. A datagram whose
+// whole report records are followed by a partial or invalid one has those
+// records served and counts one Malformed.
 func TestRateServerMalformedDatagrams(t *testing.T) {
 	lib := chaosLibrary(t, mocc.WithServing(mocc.ServingOptions{Shards: 1}))
 	defer lib.Close()
@@ -69,34 +71,43 @@ func TestRateServerMalformedDatagrams(t *testing.T) {
 	}
 	defer conn.Close()
 
-	valid := make([]byte, datapath.WireReportBytes)
-	datapath.EncodeReport(valid, 1, time.Now().UnixNano(), datapath.WireReport{
-		Flow: 7, Thr: 0.4, Lat: 0.3, Loss: 0.3,
-		DurationNs: int64(40 * time.Millisecond), Sent: 50, Acked: 50,
-		AvgRTTNs: int64(45 * time.Millisecond), MinRTTNs: int64(40 * time.Millisecond),
-	})
+	report := func(flow uint64) []byte {
+		p := make([]byte, datapath.WireReportBytes)
+		datapath.EncodeReport(p, 1, time.Now().UnixNano(), datapath.WireReport{
+			Flow: flow, Thr: 0.4, Lat: 0.3, Loss: 0.3,
+			DurationNs: int64(40 * time.Millisecond), Sent: 50, Acked: 50,
+			AvgRTTNs: int64(45 * time.Millisecond), MinRTTNs: int64(40 * time.Millisecond),
+		})
+		return p
+	}
+	valid := report(7)
 	mutate := func(f func(p []byte)) []byte {
 		p := append([]byte(nil), valid...)
 		f(p)
 		return p
 	}
+	badMagic := mutate(func(p []byte) { p[0] ^= 0xFF })
 
 	cases := []struct {
-		name string
-		pkt  []byte
-		want string // "malformed" | "foreign"
+		name   string
+		pkt    []byte
+		want   string // "malformed" | "foreign"
+		served uint64 // flow of a whole report record ahead of the bad part (0: none)
 	}{
-		{"one-byte", []byte{datapath.WireMagic}, "malformed"},
-		{"short-header", valid[:datapath.WireHeaderBytes-1], "malformed"},
-		{"header-only", valid[:datapath.WireHeaderBytes], "malformed"},
-		{"truncated-report", valid[:datapath.WireReportBytes-1], "malformed"},
-		{"wrong-magic", mutate(func(p []byte) { p[0] ^= 0xFF }), "malformed"},
-		{"garbage", []byte("definitely not a mocc datagram, just bytes"), "malformed"},
-		{"data-type", mutate(func(p []byte) { p[1] = datapath.WireTypeData }), "foreign"},
-		{"ack-type", mutate(func(p []byte) { p[1] = datapath.WireTypeAck }), "foreign"},
-		{"rate-type", mutate(func(p []byte) { p[1] = datapath.WireTypeRate }), "foreign"},
+		{"one-byte", []byte{datapath.WireMagic}, "malformed", 0},
+		{"short-header", valid[:datapath.WireHeaderBytes-1], "malformed", 0},
+		{"header-only", valid[:datapath.WireHeaderBytes], "malformed", 0},
+		{"truncated-report", valid[:datapath.WireReportBytes-1], "malformed", 0},
+		{"wrong-magic", badMagic, "malformed", 0},
+		{"garbage", []byte("definitely not a mocc datagram, just bytes"), "malformed", 0},
+		{"data-type", mutate(func(p []byte) { p[1] = datapath.WireTypeData }), "foreign", 0},
+		{"ack-type", mutate(func(p []byte) { p[1] = datapath.WireTypeAck }), "foreign", 0},
+		{"rate-type", mutate(func(p []byte) { p[1] = datapath.WireTypeRate }), "foreign", 0},
+		{"report + partial", append(report(8), valid[:40]...), "malformed", 8},
+		{"bad second record", append(report(9), badMagic...), "malformed", 9},
 	}
 	wantMalformed, wantForeign := int64(0), int64(0)
+	served := map[uint64]bool{}
 	for _, tc := range cases {
 		if _, err := conn.Write(tc.pkt); err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
@@ -106,25 +117,42 @@ func TestRateServerMalformedDatagrams(t *testing.T) {
 		} else {
 			wantForeign++
 		}
+		if tc.served != 0 {
+			served[tc.served] = true
+		}
 	}
 	deadline := time.Now().Add(5 * time.Second)
 	for {
 		st := srv.Stats()
-		if st.Malformed == wantMalformed && st.Foreign == wantForeign {
+		if st.Malformed == wantMalformed && st.Foreign == wantForeign && st.Replies == int64(len(served)) {
 			break
 		}
 		if time.Now().After(deadline) {
-			t.Fatalf("stats = %+v, want malformed %d foreign %d", st, wantMalformed, wantForeign)
+			t.Fatalf("stats = %+v, want malformed %d foreign %d replies %d", st, wantMalformed, wantForeign, len(served))
 		}
 		time.Sleep(2 * time.Millisecond)
 	}
 
-	// The daemon must still be alive and answering.
+	// The records ahead of the bad parts were answered; then the daemon
+	// must still be alive and answering.
+	reply := make([]byte, 64*1024)
+	conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+	for len(served) > 0 {
+		n, err := conn.Read(reply)
+		if err != nil {
+			t.Fatalf("replies to the records ahead of the bad parts: %v (still owed to %v)", err, served)
+		}
+		for rec := reply[:n]; len(rec) > 0; rec = rec[datapath.WireRateBytes:] {
+			seq, _, flow, _, _, ok := datapath.DecodeRate(rec)
+			if !ok || seq != 1 || !served[flow] {
+				t.Fatalf("bad rate reply (ok=%v seq=%d flow=%d), want one to flows %v", ok, seq, flow, served)
+			}
+			delete(served, flow)
+		}
+	}
 	if _, err := conn.Write(valid); err != nil {
 		t.Fatal(err)
 	}
-	reply := make([]byte, 64*1024)
-	conn.SetReadDeadline(time.Now().Add(5 * time.Second))
 	n, err := conn.Read(reply)
 	if err != nil {
 		t.Fatalf("no rate reply after malformed storm: %v", err)
@@ -136,8 +164,13 @@ func TestRateServerMalformedDatagrams(t *testing.T) {
 	if math.IsNaN(rate) || rate < cc.MinPacingRate || rate > cc.MaxPacingRate {
 		t.Fatalf("served rate %v outside the pacing envelope", rate)
 	}
-	if st := srv.Stats(); st.Sessions != 1 || st.Replies != 1 {
-		t.Fatalf("sessions=%d replies=%d after valid report, want 1/1", st.Sessions, st.Replies)
+	// The reply counter is bumped after the socket write just read.
+	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
+		if st := srv.Stats(); st.Sessions == 3 && st.Replies == 3 {
+			break
+		} else if time.Now().After(deadline) {
+			t.Fatalf("sessions=%d replies=%d after valid report, want 3/3", st.Sessions, st.Replies)
+		}
 	}
 }
 

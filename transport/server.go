@@ -23,12 +23,13 @@ import (
 // Flows are registered lazily on first report, keyed by (source address,
 // flow id), in a flat session table; a flow evicted by the library's idle
 // janitor simply re-registers on its next report. There is no goroutine per
-// flow: the read loop decodes a report and submits it with App.ReportAsync,
-// and the serving shard that decides it also sends the reply. A flow has
-// at most one report in flight and one waiting behind it, so its replies
-// keep report order; a report arriving while both are taken is dropped and
-// counted, never allowed to block the socket read loop (the flow retries
-// next interval).
+// flow: the read loop decodes each report record of a datagram (a client
+// socket may coalesce several flows' reports into one) and submits it with
+// App.ReportAsync, and the serving shard that decides it also sends the
+// reply. A flow has at most one report in flight and one waiting behind it,
+// so its replies keep report order; a report arriving while both are taken
+// is dropped and counted, never allowed to block the socket read loop (the
+// flow retries next interval).
 //
 // Replies are coalesced per served batch: the records one forward pass
 // decides for one client socket leave in one datagram (at most
@@ -41,7 +42,8 @@ import (
 //
 // The read loop never trusts the network: datagrams that are short, carry
 // the wrong magic, are truncated below the report length, or are of a
-// non-report type are counted and dropped, never parsed past their bounds.
+// non-report type are counted and dropped, never parsed past their bounds;
+// the whole records ahead of a trailing partial or invalid one are served.
 type RateServer struct {
 	lib  *mocc.Library
 	conn *net.UDPConn
@@ -59,19 +61,24 @@ type RateServer struct {
 	outMu sync.Mutex
 	out   []replyBuf
 
-	replies        atomic.Int64
-	replyDatagrams atomic.Int64
-	dropped        atomic.Int64
-	rejected       atomic.Int64
-	malformed      atomic.Int64
-	foreign        atomic.Int64
-	invalid        atomic.Int64
+	reportDatagrams atomic.Int64
+	replies         atomic.Int64
+	replyDatagrams  atomic.Int64
+	dropped         atomic.Int64
+	rejected        atomic.Int64
+	malformed       atomic.Int64
+	foreign         atomic.Int64
+	invalid         atomic.Int64
 }
 
 // RateServerStats is a point-in-time snapshot of daemon counters.
 type RateServerStats struct {
 	// Sessions is the number of currently registered flow sessions.
 	Sessions int
+	// ReportDatagrams counts the datagrams that carried reports in: one or
+	// more records each, as ServeConn coalesces them, so while nothing is
+	// dropped or rejected Replies/ReportDatagrams is the mean coalescing.
+	ReportDatagrams int64
 	// Replies counts rate records sent, one per answered report;
 	// ReplyDatagrams counts the datagrams that carried them (one per client
 	// socket per served batch, so Replies/ReplyDatagrams is the mean
@@ -178,6 +185,8 @@ func (s *RateServer) RegisterMetrics(m *mocc.Metrics) {
 			s.mu.Unlock()
 			return float64(n)
 		})
+	reg.CounterFunc("mocc_daemon_report_datagrams_total", "Datagrams carrying report records in: one or more per datagram, from flows sharing a client socket.",
+		func() uint64 { return uint64(s.reportDatagrams.Load()) })
 	reg.CounterFunc("mocc_daemon_replies_total", "Rate records sent to flows, one per answered report.",
 		func() uint64 { return uint64(s.replies.Load()) })
 	reg.CounterFunc("mocc_daemon_reply_datagrams_total", "Reply datagrams sent: one per client socket per served batch, carrying its rate records.",
@@ -200,14 +209,15 @@ func (s *RateServer) Stats() RateServerStats {
 	n := len(s.sessions)
 	s.mu.Unlock()
 	return RateServerStats{
-		Sessions:       n,
-		Replies:        s.replies.Load(),
-		ReplyDatagrams: s.replyDatagrams.Load(),
-		Dropped:        s.dropped.Load(),
-		Rejected:       s.rejected.Load(),
-		Malformed:      s.malformed.Load(),
-		Foreign:        s.foreign.Load(),
-		Invalid:        s.invalid.Load(),
+		Sessions:        n,
+		ReportDatagrams: s.reportDatagrams.Load(),
+		Replies:         s.replies.Load(),
+		ReplyDatagrams:  s.replyDatagrams.Load(),
+		Dropped:         s.dropped.Load(),
+		Rejected:        s.rejected.Load(),
+		Malformed:       s.malformed.Load(),
+		Foreign:         s.foreign.Load(),
+		Invalid:         s.invalid.Load(),
 	}
 }
 
@@ -260,9 +270,11 @@ func (s *RateServer) Serve() {
 	}
 }
 
-// handle is the read loop's per-datagram step: classify, decode, find (or
-// register) the flow's session, and start the decision or queue it behind
-// the one in flight.
+// handle is the read loop's per-datagram step: classify the datagram once,
+// then walk its report records — one or more, back to back, as ServeConn
+// sends the reports of flows woken together — handing each to report. A
+// trailing partial or invalid record counts one Malformed, as a reply
+// datagram's does in ServeConn.deliver.
 func (s *RateServer) handle(buf []byte, from netip.AddrPort) {
 	switch classifyDatagram(buf) {
 	case dgramMalformed:
@@ -272,16 +284,25 @@ func (s *RateServer) handle(buf []byte, from netip.AddrPort) {
 		s.foreign.Add(1)
 		return
 	}
-	seq, nanos, rep, ok := datapath.DecodeReport(buf)
-	if !ok {
-		s.malformed.Add(1)
-		return
+	s.reportDatagrams.Add(1)
+	for len(buf) > 0 {
+		seq, nanos, rep, ok := datapath.DecodeReport(buf)
+		if !ok {
+			s.malformed.Add(1)
+			return
+		}
+		buf = buf[datapath.WireReportBytes:]
+		s.report(from, reportMsg{seq: seq, nanos: nanos, rep: rep})
 	}
-	sess := s.lookup(sessionKey{from, rep.Flow}, rep)
+}
+
+// report finds (or registers) the flow's session and starts the decision,
+// or queues it behind the one in flight.
+func (s *RateServer) report(from netip.AddrPort, m reportMsg) {
+	sess := s.lookup(sessionKey{from, m.rep.Flow}, m.rep)
 	if sess == nil {
 		return
 	}
-	m := reportMsg{seq: seq, nanos: nanos, rep: rep}
 	sess.mu.Lock()
 	switch {
 	case !sess.busy:

@@ -430,3 +430,63 @@ func TestRateServerCoalescedAllocFree(t *testing.T) {
 		t.Fatalf("%d replies in %d datagrams: the measured rounds never coalesced", replies, datagrams)
 	}
 }
+
+// TestRateServerWalksReportRecords pins the daemon's record walk: 14 flows'
+// reports in one datagram, the most a ServeConn sends in one, are each
+// decided and answered, bit-equal to a non-serving library fed the same
+// statuses, and count one report datagram; a second round of the same
+// flows finds their sessions.
+func TestRateServerWalksReportRecords(t *testing.T) {
+	lib := chaosLibrary(t, mocc.WithServing(mocc.ServingOptions{Shards: 2}))
+	defer lib.Close()
+	srv := startRateServer(t, lib, "127.0.0.1:0")
+	defer srv.Close()
+	conn := dialRaw(t, srv)
+
+	const flows, rounds = 14, 2
+	shadow := chaosLibrary(t)
+	apps := make([]*mocc.App, flows+1) // by flow id, 1..flows
+	for flow := 1; flow <= flows; flow++ {
+		app, err := shadow.Register(mocc.Weights{Thr: 0.4, Lat: 0.3, Loss: 0.3})
+		if err != nil {
+			t.Fatal(err)
+		}
+		apps[flow] = app
+	}
+	dgram := make([]byte, flows*datapath.WireReportBytes)
+	in := make([]byte, 64*1024)
+	conn.SetReadDeadline(time.Now().Add(10 * time.Second))
+	for r := 0; r < rounds; r++ {
+		// Report seq = 100·round + flow carries the interval chaosStatus(seq).
+		seqOf := func(flow uint64) uint64 { return uint64(100*r) + flow }
+		for flow := uint64(1); flow <= flows; flow++ {
+			encodeReport(dgram[(flow-1)*datapath.WireReportBytes:], flow, seqOf(flow))
+		}
+		if _, err := conn.Write(dgram); err != nil {
+			t.Fatal(err)
+		}
+		for answered := 0; answered < flows; {
+			n, err := conn.Read(in)
+			if err != nil {
+				t.Fatalf("round %d after %d replies: %v", r, answered, err)
+			}
+			for rec := in[:n]; len(rec) >= datapath.WireRateBytes; rec = rec[datapath.WireRateBytes:] {
+				seq, nanos, flow, rate, _, ok := datapath.DecodeRate(rec)
+				if !ok || flow < 1 || flow > flows || seq != seqOf(flow) || nanos != reportNanos(seq) {
+					t.Fatalf("round %d: reply (ok %v flow %d seq %d nanos %d)", r, ok, flow, seq, nanos)
+				}
+				want, err := apps[flow].Report(chaosStatus(int(seq)))
+				if err != nil {
+					t.Fatal(err)
+				}
+				if math.Float64bits(rate) != math.Float64bits(want) {
+					t.Fatalf("round %d flow %d: served %v, shadow library %v", r, flow, rate, want)
+				}
+				answered++
+			}
+		}
+	}
+	if st := srv.Stats(); st.ReportDatagrams != rounds || st.Sessions != flows || st.Malformed != 0 || st.Dropped != 0 {
+		t.Fatalf("stats %+v, want %d report datagrams, %d sessions, nothing malformed or dropped", st, rounds, flows)
+	}
+}
