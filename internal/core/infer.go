@@ -41,9 +41,11 @@ func (inf *Inference) ActFor(w objective.Weights, netObs []float64) float64 {
 // BatchInference is a goroutine-private batched deployment view of a Model:
 // one call evaluates many (preference, observation) pairs, taking the read
 // side of the parameter lock once per batch instead of once per decision.
-// Every layer runs the n = 1 kernel on each row (nn.Evaluator), so every
-// output is bit-identical to Model.ActFor on the same pair whatever the
-// batch size — a serving engine may coalesce concurrent requests freely.
+// Every (row, output) of every layer is summed exactly as the n = 1 kernel
+// sums it (nn.Evaluator: that kernel row by row below 4 rows, its sequence
+// in column blocks from 4 up), so every output is bit-identical to
+// Model.ActFor on the same pair whatever the batch size — a serving engine
+// may coalesce concurrent requests freely.
 //
 // A BatchInference is not safe for concurrent use — create one per shard.
 type BatchInference struct {

@@ -1,6 +1,7 @@
 package nn
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 )
@@ -73,32 +74,25 @@ func BenchmarkMLPForwardBackwardBatch(b *testing.B) {
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*batch), "ns/sample")
 }
 
-// BenchmarkEvaluatorForwardBatch measures the serving-side batched
-// inference path: Evaluator.ForwardBatch, which runs the n = 1 kernel on
-// each of the 64 rows, so its ns/sample against BenchmarkEvaluatorForward's
-// is what batching saves outside the kernel (one call and one pass over the
-// layers per batch instead of per row).
+// BenchmarkEvaluatorForwardBatch measures the serving-side forward,
+// Evaluator.ForwardBatch, per batch size: n = 1 is a lone decision and
+// runs linearRow1Asm; n = 4 is the smallest batch on the column path
+// (linearCols, when the CPU has AVX); 13 is the average batch the
+// serve-fleet workload measures; 64 is a full serving batch. Against
+// BenchmarkMLPForwardBatch, the n = 64 ns/sample compares serving's
+// sequential per-row sums with training's lane-interleaved ones.
 func BenchmarkEvaluatorForwardBatch(b *testing.B) {
-	const batch = 64
-	e := benchNet().NewEvaluator()
-	x := benchInput(batch)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		e.ForwardBatch(x, batch)
+	for _, n := range []int{1, 4, 13, 64} {
+		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
+			e := benchNet().NewEvaluator()
+			x := benchInput(n)
+			e.ForwardBatch(x, n) // grow scratch
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				e.ForwardBatch(x, n)
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*n), "ns/sample")
+		})
 	}
-	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*batch), "ns/sample")
-}
-
-// BenchmarkEvaluatorForward is the same path on a batch of one, the shape
-// of a lone serving decision.
-func BenchmarkEvaluatorForward(b *testing.B) {
-	e := benchNet().NewEvaluator()
-	x := benchInput(1)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		e.ForwardBatch(x, 1)
-	}
-	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N), "ns/sample")
 }

@@ -13,12 +13,16 @@ func FastTanh(x float64) float64 { return fastTanh(x) }
 // (training, adaptation) still need external synchronization against all
 // Evaluators reading them.
 //
-// Every row is evaluated by the one kernel MLP.Forward runs at n = 1
-// (linearRows) and the same fastTanh activation, so each output row is
-// bit-identical to MLP.Forward on that row at any batch size.
+// Every (row, output) sum is the one MLP.Forward computes at n = 1
+// (linearRow1Asm's order: from zero in index order, the bias last) and every
+// activation the same fastTanh, so each output row is bit-identical to
+// MLP.Forward on that row at any batch size. Batches of colRows or more rows
+// run linearCols over column-major scratch when the CPU has AVX; smaller
+// batches run linearRows, the n = 1 kernel on each row.
 type Evaluator struct {
 	steps  []evalStep
-	maxDim int       // widest layer, per batch row
+	in     int       // input width
+	maxDim int       // widest layer input or output, per batch row
 	a, b   []float64 // ping-pong activation buffers
 }
 
@@ -29,24 +33,34 @@ type evalStep struct {
 	size   int
 }
 
+// colRows is the row block of the column path: one YMM register holds four
+// batch rows of one activation, and the column scratch pads the batch to a
+// multiple of it. ForwardBatch takes the column path from one full block
+// up. That is the kernel's geometry, not a tuned threshold.
+const colRows = 4
+
 // NewEvaluator builds a concurrent-safe forward view of the network. It
 // panics on layer types other than Linear and Tanh (the only layers NewMLP
 // produces).
 func (m *MLP) NewEvaluator() *Evaluator {
 	e := &Evaluator{}
 	maxDim := 1
-	for _, l := range m.Layers {
+	for i, l := range m.Layers {
+		in := 0
 		switch t := l.(type) {
 		case *Linear:
 			e.steps = append(e.steps, evalStep{linear: t})
+			in = t.In
 		case *Tanh:
 			e.steps = append(e.steps, evalStep{size: t.size})
+			in = t.size
 		default:
 			panic(fmt.Sprintf("nn: Evaluator cannot wrap layer type %T", l))
 		}
-		if l.OutSize() > maxDim {
-			maxDim = l.OutSize()
+		if i == 0 {
+			e.in = in
 		}
+		maxDim = max(maxDim, in, l.OutSize())
 	}
 	e.maxDim = maxDim
 	e.a = make([]float64, maxDim)
@@ -64,15 +78,18 @@ func (e *Evaluator) ForwardBatch(x []float64, n int) []float64 {
 	if n <= 0 {
 		panic(fmt.Sprintf("nn: Evaluator batch size %d", n))
 	}
+	if len(x) != n*e.in {
+		panic(fmt.Sprintf("nn: Evaluator batch input size %d, want %d", len(x), n*e.in))
+	}
+	if useAVX && n >= colRows {
+		return e.forwardCols(x, n)
+	}
 	e.a = Grow(e.a, n*e.maxDim)
 	e.b = Grow(e.b, n*e.maxDim)
 	cur := x
 	out, next := e.a, e.b
 	for _, s := range e.steps {
 		if l := s.linear; l != nil {
-			if len(cur) != n*l.In {
-				panic(fmt.Sprintf("nn: Evaluator batch input size %d, want %d", len(cur), n*l.In))
-			}
 			dst := out[:n*l.Out]
 			linearRows(l.W.Value, l.B.Value, cur, dst, n, l.In, l.Out)
 			cur = dst
@@ -86,4 +103,45 @@ func (e *Evaluator) ForwardBatch(x []float64, n int) []float64 {
 		out, next = next, out
 	}
 	return cur
+}
+
+// forwardCols is ForwardBatch on the column path: the input is transposed
+// once into [width][ld] scratch (ld = n rounded up to colRows, padding rows
+// zero), every layer runs there — linearCols for a Linear, fastTanh on the
+// n live entries of each activation row for a Tanh — and the output is
+// transposed back. Padding rows are computed and never read.
+func (e *Evaluator) forwardCols(x []float64, n int) []float64 {
+	ld := (n + colRows - 1) / colRows * colRows
+	e.a = Grow(e.a, ld*e.maxDim)
+	e.b = Grow(e.b, ld*e.maxDim)
+	cur, free := e.a, e.b
+	dim := e.in
+	for i := 0; i < dim; i++ {
+		col := cur[i*ld : (i+1)*ld]
+		for r := 0; r < n; r++ {
+			col[r] = x[r*dim+i]
+		}
+		clear(col[n:])
+	}
+	for _, s := range e.steps {
+		if l := s.linear; l != nil {
+			linearCols(l.W.Value, l.B.Value, cur, free, l.In, l.Out, ld)
+			cur, free = free, cur
+			dim = l.Out
+			continue
+		}
+		for i := 0; i < s.size; i++ {
+			act := cur[i*ld : i*ld+n]
+			for r, v := range act {
+				act[r] = fastTanh(v)
+			}
+		}
+	}
+	y := free[:n*dim]
+	for o := 0; o < dim; o++ {
+		for r, v := range cur[o*ld : o*ld+n] {
+			y[r*dim+o] = v
+		}
+	}
+	return y
 }

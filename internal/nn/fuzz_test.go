@@ -116,11 +116,13 @@ func fuzzShape(widths ...int) uint32 {
 }
 
 // FuzzEvaluatorForwardBatch pins the serving forward to the training one:
-// for a one- to three-layer MLP of widths 1…64, a batch of 1…64 rows whose
-// inputs mix special values, raw bit patterns (any NaN payload) and finite
-// draws, every row of Evaluator.ForwardBatch is bit-equal to MLP.Forward on
-// that row alone. The seeds (the model's own layer shapes at n = 1, 8 and
-// 64, every special value) run with every `go test`.
+// for a one- to three-layer MLP of widths 1…64 with drawn biases, a batch of
+// 1…64 rows whose inputs mix special values, raw bit patterns (any NaN
+// payload) and finite draws, every row of Evaluator.ForwardBatch is
+// bit-equal to MLP.Forward on that row alone. The seeds run with every
+// `go test`: the model's own layer shapes at n = 1, 8, 13 and 64, every
+// special value, and column-path batches of 4, 5, 9 and 13 rows whose
+// output width is not a multiple of four.
 func FuzzEvaluatorForwardBatch(f *testing.F) {
 	allSpecial := make([]byte, len(specialValues))
 	for i := range allSpecial {
@@ -131,6 +133,11 @@ func FuzzEvaluatorForwardBatch(f *testing.F) {
 	f.Add(fuzzShape(46, 64, 32, 1), uint8(7), int64(2), rawNaN)
 	f.Add(fuzzShape(64, 32, 1), uint8(63), int64(3), append(allSpecial, rawNaN...))
 	f.Add(fuzzShape(5, 1, 9), uint8(2), int64(4), []byte{})
+	f.Add(fuzzShape(7, 6), uint8(3), int64(5), allSpecial)
+	f.Add(fuzzShape(3, 9, 5), uint8(4), int64(6), rawNaN)
+	f.Add(fuzzShape(17, 2), uint8(8), int64(7), allSpecial)
+	f.Add(fuzzShape(10, 13, 7), uint8(12), int64(8), append(rawNaN, allSpecial...))
+	f.Add(fuzzShape(46, 64, 32, 1), uint8(12), int64(9), allSpecial)
 
 	f.Fuzz(func(t *testing.T, shape uint32, rows uint8, seed int64, data []byte) {
 		widths := make([]int, 2+shape%3)
@@ -139,7 +146,7 @@ func FuzzEvaluatorForwardBatch(f *testing.F) {
 		}
 		n, in, out := 1+int(rows%64), widths[0], widths[len(widths)-1]
 		rng := rand.New(rand.NewSource(seed))
-		mlp := NewMLP(rng, widths...)
+		mlp := randomBiases(NewMLP(rng, widths...), rng)
 
 		// Each input takes a tag byte: a special value, the raw bits of the
 		// next eight bytes, or a finite draw of mixed magnitude; inputs past

@@ -16,6 +16,9 @@ func dotRowBatch8AVX(w, x, y *float64, blocks, in, out, o int, bias float64)
 func linearRow1Asm(w, b, x, y *float64, in, out int)
 
 //go:noescape
+func linearColsAVX(w, b, xt, yt *float64, in, out, ld int)
+
+//go:noescape
 func axpy4Asm(dst, a0, a1, a2, a3 *float64, g0, g1, g2, g3 float64, m int)
 
 //go:noescape
@@ -25,24 +28,38 @@ func axpyRowsAVX(dst *float64, m int, a *float64, aStride int, sc *float64, scSt
 func addToAsm(dst, src *float64, n int)
 
 // cpuHasAVX reports whether the CPU and the OS support the AVX instructions
-// of dotRowBatch8AVX and axpyRowsAVX.
+// of dotRowBatch8AVX, linearColsAVX and axpyRowsAVX.
 func cpuHasAVX() bool
 
-// useAVX selects the AVX kernels over their SSE2 counterparts. Each pair
-// produces identical bits for every input (pinned by the tests in
+// useAVX selects the AVX kernels over their SSE2 counterparts, and
+// Evaluator.ForwardBatch's column path over linearRows. Each pair produces
+// identical bits for every input (pinned by the tests in
 // kernels_amd64_test.go), so the choice shows in speed only.
 var useAVX = cpuHasAVX()
 
-// linearRows computes one full Linear layer over n batch rows, every row
-// exactly as the n = 1 forward computes it: each (row, output) summed from
-// zero in index order, the bias added last. No row's bits depend on n or on
-// the rows beside it, which is what lets serving batch requests freely.
+// linearRows computes one full Linear layer over n row-major batch rows by
+// running the n = 1 forward on each row: each (row, output) summed from zero
+// in index order, the bias added last. No row's bits depend on n or on the
+// rows beside it, which is what lets serving batch requests freely. It is
+// the serving forward for batches too small for linearCols' row block, and
+// on CPUs without AVX.
 func linearRows(w, b, x, y []float64, n, in, out int) {
 	// The kernel takes bare pointers: fail here on a short slice.
 	_, _, _, _ = w[in*out-1], b[out-1], x[n*in-1], y[n*out-1]
 	for r := 0; r < n; r++ {
 		linearRow1Asm(&w[0], &b[0], &x[r*in], &y[r*out], in, out)
 	}
+}
+
+// linearCols computes one full Linear layer over a column-major batch:
+// xt is [in][ld] and yt [out][ld], ld a multiple of colRows. Every (row,
+// output) is linearRow1Asm's sum for that row, so each row's bits are
+// linearRows' — the kernel only shares each weight load among eight rows
+// and each activation load among four outputs.
+func linearCols(w, b, xt, yt []float64, in, out, ld int) {
+	// The kernel takes bare pointers: fail here on a short slice.
+	_, _, _, _ = w[in*out-1], b[out-1], xt[in*ld-1], yt[out*ld-1]
+	linearColsAVX(&w[0], &b[0], &xt[0], &yt[0], in, out, ld)
 }
 
 // linearForward computes one full Linear layer over n batch rows, every

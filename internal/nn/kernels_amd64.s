@@ -307,7 +307,11 @@ noavx:
 // each sum accumulated from zero in index order — dotRowBatchAsm's one-row
 // tail, which is one latency-bound chain per output. Four outputs are
 // computed at once, so four independent chains share each load of x[i].
+// PCALIGN at the entry has the linker start the function on a 64-byte
+// boundary, so where its loops fall no longer depends on the code linked
+// before it.
 TEXT ·linearRow1Asm(SB), NOSPLIT, $0-48
+	PCALIGN $64
 	MOVQ w+0(FP), DI
 	MOVQ b+8(FP), DX
 	MOVQ x+16(FP), SI
@@ -691,5 +695,213 @@ arrowm4:
 	VMOVUPD    Y1, 32(DI)
 	VMOVUPD    Y2, 64(DI)
 	VMASKMOVPD Y3, Y9, 96(DI)
+	VZEROUPPER
+	RET
+
+// One output's share of a column-kernel step: w[o][i], broadcast from that
+// output's weight row wrow at byte offset R15, times the activations of rows
+// r…r+3 (Y0) and r+4…r+7 (Y1), added to the output's accumulators a0 and
+// a1; COL4 is the same for four rows. The activation is the multiply's first
+// operand and the running sum the add's, as in linearRow1Asm.
+#define COL8(wrow, a0, a1) \
+	VBROADCASTSD (wrow)(R15*1), Y2; \
+	VMULPD       Y2, Y0, Y3;        \
+	VADDPD       Y3, a0, a0;        \
+	VMULPD       Y2, Y1, Y12;       \
+	VADDPD       Y12, a1, a1
+
+#define COL4(wrow, a0) \
+	VBROADCASTSD (wrow)(R15*1), Y2; \
+	VMULPD       Y2, Y0, Y3;        \
+	VADDPD       Y3, a0, a0
+
+// Bias of output k (byte offset off into b) added last to its accumulators.
+#define BIAS8(off, a0, a1) \
+	VBROADCASTSD off(DX), Y2; \
+	VADDPD       Y2, a0, a0;  \
+	VADDPD       Y2, a1, a1
+
+#define BIAS4(off, a0) \
+	VBROADCASTSD off(DX), Y2; \
+	VADDPD       Y2, a0, a0
+
+// func linearColsAVX(w, b, xt, yt *float64, in, out, ld int)
+//
+// A whole Linear layer over a column-major batch: for every output o and
+// batch row r in [0,ld), yt[o*ld+r] = (sum_i xt[i*ld+r]*w[o*in+i]) + b[o],
+// each sum accumulated from zero in index order — linearRow1Asm's sequence
+// for every (row, output), so a row's bits are the n = 1 forward's. ld is a
+// multiple of four and in >= 1. Each pass holds four outputs of eight rows
+// in eight accumulators, so every weight broadcast serves eight rows and
+// every activation load four outputs; a last block of four rows and the last
+// out mod 4 outputs, one at a time, take the same steps on fewer registers.
+//
+// Registers: DI, CX, R13, R14 the weight rows of outputs o…o+3, DX &b[o],
+// SI xt, R10 &yt[o*ld], R8 outputs left, R9 the row block's byte offset r*8,
+// BX the activation cursor, R15 the byte offset i*8, R11 in*8, R12 ld*8.
+TEXT ·linearColsAVX(SB), NOSPLIT, $0-56
+	MOVQ w+0(FP), DI
+	MOVQ b+8(FP), DX
+	MOVQ xt+16(FP), SI
+	MOVQ yt+24(FP), R10
+	MOVQ in+32(FP), R11
+	MOVQ out+40(FP), R8
+	MOVQ ld+48(FP), R12
+	SHLQ $3, R11
+	SHLQ $3, R12
+
+lcout4:
+	CMPQ R8, $4
+	JL   lcout1
+	LEAQ (DI)(R11*1), CX
+	LEAQ (CX)(R11*1), R13
+	LEAQ (R13)(R11*1), R14
+	XORQ R9, R9
+
+lcrow8:
+	MOVQ   R12, AX
+	SUBQ   R9, AX
+	CMPQ   AX, $64
+	JL     lcrow4
+	LEAQ   (SI)(R9*1), BX
+	VXORPD Y4, Y4, Y4
+	VXORPD Y5, Y5, Y5
+	VXORPD Y6, Y6, Y6
+	VXORPD Y7, Y7, Y7
+	VXORPD Y8, Y8, Y8
+	VXORPD Y9, Y9, Y9
+	VXORPD Y10, Y10, Y10
+	VXORPD Y11, Y11, Y11
+	XORQ   R15, R15
+	PCALIGN $64
+
+lci48:
+	VMOVUPD (BX), Y0
+	VMOVUPD 32(BX), Y1
+	COL8(DI, Y4, Y5)
+	COL8(CX, Y6, Y7)
+	COL8(R13, Y8, Y9)
+	COL8(R14, Y10, Y11)
+	ADDQ    R12, BX
+	ADDQ    $8, R15
+	CMPQ    R15, R11
+	JL      lci48
+
+	BIAS8(0, Y4, Y5)
+	BIAS8(8, Y6, Y7)
+	BIAS8(16, Y8, Y9)
+	BIAS8(24, Y10, Y11)
+	LEAQ    (R10)(R9*1), AX
+	VMOVUPD Y4, (AX)
+	VMOVUPD Y5, 32(AX)
+	VMOVUPD Y6, (AX)(R12*1)
+	VMOVUPD Y7, 32(AX)(R12*1)
+	VMOVUPD Y8, (AX)(R12*2)
+	VMOVUPD Y9, 32(AX)(R12*2)
+	LEAQ    (AX)(R12*2), AX
+	VMOVUPD Y10, (AX)(R12*1)
+	VMOVUPD Y11, 32(AX)(R12*1)
+	ADDQ    $64, R9
+	JMP     lcrow8
+
+lcrow4:
+	// Four rows left, or none.
+	CMPQ   R9, R12
+	JGE    lcnext4
+	LEAQ   (SI)(R9*1), BX
+	VXORPD Y4, Y4, Y4
+	VXORPD Y6, Y6, Y6
+	VXORPD Y8, Y8, Y8
+	VXORPD Y10, Y10, Y10
+	XORQ   R15, R15
+	PCALIGN $64
+
+lci44:
+	VMOVUPD (BX), Y0
+	COL4(DI, Y4)
+	COL4(CX, Y6)
+	COL4(R13, Y8)
+	COL4(R14, Y10)
+	ADDQ    R12, BX
+	ADDQ    $8, R15
+	CMPQ    R15, R11
+	JL      lci44
+
+	BIAS4(0, Y4)
+	BIAS4(8, Y6)
+	BIAS4(16, Y8)
+	BIAS4(24, Y10)
+	LEAQ    (R10)(R9*1), AX
+	VMOVUPD Y4, (AX)
+	VMOVUPD Y6, (AX)(R12*1)
+	VMOVUPD Y8, (AX)(R12*2)
+	LEAQ    (AX)(R12*2), AX
+	VMOVUPD Y10, (AX)(R12*1)
+
+lcnext4:
+	LEAQ (R14)(R11*1), DI
+	ADDQ $32, DX
+	LEAQ (R10)(R12*4), R10
+	SUBQ $4, R8
+	JMP  lcout4
+
+lcout1:
+	TESTQ R8, R8
+	JZ    lcdone
+	XORQ  R9, R9
+
+lc1row8:
+	MOVQ   R12, AX
+	SUBQ   R9, AX
+	CMPQ   AX, $64
+	JL     lc1row4
+	LEAQ   (SI)(R9*1), BX
+	VXORPD Y4, Y4, Y4
+	VXORPD Y5, Y5, Y5
+	XORQ   R15, R15
+	PCALIGN $64
+
+lci18:
+	VMOVUPD (BX), Y0
+	VMOVUPD 32(BX), Y1
+	COL8(DI, Y4, Y5)
+	ADDQ    R12, BX
+	ADDQ    $8, R15
+	CMPQ    R15, R11
+	JL      lci18
+
+	BIAS8(0, Y4, Y5)
+	VMOVUPD Y4, (R10)(R9*1)
+	VMOVUPD Y5, 32(R10)(R9*1)
+	ADDQ    $64, R9
+	JMP     lc1row8
+
+lc1row4:
+	CMPQ   R9, R12
+	JGE    lcnext1
+	LEAQ   (SI)(R9*1), BX
+	VXORPD Y4, Y4, Y4
+	XORQ   R15, R15
+	PCALIGN $64
+
+lci14:
+	VMOVUPD (BX), Y0
+	COL4(DI, Y4)
+	ADDQ    R12, BX
+	ADDQ    $8, R15
+	CMPQ    R15, R11
+	JL      lci14
+
+	BIAS4(0, Y4)
+	VMOVUPD Y4, (R10)(R9*1)
+
+lcnext1:
+	ADDQ R11, DI
+	ADDQ $8, DX
+	ADDQ R12, R10
+	DECQ R8
+	JMP  lcout1
+
+lcdone:
 	VZEROUPPER
 	RET

@@ -9,11 +9,12 @@ import (
 )
 
 // The tests below are the whole case for selecting kernels by CPU, for the
-// fused n = 1 forward and for serving's row-by-row use of it, with no
-// tolerance mode: over every shape that exercises a block, tail or mask
-// combination, at slice offsets that break 16- and 32-byte alignment, on
-// values that include signed zeros, denormals, infinities and NaNs, each
-// fast kernel leaves the bits of the kernel it stands in for.
+// fused n = 1 forward and for serving's use of its sums row by row and in
+// column blocks, with no tolerance mode: over every shape that exercises a
+// block, tail or mask combination, at slice offsets that break 16- and
+// 32-byte alignment, on values that include signed zeros, denormals,
+// infinities and NaNs, each fast kernel leaves the bits of the kernel it
+// stands in for.
 
 // drawer returns a generator of finite values of mixed magnitude with, one
 // time in four, a special value.
@@ -98,7 +99,7 @@ func TestLinearForwardKernelsBitEqual(t *testing.T) {
 	const maxOff = 4
 	for _, in := range []int{1, 2, 3, 5, 16, 46, 64} {
 		for _, out := range []int{1, 2, 3, 4, 5, 9, 32} {
-			for _, n := range []int{1, 2, 3, 4, 7, 8, 9, 12, 15, 16, 23, 64} {
+			for _, n := range []int{1, 2, 3, 4, 5, 7, 8, 9, 12, 13, 15, 16, 17, 23, 64, 65} {
 				off := (in + out + n) % maxOff
 				w := filled(draw, in*out+maxOff)[off:]
 				b := filled(draw, out+maxOff)[(off+1)%maxOff:]
@@ -125,7 +126,34 @@ func TestLinearForwardKernelsBitEqual(t *testing.T) {
 				}
 				linearRows(w, b, x, got, n, in, out)
 				sameBits(t, "linearRows", got[:n*out], want, true)
+
+				// The serving forward's column path: the same sums over
+				// column-major scratch whose padding rows hold other values.
+				if !useAVX || n < colRows {
+					continue
+				}
+				ld := (n + colRows - 1) / colRows * colRows
+				xt := filled(draw, in*ld+maxOff)[(off+1)%maxOff:]
+				yt := make([]float64, out*ld+maxOff)[(off+2)%maxOff:]
+				for r := 0; r < n; r++ {
+					for i := 0; i < in; i++ {
+						xt[i*ld+r] = x[r*in+i]
+					}
+				}
+				linearCols(w, b, xt, yt, in, out, ld)
+				for r := 0; r < n; r++ {
+					for o := 0; o < out; o++ {
+						got[r*out+o] = yt[o*ld+r]
+					}
+				}
+				sameBits(t, "linearCols", got[:n*out], want, true)
 			}
 		}
 	}
+}
+
+// TestEvaluatorForwardBatchBitIdenticalWithoutAVX pins the serving forward
+// of a CPU without AVX, which runs linearRows at every batch size.
+func TestEvaluatorForwardBatchBitIdenticalWithoutAVX(t *testing.T) {
+	withoutAVX(func() { forwardBatchBitIdentical(t) })
 }

@@ -44,6 +44,14 @@ func linearForward(w, b, x, y []float64, n, in, out int) {
 	}
 }
 
+// useAVX is never set off amd64: Evaluator.ForwardBatch runs linearRows at
+// every batch size.
+const useAVX = false
+
+// linearCols is the column path's AVX kernel, which only runs when useAVX is
+// set.
+func linearCols(w, b, xt, yt []float64, in, out, ld int) { panic("nn: linearCols without AVX") }
+
 // linearRows is the n = 1 forward of every row. Here that is linearForward
 // itself: dotRowBatch sums each row on its own, bias first, at any n.
 func linearRows(w, b, x, y []float64, n, in, out int) { linearForward(w, b, x, y, n, in, out) }
