@@ -15,10 +15,12 @@ import (
 
 // App is a registered application's handle. Its hot path — Report — runs
 // entirely on per-handle state: the handle owns its controller, its
-// telemetry, and a private inference view of the shared model, so
-// applications on different goroutines never serialize against each other
-// (the only shared touch is the read side of the model's parameter lock,
-// contended only while OnlineAdapt runs).
+// telemetry, and a client of the library's inference engine (serve.Client),
+// so applications on different goroutines never serialize against each
+// other. Without WithServing the client decides inline, on the caller's
+// goroutine, through a private inference view: the only shared touch is the
+// read side of the model's parameter lock, contended only while OnlineAdapt
+// runs. With WithServing it submits to a shard of the batching engine.
 //
 // All methods are safe for concurrent use; calls on one handle serialize
 // against each other, calls on different handles run in parallel.
@@ -37,7 +39,6 @@ type App struct {
 	// the serving shard.
 	mu      sync.Mutex
 	alg     *cc.RLRate
-	pol     appPolicy
 	weights objective.Weights
 	closed  bool
 	tele    telemetry
@@ -51,7 +52,7 @@ type App struct {
 	fault func(act float64) float64
 	timed bool
 
-	// client is the serving-engine handle behind pol (nil without
+	// client is the handle's inference-engine client (inline without
 	// WithServing); it knows which model epoch served each decision.
 	// onAct is settleAsync as a func value, built once at registration.
 	client *serve.Client
@@ -68,17 +69,6 @@ type App struct {
 		start time.Time // wall clock, set when timed
 		done  func(rate float64, err error, more bool)
 	}
-}
-
-// appPolicy is what a handle needs from its decision backend: a cc.Policy
-// that can retune its preference between decisions. Both backends satisfy
-// it — core.SharedPolicy (private single-sample inference view) and
-// serve.Client (sharded batching engine) — and per-decision results are
-// bit-identical between them. The handle serializes Act against SetWeights
-// under App.mu, which is exactly the concurrency contract both require.
-type appPolicy interface {
-	cc.Policy
-	SetWeights(w objective.Weights)
 }
 
 // telemetry accumulates per-application counters (guarded by App.mu).
@@ -181,7 +171,7 @@ func (a *App) Report(st Status) (float64, error) {
 	if a.closed {
 		return 0, a.errClosed()
 	}
-	act, panicMsg := a.learned(a.begin(st), 0)
+	act, panicMsg := a.learned(a.client.Act(a.begin(st)))
 	return a.settle(act, panicMsg), nil
 }
 
@@ -192,8 +182,8 @@ func (a *App) Report(st Status) (float64, error) {
 // forward pass, the guard verdict and the telemetry update. It runs on the
 // calling goroutine instead, before ReportAsync returns, when the status is
 // refused, the handle is unregistered or the engine answers at the door
-// (closed, or shed). Without serving, ReportAsync is Report followed by
-// done on the calling goroutine.
+// (closed, or shed) — and always without serving, where the inline engine
+// decides on the calling goroutine, so a done that reports again recurses.
 //
 // more is the serving engine's batch boundary (serve.Client.Submit): true
 // only when the shard runs the completion of another decision of the same
@@ -208,11 +198,6 @@ func (a *App) Report(st Status) (float64, error) {
 // ReportAsync, SetWeights or Stats on the same handle waits for the
 // decision in flight.
 func (a *App) ReportAsync(st Status, done func(rate float64, err error, more bool)) {
-	if a.client == nil {
-		rate, err := a.Report(st)
-		done(rate, err, false)
-		return
-	}
 	if err := st.validate(); err != nil {
 		done(0, err, false)
 		return
@@ -230,7 +215,7 @@ func (a *App) ReportAsync(st Status, done func(rate float64, err error, more boo
 // settleAsync is ReportAsync's completion, run by the serving engine with
 // the action for the observation begin returned and the engine's more.
 func (a *App) settleAsync(act float64, more bool) {
-	act, panicMsg := a.learned(nil, act)
+	act, panicMsg := a.learned(act)
 	rate := a.settle(act, panicMsg)
 	done := a.cur.done
 	a.cur.done = nil
@@ -251,24 +236,20 @@ func (a *App) begin(st Status) []float64 {
 	return a.alg.Observe(c.rep)
 }
 
-// learned finishes the policy step of a decision: the policy's action on
-// obs — unless obs is nil, when in is the action the serving engine already
-// computed — then the fault hook. A panic anywhere in it becomes a NaN
-// action with a verdict instead of escaping the decision.
-func (a *App) learned(obs []float64, in float64) (act float64, panicMsg string) {
+// learned finishes the policy step of a decision: the fault hook on the
+// engine's action (the engine itself recovers a panicking forward pass into
+// NaN). A panic in the hook becomes a NaN action with a verdict instead of
+// escaping the decision.
+func (a *App) learned(in float64) (act float64, panicMsg string) {
+	if a.fault == nil {
+		return in, ""
+	}
 	defer func() {
 		if r := recover(); r != nil {
 			act, panicMsg = math.NaN(), fmt.Sprintf("inference panic: %v", r)
 		}
 	}()
-	act = in
-	if obs != nil {
-		act = a.pol.Act(obs)
-	}
-	if a.fault != nil {
-		act = a.fault(act)
-	}
-	return act, ""
+	return a.fault(in), ""
 }
 
 // settle closes the decision begin opened, still under a.mu: the guard
@@ -319,9 +300,7 @@ func (a *App) observe(now time.Time, rate, act float64, dur time.Duration) {
 		d.Rate = rate
 		d.Act = act
 		d.LatNs = int64(dur)
-		if a.client != nil {
-			d.Epoch = a.client.LastEpoch()
-		}
+		d.Epoch = a.client.LastEpoch()
 		if g != nil {
 			d.Verdict = g.lastClass
 			if d.Verdict == obs.VerdictOK && g.active {
@@ -342,10 +321,7 @@ func (a *App) observe(now time.Time, rate, act float64, dur time.Duration) {
 	if !g.justTripped && !g.justRecovered {
 		return
 	}
-	var epoch uint64
-	if a.client != nil {
-		epoch = a.client.LastEpoch()
-	}
+	epoch := a.client.LastEpoch()
 	if g.justTripped {
 		l.guardTrips.Add(1)
 		l.obs.events.Emit(obs.Event{Type: obs.EvSafeModeTrip, App: uint64(a.id),
@@ -382,7 +358,7 @@ func (a *App) SetWeights(w Weights) error {
 	}
 	old := a.weights
 	a.weights = iw
-	a.pol.SetWeights(iw)
+	a.client.SetWeights(iw)
 	// The pool transfer stays inside a.mu so concurrent SetWeights (or a
 	// racing Unregister) can't interleave their Register/Release pairs out
 	// of order and strand a refcount. Pool operations are short and take

@@ -331,7 +331,7 @@ func TestManualRollback(t *testing.T) {
 	}
 	defer plain.Close()
 	if _, err := plain.Rollback(); err == nil {
-		t.Fatal("Rollback without serving must fail")
+		t.Fatal("Rollback before any Publish must fail without serving too")
 	}
 }
 

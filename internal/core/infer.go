@@ -13,7 +13,8 @@ import (
 // per evaluation), owns every scratch buffer, and returns exactly what
 // ActBatch returns for the same pair. N applications on N cores evaluate one
 // model concurrently without contending on anything except that uncontended
-// read lock.
+// read lock. The inline serving engine (serve.NewInline) gives each of its
+// clients one.
 //
 // An Inference is not itself safe for concurrent use — create one per
 // goroutine (they are a few KB each).
@@ -104,33 +105,3 @@ func (bi *BatchInference) ActBatch(ws []objective.Weights, obs [][]float64, out 
 	bi.model.RUnlockParams()
 	copy(out, acts[:n])
 }
-
-// SharedPolicy is a live-retunable cc.Policy over a shared model: Act
-// evaluates the current parameters through a private Inference, and
-// SetWeights swaps the preference vector between decisions without touching
-// any other controller state — the preference sub-network makes weight
-// changes free at inference time, so a running application retunes without
-// re-registration.
-//
-// A SharedPolicy is not itself safe for concurrent use (its host serializes
-// Act against SetWeights — the public library does this per application
-// handle), but any number of SharedPolicies evaluate one model in parallel.
-type SharedPolicy struct {
-	inf *Inference
-	w   objective.Weights
-}
-
-// SharedPolicyFor returns a retunable policy for preference w backed by a
-// private inference view.
-func (m *Model) SharedPolicyFor(w objective.Weights) *SharedPolicy {
-	return &SharedPolicy{inf: m.NewInference(), w: w}
-}
-
-// Act implements cc.Policy.
-func (p *SharedPolicy) Act(obs []float64) float64 { return p.inf.ActFor(p.w, obs) }
-
-// SetWeights swaps the preference used by subsequent Act calls.
-func (p *SharedPolicy) SetWeights(w objective.Weights) { p.w = w }
-
-// Weights returns the currently applied preference.
-func (p *SharedPolicy) Weights() objective.Weights { return p.w }

@@ -147,27 +147,6 @@ func TestInferenceConcurrent(t *testing.T) {
 	<-writerDone
 }
 
-// TestSharedPolicySetWeights verifies live retuning changes the policy
-// output exactly as if the preference had been bound at construction.
-func TestSharedPolicySetWeights(t *testing.T) {
-	m := NewModel(HistoryLen, 3)
-	obs := make([]float64, 3*m.HistoryLen)
-	for i := range obs {
-		obs[i] = 0.05 * float64(i%5)
-	}
-	p := m.SharedPolicyFor(objective.ThroughputPref)
-	if got, want := p.Act(obs), m.ActFor(objective.ThroughputPref, obs); got != want {
-		t.Fatalf("initial Act = %v, want %v", got, want)
-	}
-	p.SetWeights(objective.LatencyPref)
-	if p.Weights() != objective.LatencyPref {
-		t.Fatalf("Weights() = %v after SetWeights", p.Weights())
-	}
-	if got, want := p.Act(obs), m.ActFor(objective.LatencyPref, obs); got != want {
-		t.Fatalf("retuned Act = %v, want %v", got, want)
-	}
-}
-
 // TestAdapterReleaseDropsPoolEntry covers the unregister path: the last
 // release of a preference removes it from the requirement-replay pool.
 func TestAdapterReleaseDropsPoolEntry(t *testing.T) {

@@ -1,20 +1,23 @@
-// Package serve implements a sharded micro-batching inference engine over a
-// core.Model: concurrent per-app rate requests are coalesced into one
-// batched forward pass per shard, so a fleet of applications pays the
-// batched kernels' ns/sample instead of one full single-sample forward per
-// Report. Batching is load-adaptive, with no timer: a shard consumer serves
-// whatever is queued the moment it is free, so a lone request is served at
-// once and a busy shard serves everything that queued while it was busy, in
-// forward passes of at most MaxBatch. The engine also provides epoch-based
-// model hot-swap — a retrained model is published by one atomic pointer
-// store and picked up by every shard between batches — generalizing the
-// model's paramMu arbitration so the request path never blocks on a swap.
+// Package serve implements the inference engine every mocc.Library decides
+// through, over a core.Model. The sharded engine (New) coalesces concurrent
+// per-app rate requests into one batched forward pass per shard, so a fleet
+// of applications pays the batched kernels' ns/sample instead of one full
+// single-sample forward per Report. Batching is load-adaptive, with no
+// timer: a shard consumer serves whatever is queued the moment it is free,
+// so a lone request is served at once and a busy shard serves everything
+// that queued while it was busy, in forward passes of at most MaxBatch. The
+// inline engine (NewInline) has no shards: a client runs its decision as a
+// batch of one on the calling goroutine. Both provide epoch-based model
+// hot-swap — a retrained model is published by one atomic pointer store and
+// picked up by every shard between batches, or by an inline client before
+// its next decision — generalizing the model's paramMu arbitration so the
+// request path never blocks on a swap.
 //
 // Determinism: every decision is bit-identical to the single-sample
 // inference path (core.Inference.ActFor) regardless of which other requests
 // happened to share its micro-batch, because the batched kernels preserve
 // each row's floating-point accumulation order. Batching changes latency
-// and throughput, never a decision.
+// and throughput, never a decision; the two engines give the same bits.
 //
 // Resilience: the engine degrades instead of wedging. Each shard bounds its
 // pending queue (requests past the bound are shed with NaN — "leave the
@@ -22,8 +25,9 @@
 // that waited past a decision deadline, recovers inference panics per batch
 // (the poisoned batch answers NaN, the shard keeps serving), and restarts a
 // crashed consumer goroutine under a watchdog rather than stranding its
-// queue. The previous model generation is retained so a bad Publish can be
-// undone by Rollback without having the old parameters at hand.
+// queue. The inline engine recovers a panicking decision the same way. The
+// previous model generation is retained so a bad Publish can be undone by
+// Rollback without having the old parameters at hand.
 package serve
 
 import (
@@ -102,10 +106,13 @@ func (c Config) withDefaults() Config {
 
 // epochState is one published model generation. Instances are immutable
 // once stored in Engine.epoch; a swap is a single pointer store, so readers
-// always observe a complete (seq, model) pair — never a torn mix.
+// always observe a complete (seq, model) pair — never a torn mix. live
+// marks NewInline's boot generation, whose model keeps changing under its
+// parameter lock (OnlineAdapt, Publish syncing it).
 type epochState struct {
 	seq   uint64
 	model *core.Model
+	live  bool
 }
 
 // request is one in-flight decision. Each Client owns exactly one, reused
@@ -121,18 +128,21 @@ type request struct {
 }
 
 // Stats is a point-in-time snapshot of engine counters.
+//
+// An inline engine writes no counter on a clean decision: it reads Shards
+// 0, and Reports, Batches, MaxBatch and Queued stay 0.
 type Stats struct {
-	Shards   int    // configured shard count
+	Shards   int    // configured shard count (0 inline)
 	Epoch    uint64 // current model generation (BaseEpoch = the model passed to New)
 	Reports  uint64 // decisions served
 	Batches  uint64 // forward passes run
 	MaxBatch int    // largest coalesced batch observed
-	Swaps    uint64 // epoch applications summed over shards
+	Swaps    uint64 // epoch applications summed over shards (over clients inline)
 
 	Queued       int64  // requests currently queued, summed over shards
 	ShedQueue    uint64 // requests shed at submit: shard queue at MaxQueue
 	ShedDeadline uint64 // requests shed in the shard: queued past Deadline
-	Panics       uint64 // inference panics recovered (batch answered NaN)
+	Panics       uint64 // inference panics recovered (batch or inline decision answered NaN)
 	Restarts     uint64 // consumer goroutines restarted by the watchdog
 	Rollbacks    uint64 // generation rollbacks applied (Rollback)
 }
@@ -140,13 +150,13 @@ type Stats struct {
 // Shed returns the total requests shed for any reason.
 func (s Stats) Shed() uint64 { return s.ShedQueue + s.ShedDeadline }
 
-// Engine is the sharded batching inference engine. All methods are safe for
-// concurrent use.
+// Engine is the inference engine: sharded (New) or inline (NewInline, no
+// shards). All methods are safe for concurrent use.
 type Engine struct {
 	cfg    Config
 	epoch  atomic.Pointer[epochState]
 	prev   atomic.Pointer[epochState] // generation displaced by the last Publish/Rollback
-	shards []*shard
+	shards []*shard                   // empty inline
 
 	closed    atomic.Bool
 	inflight  atomic.Int64
@@ -164,9 +174,10 @@ type Engine struct {
 	rollbacks    atomic.Uint64
 
 	// batchHook, when non-nil, runs inside the per-batch panic guard just
-	// before each forward pass; tests inject inference panics here. It
-	// must be installed before the first Act (the wake-channel send then
-	// orders the write before any consumer read).
+	// before each forward pass (inside the inline decision's guard, with
+	// n = 1); tests inject inference panics here. It must be installed
+	// before the first Act (the wake-channel send then orders the write
+	// before any consumer read).
 	batchHook func(n int)
 	// crashNext, when set, makes the next woken consumer panic at the top
 	// of its loop, exercising the watchdog restart path.
@@ -239,12 +250,9 @@ func (e *Engine) shedEvent(cause string) {
 	}
 }
 
-// New starts an engine serving decisions from m, which becomes epoch
-// cfg.BaseEpoch (0 by default). The initial epoch is special: it may be the
-// library's live, online-adapting model — every batch still takes the read
-// side of its parameter lock, so concurrent OnlineAdapt iterations are
-// arbitrated exactly as on the single-sample path. Models published later
-// must be frozen (see Publish).
+// New starts a sharded engine serving decisions from m, which becomes epoch
+// cfg.BaseEpoch (0 by default). m must be frozen, like every model published
+// later (see Publish): it is the first Publish's rollback target.
 func New(m *core.Model, cfg Config) *Engine {
 	e := &Engine{cfg: cfg.withDefaults(), closedCh: make(chan struct{})}
 	e.epoch.Store(&epochState{seq: e.cfg.BaseEpoch, model: m})
@@ -264,6 +272,20 @@ func New(m *core.Model, cfg Config) *Engine {
 	return e
 }
 
+// NewInline returns an engine with no shards: a client's Act and Submit run
+// the decision as a batch of one on the calling goroutine, through the
+// client's own core.Inference. Only cfg.Metrics and cfg.Events are used. m
+// becomes epoch 0 and may be the library's live, online-adapting model:
+// each decision takes its read lock, so it sees the parameters of the last
+// completed OnlineAdapt iteration. The first Publish retains a frozen clone
+// of m as its rollback target.
+func NewInline(m *core.Model, cfg Config) *Engine {
+	e := &Engine{cfg: Config{Metrics: cfg.Metrics, Events: cfg.Events}, closedCh: make(chan struct{})}
+	e.epoch.Store(&epochState{model: m, live: true})
+	e.registerMetrics()
+	return e
+}
+
 // Publish atomically installs m as the new model generation and returns its
 // epoch sequence number. Shards pick the new model up between batches; no
 // request ever blocks on the swap, and no request ever observes a torn
@@ -271,7 +293,8 @@ func New(m *core.Model, cfg Config) *Engine {
 // held when the batch started). m must not be mutated after Publish —
 // callers hand over a frozen clone. Models failing the finite check are
 // rejected, mirroring OnlineAdapt's rollback guard. The displaced
-// generation is retained for Rollback.
+// generation is retained for Rollback; a live one (NewInline's boot model)
+// as a frozen clone taken under its read lock, since it keeps changing.
 func (e *Engine) Publish(m *core.Model) (uint64, error) {
 	if m == nil {
 		return 0, errors.New("serve: Publish of nil model")
@@ -282,8 +305,14 @@ func (e *Engine) Publish(m *core.Model) (uint64, error) {
 	for {
 		old := e.epoch.Load()
 		next := &epochState{seq: old.seq + 1, model: m}
+		displaced := old
+		if old.live {
+			old.model.RLockParams()
+			displaced = &epochState{seq: old.seq, model: old.model.Clone()}
+			old.model.RUnlockParams()
+		}
 		if e.epoch.CompareAndSwap(old, next) {
-			e.prev.Store(old)
+			e.prev.Store(displaced)
 			e.events.Emit(obs.Event{Type: obs.EvEpochPublish, Epoch: next.seq})
 			return next.seq, nil
 		}
@@ -340,7 +369,7 @@ func (e *Engine) Stats() Stats {
 // Close drains every queued request, runs its completion, stops the shard
 // goroutines, and returns once they have exited. Act and Submit calls
 // racing Close either complete normally or are answered NaN without
-// enqueueing. Close is idempotent.
+// enqueueing; every later one is answered NaN. Close is idempotent.
 func (e *Engine) Close() {
 	e.closeOnce.Do(func() {
 		e.closed.Store(true)
@@ -373,28 +402,36 @@ func (e *Engine) shardFor(key uint64) *shard {
 	return e.shards[h%uint64(len(e.shards))]
 }
 
-// Client is one application's handle onto the engine. It satisfies the same
-// contract as core.SharedPolicy: Act, Submit and SetWeights must be
-// serialized by the caller (the public library does this per application
-// handle) — at most one decision per Client is in flight — but any number
-// of Clients submit concurrently.
+// Client is one application's handle onto the engine, a cc.Policy that
+// can retune its preference between decisions: Act, Submit and SetWeights
+// must be serialized by the caller (the public library does this per
+// application handle) — at most one decision per Client is in flight — but
+// any number of Clients submit concurrently.
 type Client struct {
 	eng *Engine
-	sh  *shard
+	sh  *shard // nil inline
 	w   objective.Weights
 	nth uint8 // request counter driving 1-in-8 latency sampling
 	req request
 
-	// Act's own completion: deliver stores the action and wakes Act.
+	// Act's own completion on a shard: deliver stores the action, wakes Act.
 	out     float64
 	wake    chan struct{}
 	deliver func(act float64, more bool)
+
+	// inf is the inline view, built over generation req.epoch (nil until
+	// the first inline decision, and after a recovered panic).
+	inf *core.Inference
 }
 
-// NewClient returns a client bound to the shard selected by key's hash,
-// initially acting under preference w.
+// NewClient returns a client bound to the shard selected by key's hash (or,
+// inline, to no shard), initially acting under preference w.
 func (e *Engine) NewClient(key uint64, w objective.Weights) *Client {
-	c := &Client{eng: e, sh: e.shardFor(key), w: w, wake: make(chan struct{}, 1)}
+	c := &Client{eng: e, w: w}
+	if len(e.shards) == 0 {
+		return c
+	}
+	c.sh, c.wake = e.shardFor(key), make(chan struct{}, 1)
 	c.deliver = func(act float64, _ bool) {
 		c.out = act
 		c.wake <- struct{}{}
@@ -411,9 +448,12 @@ func (c *Client) Weights() objective.Weights { return c.w }
 // Act submits one observation and blocks until its micro-batch is served,
 // returning the deterministic action — bit-identical to what
 // core.Inference.ActFor would produce on the current epoch's model. It is
-// Submit plus a wait on the client's own completion; see Submit for the
-// answer's contract.
+// Submit plus a wait on the client's own completion (inline, the decision
+// itself); see Submit for the answer's contract.
 func (c *Client) Act(obs []float64) float64 {
+	if c.sh == nil {
+		return c.actInline(obs)
+	}
 	c.Submit(obs, c.deliver)
 	<-c.wake
 	return c.out
@@ -423,15 +463,17 @@ func (c *Client) Act(obs []float64) float64 {
 // receives the action once the observation's micro-batch is served. done
 // runs exactly once, on the shard's consumer goroutine — or on the calling
 // goroutine, before Submit returns, when the request is answered at the
-// door — so it must not block or panic: every other request of the shard
-// waits behind it. done may Submit the client's next observation.
+// door or the engine is inline — so it must not block or panic: every other
+// request of the shard waits behind it. done may Submit the client's next
+// observation.
 //
 // more says where a batch ends: it is true only when the shard runs the
 // completion of another request of the same forward pass right after this
 // one, so a host answering many requests (a rate daemon) can hold their
 // replies and send them together when it sees false. Every other answer —
 // shed at the door or past the deadline, a poisoned generation or
-// inference panic, Close, a consumer restart — passes false.
+// inference panic, Close, a consumer restart, any inline answer — passes
+// false.
 //
 // The submit path is lock-free: one CAS push onto the shard's intrusive
 // stack plus at most one non-blocking channel wake. obs must stay valid and
@@ -441,6 +483,10 @@ func (c *Client) Act(obs []float64) float64 {
 // queue is at MaxQueue (shed at the door), or when the request waited past
 // the configured Deadline before being served.
 func (c *Client) Submit(obs []float64, done func(act float64, more bool)) {
+	if c.sh == nil {
+		done(c.actInline(obs), false)
+		return
+	}
 	e := c.eng
 	if e.closed.Load() {
 		done(math.NaN(), false)
@@ -499,6 +545,40 @@ func (c *Client) Submit(obs []float64, done func(act float64, more bool)) {
 // recent decision; inside Submit's done it is the epoch of the decision
 // being delivered. Like Act itself it must be serialized per client.
 func (c *Client) LastEpoch() uint64 { return c.req.epoch }
+
+// actInline is the inline engine's decision, a batch of one on the calling
+// goroutine: NaN after Close, else the forward pass over the current
+// generation, (re)building the client's view when the generation changed.
+// A panic in either is recovered as shard.actBatch recovers one: NaN,
+// Panics+1, EvShardPanic and a fresh view for the next decision. A clean
+// decision writes no engine counter.
+func (c *Client) actInline(x []float64) (act float64) {
+	e := c.eng
+	if e.closed.Load() {
+		return math.NaN()
+	}
+	ep := e.epoch.Load()
+	if c.inf != nil && c.req.epoch != ep.seq {
+		c.inf = nil
+		e.swaps.Add(1)
+	}
+	c.req.epoch = ep.seq
+	defer func() {
+		if r := recover(); r != nil {
+			act, c.inf = math.NaN(), nil
+			e.panics.Add(1)
+			e.events.Emit(obs.Event{Type: obs.EvShardPanic, Epoch: ep.seq,
+				Msg: fmt.Sprintf("inline client: inference panic: %v", r)})
+		}
+	}()
+	if c.inf == nil {
+		c.inf = ep.model.NewInference()
+	}
+	if h := e.batchHook; h != nil {
+		h(1)
+	}
+	return c.inf.ActFor(c.w, x)
+}
 
 // shard is one batching queue plus its consumer goroutine.
 type shard struct {

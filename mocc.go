@@ -12,8 +12,9 @@
 //	}
 //
 // App.Report is the hot path: it touches only per-application state (each
-// handle owns its controller, its telemetry, and a private inference view
-// of the shared model), so N applications on N cores never contend. On top
+// handle owns its controller, its telemetry, and a client of the library's
+// inference engine — inline by default, sharded and batching with
+// WithServing), so N applications on N cores never contend. On top
 // of the handles, App.SetWeights retunes a live application's preference
 // between intervals — the preference sub-network makes weight changes free
 // at inference time, no re-registration — and App.Stats reports cumulative
@@ -153,9 +154,10 @@ type Library struct {
 	// by the canary and the mocc_safemode_* series.
 	guardFaults, guardTrips, guardRecoveries atomic.Uint64
 
-	// engine is the sharded batching inference engine (nil unless built
-	// with WithServing); idleTTL/janitorStop/evicted drive its idle-handle
-	// janitor and closeOnce makes Library.Close idempotent. bgWG tracks
+	// engine is the inference engine every handle decides through: the
+	// sharded batching engine with WithServing, the inline one without.
+	// idleTTL/janitorStop/evicted drive the serving idle-handle janitor
+	// and closeOnce makes Library.Close idempotent. bgWG tracks
 	// the janitor and canary goroutines so Close can wait for them to
 	// exit before the engine goes away; closed marks the library shut
 	// down for /healthz.
@@ -296,24 +298,15 @@ func (l *Library) Register(w Weights) (*App, error) {
 		fault:   l.inferenceFault,
 		timed:   l.safeMode != nil || l.inferenceFault != nil,
 	}
-	// With serving enabled the handle's decisions go through the sharded
-	// batching engine (one enqueue + one wake per Report, coalesced into a
-	// batched forward); otherwise it owns a private single-sample inference
-	// view. Both are bit-identical per decision.
-	if l.engine != nil {
-		app.client = l.engine.NewClient(uint64(id), iw)
-		app.pol = app.client
-		app.onAct = app.settleAsync
-	} else {
-		app.pol = l.model.SharedPolicyFor(iw)
-	}
+	app.client = l.engine.NewClient(uint64(id), iw)
+	app.onAct = app.settleAsync
 	if l.obs.flightDepth > 0 {
 		app.flight = obs.NewFlight(l.obs.flightDepth)
 	}
 	if l.safeMode != nil {
 		app.guard = newGuard(*l.safeMode)
 	}
-	app.alg = cc.NewRLRate(fmt.Sprintf("mocc-app-%d", id), app.pol, l.model.HistoryLen)
+	app.alg = cc.NewRLRate(fmt.Sprintf("mocc-app-%d", id), app.client, l.model.HistoryLen)
 	app.alg.Reset(int64(id))
 	app.publishRate(app.alg.InitialRate(l.initialRTT.Seconds()))
 	app.tele.registered = l.clock()
@@ -374,10 +367,14 @@ func (l *Library) unregister(a *App) error {
 // It returns the per-iteration reward curve of the new objective.
 //
 // Each iteration holds the model's parameter write lock, so concurrent
-// App.Report calls stall for the duration of one iteration at a time (and
-// immediately see the adapted parameters afterwards — live applications
-// benefit without re-registration). The adapted objective is retained in
-// the replay pool permanently.
+// App.Report calls stall for the duration of one iteration at a time. The
+// adapted parameters reach live applications without re-registration, by
+// one of two boot rules. A library built without WithServing decides on
+// its live model until the first Publish, so the next Report already sees
+// them. A serving library, and any library after its first Publish,
+// decides on a frozen generation: the adapted model reaches Report when it
+// is published (Publish(lib.Model())). The adapted objective is retained
+// in the replay pool permanently.
 //
 // Every epoch is validated before it is published: if an iteration leaves
 // any parameter non-finite, the model is restored to the last finite epoch

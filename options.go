@@ -229,7 +229,14 @@ func New(model *Model, opts ...Option) (*Library, error) {
 		}
 		l.adapter = adapter
 	}
-	if cfg.serving != nil {
+	if cfg.serving == nil {
+		// The inline engine decides on the live model: OnlineAdapt reaches
+		// the next Report until the first Publish.
+		l.engine = serve.NewInline(model.m, serve.Config{
+			Metrics: l.obs.sink.Registry(),
+			Events:  l.obs.events,
+		})
+	} else {
 		if cfg.serving.IdleTTL < 0 {
 			return nil, fmt.Errorf("mocc: WithServing IdleTTL %v: must be non-negative", cfg.serving.IdleTTL)
 		}

@@ -7,6 +7,7 @@ import (
 
 	"mocc/internal/core"
 	"mocc/internal/obs"
+	"mocc/internal/serve"
 )
 
 // ServingOptions configures the sharded batching inference engine enabled
@@ -48,25 +49,31 @@ type ServingOptions struct {
 }
 
 // WithServing routes every handle's Report decision through a sharded
-// micro-batching engine instead of a private single-sample inference view:
+// micro-batching engine instead of the inline one, which decides on the
+// caller's goroutine through a private single-sample inference view:
 // concurrent Reports coalesce into one batched forward pass per shard,
 // paying the batched kernels' per-sample cost. Decisions are bit-identical
-// to the single-sample path — batching never changes what any app is told,
-// only what the fleet pays for it.
+// to the inline path — batching never changes what any app is told, only
+// what the fleet pays for it.
 //
-// Serving also enables epoch-based model hot-swap (Library.Publish) and,
-// when IdleTTL is set, idle-handle eviction. A serving library should be
-// shut down with Library.Close.
+// The shards boot from a frozen clone of the library's model, so
+// OnlineAdapt reaches Report only through Publish (see OnlineAdapt for the
+// inline rule). Serving adds idle-handle eviction (IdleTTL), overload
+// shedding (MaxQueue, Deadline) and the epoch canary; Publish, Rollback and
+// Epoch work with or without it. A serving library should be shut down
+// with Library.Close, which stops its shard goroutines.
 func WithServing(opts ServingOptions) Option {
 	return func(c *libConfig) { c.serving = &opts }
 }
 
 // Publish atomically installs m's current parameters as the new serving
 // generation and returns its epoch sequence number. Shards pick the new
-// generation up between batches: no Report ever blocks on the swap, and no
-// Report ever observes a torn parameter set (each batch runs entirely on
-// one complete generation). Non-finite models are rejected, mirroring
-// OnlineAdapt's rollback guard.
+// generation up between batches, inline handles before their next
+// decision: no Report ever blocks on the swap, and no Report ever observes
+// a torn parameter set (each decision runs entirely on one complete
+// generation). Non-finite models and models of another architecture (a
+// different HistoryLen) are rejected, mirroring OnlineAdapt's rollback
+// guard.
 //
 // The parameters are snapshotted at call time — later mutations of m are
 // not served until the next Publish. Publishing a model other than the
@@ -82,36 +89,33 @@ func WithServing(opts ServingOptions) Option {
 //	m, _ := mocc.LoadModelFile(path)
 //	lib.Publish(m)
 func (l *Library) Publish(m *Model) (uint64, error) {
-	if l.engine == nil {
-		return 0, errors.New("mocc: library was built without serving (WithServing)")
-	}
 	if m == nil || m.m == nil {
 		return 0, errors.New("mocc: Publish of nil model")
 	}
 	src := m.m
+	// Freezing into the library's architecture is also the architecture
+	// check, so the sync below cannot fail.
+	frozen := core.NewModel(l.model.HistoryLen, 0)
 	src.RLockParams()
-	err := src.CheckFinite()
-	var frozen *core.Model
-	if err == nil {
-		frozen = src.Clone()
-	}
+	err := frozen.CopyFrom(src)
 	src.RUnlockParams()
 	if err != nil {
 		return 0, fmt.Errorf("mocc: refusing to publish: %w", err)
 	}
+	// The engine goes first, and refuses a non-finite model: an inline
+	// engine clones the displaced live model as the rollback target, which
+	// must still hold the parameters it served.
+	seq, err := l.engine.Publish(frozen)
+	if err != nil {
+		return 0, fmt.Errorf("mocc: %w", err)
+	}
+	l.obs.publishes.Add(1)
 	if src != l.model {
 		l.model.LockParams()
-		cerr := l.model.CopyFrom(frozen)
+		l.model.CopyFrom(frozen)
 		l.model.UnlockParams()
-		if cerr != nil {
-			return 0, fmt.Errorf("mocc: publishing foreign model: %w", cerr)
-		}
 	}
-	seq, perr := l.engine.Publish(frozen)
-	if perr == nil {
-		l.obs.publishes.Add(1)
-	}
-	return seq, perr
+	return seq, nil
 }
 
 // Rollback re-installs the model generation displaced by the most recent
@@ -132,94 +136,36 @@ func (l *Library) Rollback() (uint64, error) {
 // rollback is Rollback without the manual-rollback event, shared with
 // the canary (which emits its own richer event).
 func (l *Library) rollback() (uint64, error) {
-	if l.engine == nil {
-		return 0, errors.New("mocc: library was built without serving (WithServing)")
-	}
 	seq, m, err := l.engine.Rollback()
 	if err != nil {
 		return 0, fmt.Errorf("mocc: %w", err)
 	}
-	if m != l.model {
-		l.model.LockParams()
-		cerr := l.model.CopyFrom(m)
-		l.model.UnlockParams()
-		if cerr != nil {
-			return seq, fmt.Errorf("mocc: syncing rolled-back model: %w", cerr)
-		}
-	}
+	// m is a frozen generation Publish admitted, never the live model.
+	l.model.LockParams()
+	l.model.CopyFrom(m)
+	l.model.UnlockParams()
 	return seq, nil
 }
 
-// Epoch returns the serving engine's current model generation (0 before the
-// first Publish, and always 0 for a library built without serving).
-func (l *Library) Epoch() uint64 {
-	if l.engine == nil {
-		return 0
-	}
-	return l.engine.Epoch()
-}
+// Epoch returns the engine's current model generation: 0 before the first
+// Publish (or ServingOptions.InitialEpoch), one more per Publish and per
+// Rollback.
+func (l *Library) Epoch() uint64 { return l.engine.Epoch() }
 
-// ServingStats is a point-in-time snapshot of the serving engine.
+// ServingStats is a point-in-time snapshot of the inference engine's
+// counters (see serve.Stats: Shards is 0 on an inline library, which also
+// reads 0 in Reports, Batches, MaxBatch and Queued) plus the idle-handle
+// janitor's evictions. Rollbacks counts manual Library.Rollback plus
+// canary-automatic ones; Shed() totals the overload sheds.
 type ServingStats struct {
-	// Enabled reports whether the library was built with WithServing.
-	Enabled bool
-	// Shards is the configured shard count.
-	Shards int
-	// Epoch is the current model generation.
-	Epoch uint64
-	// Reports counts decisions served; Batches counts forward passes run.
-	// Reports/Batches is the mean coalesced batch size.
-	Reports uint64
-	Batches uint64
-	// MaxBatch is the largest coalesced batch observed.
-	MaxBatch int
-	// Swaps counts epoch applications summed over shards.
-	Swaps uint64
+	serve.Stats
 	// Evicted counts handles removed by the IdleTTL janitor.
 	Evicted int64
-	// Queued is the number of decisions currently waiting in shard queues.
-	Queued int64
-	// ShedQueue / ShedDeadline count overload sheds: requests answered NaN
-	// ("leave the rate unchanged") because a shard queue was at MaxQueue,
-	// or because the request waited past the decision Deadline.
-	ShedQueue    uint64
-	ShedDeadline uint64
-	// Panics counts inference panics recovered per batch (the batch was
-	// answered NaN); Restarts counts consumer goroutines restarted by the
-	// shard watchdog after a panic escaped the per-batch guards.
-	Panics   uint64
-	Restarts uint64
-	// Rollbacks counts generation rollbacks (manual Library.Rollback plus
-	// canary-automatic ones).
-	Rollbacks uint64
 }
 
-// Shed returns the total requests shed for any reason.
-func (s ServingStats) Shed() uint64 { return s.ShedQueue + s.ShedDeadline }
-
-// ServingStats returns engine counters (the zero value when the library was
-// built without serving).
+// ServingStats returns the engine counters.
 func (l *Library) ServingStats() ServingStats {
-	if l.engine == nil {
-		return ServingStats{}
-	}
-	st := l.engine.Stats()
-	return ServingStats{
-		Enabled:      true,
-		Shards:       st.Shards,
-		Epoch:        st.Epoch,
-		Reports:      st.Reports,
-		Batches:      st.Batches,
-		MaxBatch:     st.MaxBatch,
-		Swaps:        st.Swaps,
-		Evicted:      l.evicted.Load(),
-		Queued:       st.Queued,
-		ShedQueue:    st.ShedQueue,
-		ShedDeadline: st.ShedDeadline,
-		Panics:       st.Panics,
-		Restarts:     st.Restarts,
-		Rollbacks:    st.Rollbacks,
-	}
+	return ServingStats{Stats: l.engine.Stats(), Evicted: l.evicted.Load()}
 }
 
 // FleetStats aggregates every registered application's cumulative telemetry
@@ -308,14 +254,14 @@ func (l *Library) FleetStats() FleetStats {
 	return f
 }
 
-// Close shuts a serving library down: the idle janitor and the canary
-// monitor stop — and are waited for, so no background goroutine of this
-// library outlives Close or touches the engine after it — then the
-// engine drains every queued decision before its shards exit.
+// Close shuts a library down: the idle janitor and the canary monitor
+// stop — and are waited for, so no background goroutine of this library
+// outlives Close or touches the engine after it — then the engine closes,
+// a serving one draining every queued decision before its shards exit.
 // Outstanding handles stay registered, but their learned path yields no
 // further decisions — under safe mode they degrade to the deterministic
 // fallback controller, without it each Report keeps its previous rate.
-// Close is idempotent and a no-op for libraries built without serving.
+// Close is idempotent.
 func (l *Library) Close() {
 	l.closeOnce.Do(func() {
 		l.closed.Store(true)
@@ -328,9 +274,7 @@ func (l *Library) Close() {
 		// The canary calls engine.Stats/Epoch/Rollback; the janitor walks
 		// handles. Both must be gone before the engine shuts down.
 		l.bgWG.Wait()
-		if l.engine != nil {
-			l.engine.Close()
-		}
+		l.engine.Close()
 	})
 }
 

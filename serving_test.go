@@ -2,10 +2,13 @@ package mocc
 
 import (
 	"math"
+	"reflect"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"mocc/internal/core"
 )
 
 // servingStatus varies the reported interval deterministically per (app,
@@ -30,10 +33,10 @@ func perturbedClone(m *Model, delta float64) *Model {
 	return &Model{m: c}
 }
 
-// TestServingBitIdentical is the tentpole determinism pin at the public
-// surface: a serving library (concurrent handles, coalesced batched
-// inference) must publish bit-identical rate sequences to a plain library
-// driving the same model with private single-sample views.
+// TestServingBitIdentical is the determinism pin of the two engines at the
+// public surface: a sharded serving library (concurrent handles, coalesced
+// batched inference) must publish bit-identical rate sequences to an inline
+// library driving the same model with private single-sample views.
 func TestServingBitIdentical(t *testing.T) {
 	model := sharedLibrary(t).Model()
 	servingLib, err := New(model, WithServing(ServingOptions{Shards: 4, MaxBatch: 16}), WithoutAdaptation())
@@ -92,14 +95,17 @@ func TestServingBitIdentical(t *testing.T) {
 				t.Fatal(err)
 			}
 			if servingRates[a][r] != want {
-				t.Fatalf("app %d round %d: serving rate %v, single-sample rate %v", a, r, servingRates[a][r], want)
+				t.Fatalf("app %d round %d: sharded rate %v, inline rate %v", a, r, servingRates[a][r], want)
 			}
 		}
 	}
 
 	st := servingLib.ServingStats()
-	if !st.Enabled || st.Reports != apps*rounds || st.Batches == 0 {
+	if st.Shards != 4 || st.Reports != apps*rounds || st.Batches == 0 {
 		t.Fatalf("implausible serving stats: %+v", st)
+	}
+	if st := baseLib.ServingStats(); st.Shards != 0 || st.Reports != 0 {
+		t.Fatalf("implausible inline stats: %+v", st)
 	}
 }
 
@@ -273,15 +279,19 @@ func TestServingHotSwapLive(t *testing.T) {
 	}
 }
 
-// TestPublishValidation covers the error paths: publishing without serving,
-// publishing nil, and publishing a NaN-poisoned model.
+// TestPublishValidation covers Publish's admission: it succeeds without
+// serving, and refuses nil and a NaN-poisoned model.
 func TestPublishValidation(t *testing.T) {
-	lib := sharedLibrary(t)
-	if _, err := lib.Publish(lib.Model()); err == nil {
-		t.Fatal("Publish succeeded on a library built without serving")
+	model := sharedLibrary(t).Model()
+	plain, err := New(perturbedClone(model, 0), WithoutAdaptation())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer plain.Close()
+	if seq, err := plain.Publish(plain.Model()); err != nil || seq != 1 {
+		t.Fatalf("Publish without serving = (%d, %v), want (1, nil)", seq, err)
 	}
 
-	model := lib.Model()
 	slib, err := New(model, WithServing(ServingOptions{Shards: 1}), WithoutAdaptation())
 	if err != nil {
 		t.Fatal(err)
@@ -297,6 +307,128 @@ func TestPublishValidation(t *testing.T) {
 	}
 	if slib.Epoch() != 0 {
 		t.Fatalf("rejected publish advanced the epoch to %d", slib.Epoch())
+	}
+}
+
+// TestPublishBootRules pins both boot rules and rollback at the public
+// surface, on an inline library and on a sharded one. Before any Publish,
+// OnlineAdapt changes the next Report inline (the engine decides on the
+// live model) and does not when sharded (the shards boot from a frozen
+// clone) until the adapted model is published. Publish of a foreign model
+// then Rollback restores the pre-publish rate bits. Publish of a model with
+// another HistoryLen is refused, leaving Epoch and the library model
+// untouched.
+func TestPublishBootRules(t *testing.T) {
+	for _, tc := range []struct {
+		name          string
+		opts          []Option
+		adaptIsServed bool
+	}{
+		{"inline", nil, true},
+		{"sharded", []Option{WithServing(ServingOptions{Shards: 2})}, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			model := perturbedClone(sharedLibrary(t).Model(), 0)
+			lib, err := New(model, append(tc.opts, WithAdaptation(AdaptationOptions{
+				RolloutSteps: 64, EpisodeLen: 32, Replay: true, Seed: 1}))...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer lib.Close()
+			// firstRate is a fresh handle's first decided rate: every
+			// handle starts from the same controller state, so it
+			// changes only with the generation serving it.
+			st := servingStatus(3, 1)
+			firstRate := func() uint64 {
+				t.Helper()
+				app, err := lib.Register(RTCPreference)
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer app.Unregister()
+				rate, err := app.Report(st)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return math.Float64bits(rate)
+			}
+
+			boot := firstRate()
+			if _, err := lib.OnlineAdapt(LatencyPreference, 1); err != nil {
+				t.Fatal(err)
+			}
+			if served := firstRate() != boot; served != tc.adaptIsServed {
+				t.Fatalf("OnlineAdapt reached the next Report: %v, want %v", served, tc.adaptIsServed)
+			}
+			if !tc.adaptIsServed {
+				if _, err := lib.Publish(lib.Model()); err != nil {
+					t.Fatal(err)
+				}
+				if firstRate() == boot {
+					t.Fatal("publishing the adapted model did not reach Report")
+				}
+			}
+
+			want, epoch := firstRate(), lib.Epoch()
+			if _, err := lib.Publish(perturbedClone(model, 0.01)); err != nil {
+				t.Fatal(err)
+			}
+			if firstRate() == want {
+				t.Fatal("the foreign model decided the pre-publish rate")
+			}
+			if _, err := lib.Rollback(); err != nil {
+				t.Fatal(err)
+			}
+			if got := firstRate(); got != want {
+				t.Fatalf("rate after Rollback %v, want the pre-publish %v",
+					math.Float64frombits(got), math.Float64frombits(want))
+			}
+			if lib.Epoch() != epoch+2 {
+				t.Fatalf("Epoch after Publish and Rollback = %d, want %d", lib.Epoch(), epoch+2)
+			}
+
+			before := lib.Model().m.Snapshot()
+			epoch = lib.Epoch()
+			if _, err := lib.Publish(&Model{m: core.NewModel(core.HistoryLen+1, 1)}); err == nil {
+				t.Fatal("Publish accepted a model with another HistoryLen")
+			}
+			if lib.Epoch() != epoch {
+				t.Fatalf("refused Publish moved the epoch %d -> %d", epoch, lib.Epoch())
+			}
+			if after := lib.Model().m.Snapshot(); !reflect.DeepEqual(after, before) {
+				t.Fatal("refused Publish changed the library model")
+			}
+		})
+	}
+}
+
+// TestInlineReportAsyncAllocFree pins the inline asynchronous path: with a
+// prebuilt done, App.ReportAsync decides on the calling goroutine without
+// allocating.
+func TestInlineReportAsyncAllocFree(t *testing.T) {
+	lib, err := New(perturbedClone(sharedLibrary(t).Model(), 0), WithoutAdaptation())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer lib.Close()
+	app, err := lib.Register(RTCPreference)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := servingStatus(2, 2)
+	var calls int
+	done := func(rate float64, err error, more bool) {
+		if err != nil || more || !(rate > 0) {
+			t.Errorf("ReportAsync done(%v, %v, %v)", rate, err, more)
+		}
+		calls++
+	}
+	app.ReportAsync(st, done)
+	if allocs := testing.AllocsPerRun(200, func() { app.ReportAsync(st, done) }); allocs != 0 {
+		t.Errorf("inline ReportAsync: %.1f allocs/op, want 0", allocs)
+	}
+	if calls != 202 {
+		t.Fatalf("done ran %d times for 202 ReportAsync calls", calls)
 	}
 }
 
