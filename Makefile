@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet test test-race chaos chaos-serve obs bench bench-micro fuzz-scen ci
+.PHONY: all build vet test test-race chaos chaos-serve obs bench bench-micro fuzz-scen fuzz-nn ci
 
 all: build vet test
 
@@ -90,5 +90,12 @@ bench-micro:
 fuzz-scen:
 	$(GO) run ./cmd/mocc-scen fuzz -n 25 -seed 1
 	$(GO) run ./cmd/mocc-scen fuzz -topo -n 25 -seed 1
+
+# Forward-kernel fuzz smoke: ten seconds of FuzzEvaluatorForwardBatch, which
+# checks every row of both batched forwards (serving's Evaluator and
+# training's MLP.ForwardBatch) bit for bit against MLP.Forward on that row,
+# over random shapes, batch sizes, biases and special-value inputs.
+fuzz-nn:
+	$(GO) test -run '^$$' -fuzz FuzzEvaluatorForwardBatch -fuzztime 10s ./internal/nn
 
 ci: all

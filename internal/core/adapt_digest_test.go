@@ -12,11 +12,13 @@ import (
 	"mocc/internal/trace"
 )
 
-// adaptDigestGolden is the digest of adaptDigestRun computed on commit
-// de2f4ba (SSE2 backward kernel, per-row Go loops around it), amd64: every
-// kernel the adaptation step runs since then must leave each reward and each
+// adaptDigestGolden is the digest of adaptDigestRun on amd64, computed when
+// training's batched forward became serving's row order (every (row,
+// output) summed from zero in index order, the bias last, so a batch row
+// has the bits of the n = 1 forward) and the same with or without AVX:
+// every kernel the adaptation step runs must leave each reward and each
 // parameter bit where that implementation left it.
-const adaptDigestGolden = "783c5f23883b5f025994a7526ca4e9467de1cc373a67a2d1d8c54d7fca6abd36"
+const adaptDigestGolden = "809388c1294d4bac328e28a6aa172cd66e9e36675b23cf0e57a60fc043d8a90b"
 
 // digestAdapter builds the pinned adaptation set-up: a fresh model, the
 // default adaptation settings at seed 3 over the training distribution, and

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"mocc/internal/gym"
+	"mocc/internal/nn"
 	"mocc/internal/objective"
 	"mocc/internal/rl"
 	"mocc/internal/trace"
@@ -124,6 +125,40 @@ func TestModelBatchedTrainingDeterministic(t *testing.T) {
 				t.Fatalf("offline training not bitwise deterministic: %s[%d]",
 					pa[i].Name, j)
 			}
+		}
+	}
+}
+
+// TestPPORatioOneBeforeFirstStep: before any optimizer step, the log-prob
+// the batched update computes for a transition — the preference
+// sub-network and trunk assembled over the batch (PolicyForwardBatch), then
+// GaussianLogProbVec — is bit for bit the LogProb collection recorded from
+// the n = 1 forward, so every PPO ratio π_new/π_old starts at exactly 1.
+// The batches run below, at and past the column path's row block.
+func TestPPORatioOneBeforeFirstStep(t *testing.T) {
+	const steps = 130
+	m := NewModel(4, 13)
+	ro := rl.Collect(m, batchTestFactory, batchW,
+		rl.CollectConfig{Steps: steps, EpisodeLen: 32, IncludeWeights: true}, 17)
+	obsDim := m.ObsSize()
+	for _, n := range []int{2, 3, 4, 5, 13, 64, steps} {
+		obs := make([]float64, n*obsDim)
+		act := make([]float64, n)
+		for k, tr := range ro.Trans[:n] {
+			copy(obs[k*obsDim:], tr.Obs)
+			act[k] = tr.Action
+		}
+		means, std := m.PolicyForwardBatch(obs, n)
+		lp := make([]float64, n)
+		nn.GaussianLogProbVec(lp, act, means, std)
+		differ := 0
+		for k, tr := range ro.Trans[:n] {
+			if math.Float64bits(lp[k]) != math.Float64bits(tr.LogProb) {
+				differ++
+			}
+		}
+		if differ > 0 {
+			t.Errorf("n %d: %d of %d batched log-probs differ from the rollout's LogProb", n, differ, n)
 		}
 	}
 }

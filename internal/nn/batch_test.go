@@ -16,20 +16,25 @@ func randBatch(seed int64, rows, dim int) []float64 {
 	return x
 }
 
-// TestForwardBatchMatchesSingle: a batched forward over n rows must equal n
-// single-sample forwards within 1e-9 (they are in fact bitwise identical).
-func TestForwardBatchMatchesSingle(t *testing.T) {
-	rng := rand.New(rand.NewSource(21))
-	m := NewMLP(rng, 5, 8, 4, 2)
-	const n = 9
-	x := randBatch(22, n, 5)
+// TestForwardBatchMatchesSingle pins training's batched forward to its
+// single-sample one bit for bit: every row of MLP.ForwardBatch equals
+// MLP.Forward on that row alone, on the 40-64-32-2 bench shape with drawn
+// biases, at batch sizes on both sides of the column path's row block and
+// its padding. This is what makes PPO's ratio exactly 1 before the first
+// optimizer step.
+func TestForwardBatchMatchesSingle(t *testing.T) { forwardBatchMatchesSingle(t) }
 
-	got := append([]float64(nil), m.ForwardBatch(x, n)...)
-	for r := 0; r < n; r++ {
-		y := m.Forward(x[r*5 : (r+1)*5])
-		for o := range y {
-			if math.Abs(y[o]-got[r*2+o]) > 1e-9 {
-				t.Fatalf("row %d out %d: batched %v vs single %v", r, o, got[r*2+o], y[o])
+func forwardBatchMatchesSingle(t *testing.T) {
+	rng := rand.New(rand.NewSource(21))
+	m := randomBiases(NewMLP(rng, 40, 64, 32, 2), rng)
+	for _, n := range []int{1, 2, 3, 4, 5, 9, 13, 64, 65} {
+		x := randBatch(int64(22+n), n, 40)
+		got := append([]float64(nil), m.ForwardBatch(x, n)...)
+		for r := 0; r < n; r++ {
+			for o, w := range m.Forward(x[r*40 : (r+1)*40]) {
+				if g := got[r*2+o]; math.Float64bits(g) != math.Float64bits(w) {
+					t.Fatalf("n %d row %d out %d: batched %v, single %v", n, r, o, g, w)
+				}
 			}
 		}
 	}

@@ -78,9 +78,10 @@ func BenchmarkMLPForwardBackwardBatch(b *testing.B) {
 // Evaluator.ForwardBatch, per batch size: n = 1 is a lone decision and
 // runs linearRow1Asm; n = 4 is the smallest batch on the column path
 // (linearCols, when the CPU has AVX); 13 is the average batch the
-// serve-fleet workload measures; 64 is a full serving batch. Against
-// BenchmarkMLPForwardBatch, the n = 64 ns/sample compares serving's
-// sequential per-row sums with training's lane-interleaved ones.
+// serve-fleet workload measures; 64 is a full serving batch. Training's
+// BenchmarkMLPForwardBatch runs the same kernels, so the gap at n = 64 is
+// what training pays for transposing around every layer and caching its
+// inputs, where serving transposes once per network.
 func BenchmarkEvaluatorForwardBatch(b *testing.B) {
 	for _, n := range []int{1, 4, 13, 64} {
 		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {

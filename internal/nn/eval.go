@@ -33,12 +33,6 @@ type evalStep struct {
 	size   int
 }
 
-// colRows is the row block of the column path: one YMM register holds four
-// batch rows of one activation, and the column scratch pads the batch to a
-// multiple of it. ForwardBatch takes the column path from one full block
-// up. That is the kernel's geometry, not a tuned threshold.
-const colRows = 4
-
 // NewEvaluator builds a concurrent-safe forward view of the network. It
 // panics on layer types other than Linear and Tanh (the only layers NewMLP
 // produces).
@@ -116,13 +110,7 @@ func (e *Evaluator) forwardCols(x []float64, n int) []float64 {
 	e.b = Grow(e.b, ld*e.maxDim)
 	cur, free := e.a, e.b
 	dim := e.in
-	for i := 0; i < dim; i++ {
-		col := cur[i*ld : (i+1)*ld]
-		for r := 0; r < n; r++ {
-			col[r] = x[r*dim+i]
-		}
-		clear(col[n:])
-	}
+	toCols(cur, x, n, dim, ld)
 	for _, s := range e.steps {
 		if l := s.linear; l != nil {
 			linearCols(l.W.Value, l.B.Value, cur, free, l.In, l.Out, ld)
@@ -138,10 +126,6 @@ func (e *Evaluator) forwardCols(x []float64, n int) []float64 {
 		}
 	}
 	y := free[:n*dim]
-	for o := 0; o < dim; o++ {
-		for r, v := range cur[o*ld : o*ld+n] {
-			y[r*dim+o] = v
-		}
-	}
+	fromCols(y, cur, n, dim, ld)
 	return y
 }

@@ -115,11 +115,12 @@ func fuzzShape(widths ...int) uint32 {
 	return s
 }
 
-// FuzzEvaluatorForwardBatch pins the serving forward to the training one:
-// for a one- to three-layer MLP of widths 1…64 with drawn biases, a batch of
-// 1…64 rows whose inputs mix special values, raw bit patterns (any NaN
-// payload) and finite draws, every row of Evaluator.ForwardBatch is
-// bit-equal to MLP.Forward on that row alone. The seeds run with every
+// FuzzEvaluatorForwardBatch pins both batched forwards to the single-row
+// one: for a one- to three-layer MLP of widths 1…64 with drawn biases, a
+// batch of 1…64 rows whose inputs mix special values, raw bit patterns (any
+// NaN payload) and finite draws, every row of Evaluator.ForwardBatch
+// (serving) and of MLP.ForwardBatch (training) is bit-equal to MLP.Forward
+// on that row alone. The seeds run with every
 // `go test`: the model's own layer shapes at n = 1, 8, 13 and 64, every
 // special value, and column-path batches of 4, 5, 9 and 13 rows whose
 // output width is not a multiple of four.
@@ -170,13 +171,21 @@ func FuzzEvaluatorForwardBatch(f *testing.F) {
 			}
 		}
 
-		got := mlp.NewEvaluator().ForwardBatch(x, n)
+		batched := []struct {
+			name string
+			got  []float64
+		}{
+			{"Evaluator.ForwardBatch", mlp.NewEvaluator().ForwardBatch(x, n)},
+			{"MLP.ForwardBatch", append([]float64(nil), mlp.ForwardBatch(x, n)...)},
+		}
 		for r := 0; r < n; r++ {
 			want := mlp.Forward(x[r*in : (r+1)*in])
 			for o, w := range want {
-				if g := got[r*out+o]; math.Float64bits(g) != math.Float64bits(w) {
-					t.Fatalf("widths %v n %d row %d out %d: ForwardBatch %016x (%v), MLP.Forward %016x (%v)",
-						widths, n, r, o, math.Float64bits(g), g, math.Float64bits(w), w)
+				for _, c := range batched {
+					if g := c.got[r*out+o]; math.Float64bits(g) != math.Float64bits(w) {
+						t.Fatalf("widths %v n %d row %d out %d: %s %016x (%v), MLP.Forward %016x (%v)",
+							widths, n, r, o, c.name, math.Float64bits(g), g, math.Float64bits(w), w)
+					}
 				}
 			}
 		}

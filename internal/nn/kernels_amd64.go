@@ -7,12 +7,6 @@ package nn
 // kernels are selected by a CPUID probe at init.
 
 //go:noescape
-func dotRowBatchAsm(w, x, y *float64, n, in, out, o int, bias float64)
-
-//go:noescape
-func dotRowBatch8AVX(w, x, y *float64, blocks, in, out, o int, bias float64)
-
-//go:noescape
 func linearRow1Asm(w, b, x, y *float64, in, out int)
 
 //go:noescape
@@ -28,21 +22,22 @@ func axpyRowsAVX(dst *float64, m int, a *float64, aStride int, sc *float64, scSt
 func addToAsm(dst, src *float64, n int)
 
 // cpuHasAVX reports whether the CPU and the OS support the AVX instructions
-// of dotRowBatch8AVX, linearColsAVX and axpyRowsAVX.
+// of linearColsAVX and axpyRowsAVX.
 func cpuHasAVX() bool
 
-// useAVX selects the AVX kernels over their SSE2 counterparts, and
-// Evaluator.ForwardBatch's column path over linearRows. Each pair produces
-// identical bits for every input (pinned by the tests in
-// kernels_amd64_test.go), so the choice shows in speed only.
+// useAVX selects axpyRowsAVX over its SSE2 counterpart, and the column
+// path (linearCols) of Linear.ForwardBatch and Evaluator.ForwardBatch over
+// linearRows. Each pair produces identical bits for every input (pinned by
+// the tests in kernels_amd64_test.go), so the choice shows in speed only.
 var useAVX = cpuHasAVX()
 
 // linearRows computes one full Linear layer over n row-major batch rows by
 // running the n = 1 forward on each row: each (row, output) summed from zero
 // in index order, the bias added last. No row's bits depend on n or on the
-// rows beside it, which is what lets serving batch requests freely. It is
-// the serving forward for batches too small for linearCols' row block, and
-// on CPUs without AVX.
+// rows beside it, which is what lets serving batch requests freely and
+// gives every row of a training batch the bits of MLP.Forward on that row.
+// It is the forward for batches too small for linearCols' row block, and on
+// CPUs without AVX.
 func linearRows(w, b, x, y []float64, n, in, out int) {
 	// The kernel takes bare pointers: fail here on a short slice.
 	_, _, _, _ = w[in*out-1], b[out-1], x[n*in-1], y[n*out-1]
@@ -60,36 +55,6 @@ func linearCols(w, b, xt, yt []float64, in, out, ld int) {
 	// The kernel takes bare pointers: fail here on a short slice.
 	_, _, _, _ = w[in*out-1], b[out-1], xt[in*ld-1], yt[out*ld-1]
 	linearColsAVX(&w[0], &b[0], &xt[0], &yt[0], in, out, ld)
-}
-
-// linearForward computes one full Linear layer over n batch rows, every
-// element exactly as dotRowBatchAsm over each output unit in turn would: rows
-// in the leading blocks of four through that kernel's two interleaved lanes,
-// the last n mod 4 rows (the only row at n = 1) as plain sums in index
-// order. It only spends fewer instructions on it: one pass of four
-// interleaved output chains when n is 1, eight batch rows per AVX pass when
-// there are that many.
-func linearForward(w, b, x, y []float64, n, in, out int) {
-	// The kernels take bare pointers: fail here on a short slice.
-	_, _, _, _ = w[in*out-1], b[out-1], x[n*in-1], y[n*out-1]
-	if n == 1 {
-		linearRow1Asm(&w[0], &b[0], &x[0], &y[0], in, out)
-		return
-	}
-	blocks := 0
-	if useAVX {
-		blocks = n / 8
-	}
-	rest := n - 8*blocks
-	for o := 0; o < out; o++ {
-		wo := &w[o*in]
-		if blocks > 0 {
-			dotRowBatch8AVX(wo, &x[0], &y[0], blocks, in, out, o, b[o])
-		}
-		if rest > 0 {
-			dotRowBatchAsm(wo, &x[8*blocks*in], &y[8*blocks*out], rest, in, out, o, b[o])
-		}
-	}
 }
 
 // axpyRows accumulates rows scaled rows into dst, one after the other:

@@ -3,153 +3,12 @@
 #include "textflag.h"
 
 // Microkernels for the Linear layer. The SSE2 ones (amd64 baseline — no
-// feature detection needed) come first: two-wide packed doubles double
-// multiply-accumulate throughput over the scalar port-limited Go loops. The
-// AVX ones at the end of the file are four-wide re-expressions of the same
-// per-element arithmetic, selected by cpuHasAVX at init.
-
-// func dotRowBatchAsm(w, x, y *float64, n, in, out, o int, bias float64)
-//
-// For r in [0,n): y[r*out+o] = bias + sum_i w[i]*x[r*in+i].
-// Batch rows are processed four at a time with independent packed
-// accumulators; row and element tails fall back to scalar ops.
-TEXT ·dotRowBatchAsm(SB), NOSPLIT, $0-64
-	MOVQ  w+0(FP), DI
-	MOVQ  x+8(FP), SI
-	MOVQ  y+16(FP), DX
-	MOVQ  n+24(FP), R8
-	MOVQ  in+32(FP), R9
-	MOVQ  out+40(FP), R10
-	MOVQ  o+48(FP), R11
-	MOVSD bias+56(FP), X15
-
-	// DX = &y[o]
-	LEAQ (DX)(R11*8), DX
-	XORQ R12, R12            // r = 0
-
-blk4:
-	MOVQ R8, AX
-	SUBQ R12, AX
-	CMPQ AX, $4
-	JL   tailrows
-
-	// x row pointers for the 4-row block
-	MOVQ  R12, AX
-	IMULQ R9, AX
-	LEAQ  (SI)(AX*8), BX     // x0
-	LEAQ  (BX)(R9*8), CX     // x1
-	LEAQ  (CX)(R9*8), R13    // x2
-	LEAQ  (R13)(R9*8), R14   // x3
-
-	XORPS X4, X4
-	XORPS X5, X5
-	XORPS X6, X6
-	XORPS X7, X7
-	XORQ  R15, R15           // i = 0
-
-ipair:
-	MOVQ R9, AX
-	SUBQ R15, AX
-	CMPQ AX, $2
-	JL   itail
-	MOVUPS (DI)(R15*8), X0   // w[i:i+2]
-	MOVUPS (BX)(R15*8), X1
-	MULPD  X0, X1
-	ADDPD  X1, X4
-	MOVUPS (CX)(R15*8), X2
-	MULPD  X0, X2
-	ADDPD  X2, X5
-	MOVUPS (R13)(R15*8), X3
-	MULPD  X0, X3
-	ADDPD  X3, X6
-	MOVUPS (R14)(R15*8), X1
-	MULPD  X0, X1
-	ADDPD  X1, X7
-	ADDQ   $2, R15
-	JMP    ipair
-
-itail:
-	CMPQ R15, R9
-	JGE  isum
-	MOVSD (DI)(R15*8), X0
-	MOVSD (BX)(R15*8), X1
-	MULSD X0, X1
-	ADDSD X1, X4
-	MOVSD (CX)(R15*8), X2
-	MULSD X0, X2
-	ADDSD X2, X5
-	MOVSD (R13)(R15*8), X3
-	MULSD X0, X3
-	ADDSD X3, X6
-	MOVSD (R14)(R15*8), X1
-	MULSD X0, X1
-	ADDSD X1, X7
-	INCQ  R15
-	JMP   itail
-
-isum:
-	// Horizontal sums: lane0 += lane1, then add the bias.
-	MOVAPS X4, X0
-	SHUFPD $1, X4, X0
-	ADDSD  X0, X4
-	ADDSD  X15, X4
-	MOVAPS X5, X1
-	SHUFPD $1, X5, X1
-	ADDSD  X1, X5
-	ADDSD  X15, X5
-	MOVAPS X6, X2
-	SHUFPD $1, X6, X2
-	ADDSD  X2, X6
-	ADDSD  X15, X6
-	MOVAPS X7, X3
-	SHUFPD $1, X7, X3
-	ADDSD  X3, X7
-	ADDSD  X15, X7
-
-	// Stores: y[(r+k)*out + o]
-	MOVQ  R12, AX
-	IMULQ R10, AX
-	LEAQ  (DX)(AX*8), R11
-	MOVSD X4, (R11)
-	LEAQ  (R11)(R10*8), R11
-	MOVSD X5, (R11)
-	LEAQ  (R11)(R10*8), R11
-	MOVSD X6, (R11)
-	LEAQ  (R11)(R10*8), R11
-	MOVSD X7, (R11)
-
-	ADDQ $4, R12
-	JMP  blk4
-
-tailrows:
-	CMPQ R12, R8
-	JGE  done
-	MOVQ  R12, AX
-	IMULQ R9, AX
-	LEAQ  (SI)(AX*8), BX
-	XORPS X4, X4
-	XORQ  R15, R15
-
-tri:
-	CMPQ R15, R9
-	JGE  trstore
-	MOVSD (DI)(R15*8), X0
-	MOVSD (BX)(R15*8), X1
-	MULSD X0, X1
-	ADDSD X1, X4
-	INCQ  R15
-	JMP   tri
-
-trstore:
-	ADDSD X15, X4
-	MOVQ  R12, AX
-	IMULQ R10, AX
-	MOVSD X4, (DX)(AX*8)
-	INCQ  R12
-	JMP   tailrows
-
-done:
-	RET
+// feature detection needed) come first: the backward's two-wide axpy and
+// the gradient reduction, then linearRow1Asm, the one forward sum order of
+// the package. The AVX ones at the end of the file are four-wide
+// re-expressions of the same per-element arithmetic, selected by cpuHasAVX
+// at init: linearColsAVX runs linearRow1Asm's sums over a column-major
+// batch, for training and serving alike.
 
 // func axpy4Asm(dst, a0, a1, a2, a3 *float64, g0, g1, g2, g3 float64, m int)
 //
@@ -304,9 +163,10 @@ noavx:
 // func linearRow1Asm(w, b, x, y *float64, in, out int)
 //
 // The n = 1 forward of a whole layer: y[o] = (sum_i x[i]*w[o*in+i]) + b[o],
-// each sum accumulated from zero in index order — dotRowBatchAsm's one-row
-// tail, which is one latency-bound chain per output. Four outputs are
-// computed at once, so four independent chains share each load of x[i].
+// each sum accumulated from zero in index order, the bias added last — the
+// order of every forward in the package, at any batch size. That is one
+// latency-bound chain per output, so four outputs are computed at once and
+// four independent chains share each load of x[i].
 // PCALIGN at the entry has the linker start the function on a 64-byte
 // boundary, so where its loops fall no longer depends on the code linked
 // before it.
@@ -400,132 +260,6 @@ l1done:
 // Scalar and 128-bit steps stay VEX-encoded (legacy SSE instructions with
 // dirty upper YMM halves stall on several cores) and every kernel ends with
 // VZEROUPPER.
-
-// func dotRowBatch8AVX(w, x, y *float64, blocks, in, out, o int, bias float64)
-//
-// dotRowBatchAsm's four-row block, two blocks at a time, for the first
-// 8*blocks batch rows: accumulator k holds rows r+k (low half) and r+4+k
-// (high half), each half the SSE2 kernel's two interleaved lanes, folded
-// low + high and then + bias exactly as there.
-TEXT ·dotRowBatch8AVX(SB), NOSPLIT, $0-64
-	MOVQ         w+0(FP), DI
-	MOVQ         x+8(FP), SI
-	MOVQ         y+16(FP), DX
-	MOVQ         blocks+24(FP), R8
-	MOVQ         in+32(FP), R9
-	MOVQ         out+40(FP), R10
-	MOVQ         o+48(FP), R11
-	VBROADCASTSD bias+56(FP), Y15
-	LEAQ         (DX)(R11*8), DX // &y[o]
-	SHLQ         $3, R10         // y row stride in bytes
-	LEAQ         (R10)(R10*2), AX // 3 y rows
-	MOVQ         R9, R11
-	SHLQ         $3, R11         // x row stride in bytes
-	LEAQ         (R11)(R11*2), R14 // 3 x rows
-
-d8blk:
-	TESTQ  R8, R8
-	JZ     d8done
-	MOVQ   SI, BX            // rows r .. r+3
-	LEAQ   (SI)(R11*4), CX   // rows r+4 .. r+7
-	MOVQ   DI, R13           // w cursor
-	MOVQ   R9, R15           // elements left
-	VXORPD Y4, Y4, Y4
-	VXORPD Y5, Y5, Y5
-	VXORPD Y6, Y6, Y6
-	VXORPD Y7, Y7, Y7
-
-d8pair:
-	CMPQ           R15, $2
-	JL             d8tail
-	VBROADCASTF128 (R13), Y0
-	VMOVUPD        (BX), X1
-	VINSERTF128    $1, (CX), Y1, Y1
-	VMULPD         Y0, Y1, Y1
-	VADDPD         Y1, Y4, Y4
-	VMOVUPD        (BX)(R11*1), X2
-	VINSERTF128    $1, (CX)(R11*1), Y2, Y2
-	VMULPD         Y0, Y2, Y2
-	VADDPD         Y2, Y5, Y5
-	VMOVUPD        (BX)(R11*2), X3
-	VINSERTF128    $1, (CX)(R11*2), Y3, Y3
-	VMULPD         Y0, Y3, Y3
-	VADDPD         Y3, Y6, Y6
-	VMOVUPD        (BX)(R14*1), X1
-	VINSERTF128    $1, (CX)(R14*1), Y1, Y1
-	VMULPD         Y0, Y1, Y1
-	VADDPD         Y1, Y7, Y7
-	ADDQ           $16, BX
-	ADDQ           $16, CX
-	ADDQ           $16, R13
-	SUBQ           $2, R15
-	JMP            d8pair
-
-d8tail:
-	// An odd last element goes into the low lane of each half only.
-	TESTQ        R15, R15
-	JZ           d8sum
-	VBROADCASTSD (R13), Y0
-	VMOVSD       (BX), X1
-	VMOVSD       (CX), X2
-	VINSERTF128  $1, X2, Y1, Y1
-	VMULPD       Y0, Y1, Y1
-	VADDPD       Y1, Y4, Y1
-	VBLENDPD     $5, Y1, Y4, Y4
-	VMOVSD       (BX)(R11*1), X1
-	VMOVSD       (CX)(R11*1), X2
-	VINSERTF128  $1, X2, Y1, Y1
-	VMULPD       Y0, Y1, Y1
-	VADDPD       Y1, Y5, Y1
-	VBLENDPD     $5, Y1, Y5, Y5
-	VMOVSD       (BX)(R11*2), X1
-	VMOVSD       (CX)(R11*2), X2
-	VINSERTF128  $1, X2, Y1, Y1
-	VMULPD       Y0, Y1, Y1
-	VADDPD       Y1, Y6, Y1
-	VBLENDPD     $5, Y1, Y6, Y6
-	VMOVSD       (BX)(R14*1), X1
-	VMOVSD       (CX)(R14*1), X2
-	VINSERTF128  $1, X2, Y1, Y1
-	VMULPD       Y0, Y1, Y1
-	VADDPD       Y1, Y7, Y1
-	VBLENDPD     $5, Y1, Y7, Y7
-
-d8sum:
-	// Per half: low lane += high lane, then + bias.
-	VPERMILPD    $5, Y4, Y0
-	VADDPD       Y0, Y4, Y4
-	VADDPD       Y15, Y4, Y4
-	VPERMILPD    $5, Y5, Y1
-	VADDPD       Y1, Y5, Y5
-	VADDPD       Y15, Y5, Y5
-	VPERMILPD    $5, Y6, Y2
-	VADDPD       Y2, Y6, Y6
-	VADDPD       Y15, Y6, Y6
-	VPERMILPD    $5, Y7, Y3
-	VADDPD       Y3, Y7, Y7
-	VADDPD       Y15, Y7, Y7
-	LEAQ         (DX)(R10*4), R12 // y row r+4
-	VMOVSD       X4, (DX)
-	VMOVSD       X5, (DX)(R10*1)
-	VMOVSD       X6, (DX)(R10*2)
-	VMOVSD       X7, (DX)(AX*1)
-	VEXTRACTF128 $1, Y4, X0
-	VEXTRACTF128 $1, Y5, X1
-	VEXTRACTF128 $1, Y6, X2
-	VEXTRACTF128 $1, Y7, X3
-	VMOVSD       X0, (R12)
-	VMOVSD       X1, (R12)(R10*1)
-	VMOVSD       X2, (R12)(R10*2)
-	VMOVSD       X3, (R12)(AX*1)
-	LEAQ         (DX)(R10*8), DX
-	LEAQ         (SI)(R11*8), SI
-	DECQ         R8
-	JMP          d8blk
-
-d8done:
-	VZEROUPPER
-	RET
 
 // Lane masks for a last vector of 4 (all lanes), 1, 2 or 3 elements.
 DATA avxTailMask<>+0(SB)/8, $-1

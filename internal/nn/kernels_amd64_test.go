@@ -9,12 +9,12 @@ import (
 )
 
 // The tests below are the whole case for selecting kernels by CPU, for the
-// fused n = 1 forward and for serving's use of its sums row by row and in
-// column blocks, with no tolerance mode: over every shape that exercises a
-// block, tail or mask combination, at slice offsets that break 16- and
-// 32-byte alignment, on values that include signed zeros, denormals,
-// infinities and NaNs, each fast kernel leaves the bits of the kernel it
-// stands in for.
+// fused n = 1 forward and for the batched forwards' use of its sums row by
+// row and in column blocks, with no tolerance mode: over every shape that
+// exercises a block, tail or mask combination, at slice offsets that break
+// 16- and 32-byte alignment, on values that include signed zeros,
+// denormals, infinities and NaNs, each fast kernel leaves the bits of the
+// kernel or Go loop it stands in for.
 
 // drawer returns a generator of finite values of mixed magnitude with, one
 // time in four, a special value.
@@ -105,30 +105,19 @@ func TestLinearForwardKernelsBitEqual(t *testing.T) {
 				b := filled(draw, out+maxOff)[(off+1)%maxOff:]
 				x := filled(draw, n*in+maxOff)[(off+2)%maxOff:]
 
+				// The oracle: linearRow1, the one sum order in Go, on each
+				// row by itself.
 				want := make([]float64, n*out)
-				for o := 0; o < out; o++ {
-					dotRowBatchAsm(&w[o*in], &x[0], &want[0], n, in, out, o, b[o])
-				}
-				got := make([]float64, n*out+maxOff)[(off+3)%maxOff:]
-				linearForward(w, b, x, got, n, in, out)
-				sameBits(t, "linearForward", got[:n*out], want, true)
-				if useAVX {
-					withoutAVX(func() { linearForward(w, b, x, got, n, in, out) })
-					sameBits(t, "linearForward without AVX", got[:n*out], want, true)
-				}
-
-				// The serving forward: every row is dotRowBatchAsm's n = 1
-				// sum of that row, whatever n is.
 				for r := 0; r < n; r++ {
-					for o := 0; o < out; o++ {
-						dotRowBatchAsm(&w[o*in], &x[r*in], &want[r*out], 1, in, out, o, b[o])
-					}
+					linearRow1(w, b, x[r*in:], want[r*out:], in, out)
 				}
-				linearRows(w, b, x, got, n, in, out)
-				sameBits(t, "linearRows", got[:n*out], want, true)
+				rows := make([]float64, n*out+maxOff)[(off+3)%maxOff:]
+				linearRows(w, b, x, rows, n, in, out)
+				sameBits(t, "linearRows", rows[:n*out], want, false)
 
-				// The serving forward's column path: the same sums over
-				// column-major scratch whose padding rows hold other values.
+				// The column path: the same sums over column-major scratch
+				// whose padding rows hold other values, bit for bit the
+				// row path's, NaN payloads included.
 				if !useAVX || n < colRows {
 					continue
 				}
@@ -141,12 +130,13 @@ func TestLinearForwardKernelsBitEqual(t *testing.T) {
 					}
 				}
 				linearCols(w, b, xt, yt, in, out, ld)
+				got := make([]float64, n*out)
 				for r := 0; r < n; r++ {
 					for o := 0; o < out; o++ {
 						got[r*out+o] = yt[o*ld+r]
 					}
 				}
-				sameBits(t, "linearCols", got[:n*out], want, true)
+				sameBits(t, "linearCols", got, rows[:n*out], true)
 			}
 		}
 	}
@@ -156,4 +146,10 @@ func TestLinearForwardKernelsBitEqual(t *testing.T) {
 // of a CPU without AVX, which runs linearRows at every batch size.
 func TestEvaluatorForwardBatchBitIdenticalWithoutAVX(t *testing.T) {
 	withoutAVX(func() { forwardBatchBitIdentical(t) })
+}
+
+// TestForwardBatchMatchesSingleWithoutAVX pins the training forward of a
+// CPU without AVX, which runs linearRows at every batch size.
+func TestForwardBatchMatchesSingleWithoutAVX(t *testing.T) {
+	withoutAVX(func() { forwardBatchMatchesSingle(t) })
 }

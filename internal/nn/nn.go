@@ -87,6 +87,7 @@ type Linear struct {
 
 	lastIn []float64 // cached [batch x In] input from ForwardBatch
 	out    []float64 // scratch [batch x Out] activations
+	cols   []float64 // column-path scratch: [In][ld] input, then [Out][ld] output
 	gradIn []float64 // scratch [batch x In] input gradients
 	batch  int       // rows cached by the most recent ForwardBatch
 }
@@ -112,7 +113,14 @@ func (l *Linear) Forward(x []float64) []float64 {
 	return l.ForwardBatch(x, 1)
 }
 
-// ForwardBatch implements Layer.
+// ForwardBatch implements Layer. It is the serving forward's sum order at
+// every batch size: each (row, output) is linearRow1Asm's sum, from zero in
+// index order with the bias last, so every row has the bits of Forward on
+// that row alone. Below colRows rows, or without AVX, linearRows runs the
+// n = 1 kernel on each row; from colRows rows up the batch is transposed
+// into column scratch (ld = n rounded up to colRows, padding rows zero),
+// runs linearCols, and is transposed back. The cached input stays row-major
+// for BackwardBatch.
 func (l *Linear) ForwardBatch(x []float64, n int) []float64 {
 	if len(x) != n*l.In {
 		panic(fmt.Sprintf("nn: Linear input size %d, want %d rows x %d", len(x), n, l.In))
@@ -121,10 +129,16 @@ func (l *Linear) ForwardBatch(x []float64, n int) []float64 {
 	copy(l.lastIn, x)
 	l.out = Grow(l.out, n*l.Out)
 	l.batch = n
-	// Per output unit the batch is processed four rows at a time: the weight
-	// row stays hot in registers/L1, and the four independent accumulator
-	// chains keep the FP pipeline full (see kernels_amd64.s).
-	linearForward(l.W.Value, l.B.Value, l.lastIn, l.out, n, l.In, l.Out)
+	if !useAVX || n < colRows {
+		linearRows(l.W.Value, l.B.Value, l.lastIn, l.out, n, l.In, l.Out)
+		return l.out
+	}
+	ld := (n + colRows - 1) / colRows * colRows
+	l.cols = Grow(l.cols, ld*(l.In+l.Out))
+	xt, yt := l.cols[:ld*l.In], l.cols[ld*l.In:]
+	toCols(xt, l.lastIn, n, l.In, ld)
+	linearCols(l.W.Value, l.B.Value, xt, yt, l.In, l.Out, ld)
+	fromCols(l.out, yt, n, l.Out, ld)
 	return l.out
 }
 

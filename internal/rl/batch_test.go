@@ -3,6 +3,8 @@ package rl
 import (
 	"math"
 	"testing"
+
+	"mocc/internal/nn"
 )
 
 // serialOnly hides an agent's batched kernels so PPO takes the per-sample
@@ -140,6 +142,37 @@ func TestPlainAgentBatchMatchesSingle(t *testing.T) {
 		}
 		if v1 := a.ValueForward(tr.Obs); math.Abs(v1-vsCopy[k]) > 1e-9 {
 			t.Errorf("sample %d: batched value %v vs single %v", k, vsCopy[k], v1)
+		}
+	}
+}
+
+// TestPPORatioOneBeforeFirstStep: before any optimizer step, the log-prob
+// the batched update computes for a transition (PolicyForwardBatch, then
+// GaussianLogProbVec) is bit for bit the LogProb collection recorded from
+// the n = 1 forward, so every PPO ratio π_new/π_old starts at exactly 1.
+// The batches run below, at and past the column path's row block.
+func TestPPORatioOneBeforeFirstStep(t *testing.T) {
+	const obsLen, steps = 12, 130
+	a := NewPlainAgent(obsLen, 3)
+	ro := Collect(a, testFactory, wThr, CollectConfig{Steps: steps, EpisodeLen: 32}, 17)
+	for _, n := range []int{2, 3, 4, 5, 13, 64, steps} {
+		obs := make([]float64, n*obsLen)
+		act := make([]float64, n)
+		for k, tr := range ro.Trans[:n] {
+			copy(obs[k*obsLen:], tr.Obs)
+			act[k] = tr.Action
+		}
+		means, std := a.PolicyForwardBatch(obs, n)
+		lp := make([]float64, n)
+		nn.GaussianLogProbVec(lp, act, means, std)
+		differ := 0
+		for k, tr := range ro.Trans[:n] {
+			if math.Float64bits(lp[k]) != math.Float64bits(tr.LogProb) {
+				differ++
+			}
+		}
+		if differ > 0 {
+			t.Errorf("n %d: %d of %d batched log-probs differ from the rollout's LogProb", n, differ, n)
 		}
 	}
 }

@@ -253,9 +253,11 @@ func (s *lossSums) add(o *lossSums) {
 // both the whole-minibatch path (one engine spanning the minibatch) and the
 // data-parallel path (one engine per worker, each over a row shard). It is
 // gradient-equivalent to minibatchSerial: samples are processed in the same
-// order, though the blocked kernels associate floating-point sums
-// differently, so gradients match the per-sample path to tight tolerance
-// (~1e-9, pinned by the batch equivalence tests) rather than bitwise.
+// order and the batched forward is bitwise the per-sample one (so before the
+// first optimizer step every ratio is exactly 1), but the backward's kernels
+// associate the gradient sums over the batch differently, so gradients match
+// the per-sample path to tight tolerance (~1e-9, pinned by the batch
+// equivalence tests) rather than bitwise.
 type mbEngine struct {
 	agent BatchActorCritic
 
