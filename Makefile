@@ -91,11 +91,15 @@ fuzz-scen:
 	$(GO) run ./cmd/mocc-scen fuzz -n 25 -seed 1
 	$(GO) run ./cmd/mocc-scen fuzz -topo -n 25 -seed 1
 
-# Forward-kernel fuzz smoke: ten seconds of FuzzEvaluatorForwardBatch, which
-# checks every row of both batched forwards (serving's Evaluator and
-# training's MLP.ForwardBatch) bit for bit against MLP.Forward on that row,
-# over random shapes, batch sizes, biases and special-value inputs.
+# Kernel fuzz smoke, ten seconds per target (go test -fuzz takes one target
+# per run): FuzzEvaluatorForwardBatch checks every row of both batched
+# forwards (serving's Evaluator and training's MLP.ForwardBatch) bit for bit
+# against MLP.Forward on that row, over random shapes, batch sizes, biases
+# and special-value inputs; FuzzElementwiseKernels checks the tanh forward,
+# the tanh backward and Adam's update bit for bit against their Go loops on
+# arbitrary float64s.
 fuzz-nn:
 	$(GO) test -run '^$$' -fuzz FuzzEvaluatorForwardBatch -fuzztime 10s ./internal/nn
+	$(GO) test -run '^$$' -fuzz FuzzElementwiseKernels -fuzztime 10s ./internal/nn
 
 ci: all

@@ -96,10 +96,7 @@ func (bi *BatchInference) ActBatch(ws []objective.Weights, obs [][]float64, out 
 	bi.model.RLockParams()
 	feat := bi.actorPref.ForwardBatch(bi.wBuf[:n*WeightDim], n)
 	for r := 0; r < n; r++ {
-		row := bi.joint[r*jointDim : (r+1)*jointDim]
-		for i, v := range feat[r*PrefFeatures : (r+1)*PrefFeatures] {
-			row[netDim+i] = nn.FastTanh(v)
-		}
+		nn.FastTanh(bi.joint[r*jointDim+netDim:(r+1)*jointDim], feat[r*PrefFeatures:(r+1)*PrefFeatures])
 	}
 	acts := bi.actorTrunk.ForwardBatch(bi.joint[:n*jointDim], n)
 	bi.model.RUnlockParams()

@@ -65,24 +65,26 @@ func TestBatchInferenceBitIdentical(t *testing.T) {
 }
 
 // TestBatchInferenceAllocFree pins the steady-state batched decision path
-// to zero allocations once scratch has grown to the working batch size.
+// to zero allocations once scratch has grown to the working batch size, on
+// the row path (n = 1) and the column path (n = 64).
 func TestBatchInferenceAllocFree(t *testing.T) {
 	m := NewModel(HistoryLen, 8)
-	bi := m.NewBatchInference()
-	const n = 64
-	ws := make([]objective.Weights, n)
-	obs := make([][]float64, n)
-	for r := 0; r < n; r++ {
-		ws[r] = objective.BalancePref
-		obs[r] = make([]float64, 3*m.HistoryLen)
-	}
-	out := make([]float64, n)
-	bi.ActBatch(ws, obs, out) // grow scratch
-	allocs := testing.AllocsPerRun(100, func() {
-		bi.ActBatch(ws, obs, out)
-	})
-	if allocs != 0 {
-		t.Fatalf("ActBatch allocates %v per call", allocs)
+	for _, n := range []int{1, 64} {
+		bi := m.NewBatchInference()
+		ws := make([]objective.Weights, n)
+		obs := make([][]float64, n)
+		for r := 0; r < n; r++ {
+			ws[r] = objective.BalancePref
+			obs[r] = make([]float64, 3*m.HistoryLen)
+		}
+		out := make([]float64, n)
+		bi.ActBatch(ws, obs, out) // grow scratch
+		allocs := testing.AllocsPerRun(100, func() {
+			bi.ActBatch(ws, obs, out)
+		})
+		if allocs != 0 {
+			t.Fatalf("ActBatch at n = %d allocates %v per call", n, allocs)
+		}
 	}
 }
 

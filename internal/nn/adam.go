@@ -46,19 +46,40 @@ func (a *Adam) Step() {
 	// element instead of three.
 	invBc1 := 1 / (1 - math.Pow(a.Beta1, float64(a.t)))
 	invBc2 := 1 / (1 - math.Pow(a.Beta2, float64(a.t)))
-	b1, b2 := a.Beta1, a.Beta2
-	c1, c2 := 1-a.Beta1, 1-a.Beta2
+	k := [8]float64{a.Beta1, 1 - a.Beta1, a.Beta2, 1 - a.Beta2, invBc1, invBc2, a.LR, a.Epsilon}
 	for i, p := range a.params {
-		m, v := a.m[i], a.v[i]
-		for j, g := range p.Grad {
-			if math.IsNaN(g) || math.IsInf(g, 0) {
-				continue
-			}
-			mj := b1*m[j] + c1*g
-			vj := b2*v[j] + c2*g*g
-			m[j], v[j] = mj, vj
-			p.Value[j] -= a.LR * (mj * invBc1) / (math.Sqrt(vj*invBc2) + a.Epsilon)
+		adamStep(p.Value, p.Grad, a.m[i], a.v[i], &k)
+	}
+}
+
+// adamStep applies one Adam update to the parameter values p from their
+// gradients g and moments m and v (all of equal length), with k = {β1,
+// 1-β1, β2, 1-β2, 1/bc1, 1/bc2, lr, ε}. With AVX, adamAVX takes the longest
+// prefix of a multiple of four elements and adamGo, its oracle, the rest.
+func adamStep(p, g, m, v []float64, k *[8]float64) {
+	g, m, v = g[:len(p)], m[:len(p)], v[:len(p)]
+	i := 0
+	if useAVX && len(p) >= 4 {
+		i = len(p) &^ 3
+		adamAVX(&p[0], &g[0], &m[0], &v[0], i, k)
+	}
+	adamGo(p[i:], g[i:], m[i:], v[i:], k)
+}
+
+// adamGo is adamStep in Go. The conversions round each product on its own,
+// so no GOARCH fuses it into the add that follows.
+func adamGo(p, g, m, v []float64, k *[8]float64) {
+	b1, c1, b2, c2 := k[0], k[1], k[2], k[3]
+	invBc1, invBc2, lr, eps := k[4], k[5], k[6], k[7]
+	g, m, v = g[:len(p)], m[:len(p)], v[:len(p)]
+	for j, gj := range g {
+		if math.IsNaN(gj) || math.IsInf(gj, 0) {
+			continue
 		}
+		mj := float64(b1*m[j]) + float64(c1*gj)
+		vj := float64(b2*v[j]) + float64(float64(c2*gj)*gj)
+		m[j], v[j] = mj, vj
+		p[j] -= float64(lr*float64(mj*invBc1)) / (math.Sqrt(float64(vj*invBc2)) + eps)
 	}
 }
 

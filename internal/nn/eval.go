@@ -2,11 +2,6 @@ package nn
 
 import "fmt"
 
-// FastTanh exposes the table-driven tanh interpolant used by the Tanh layer
-// (max abs error ~2e-11 vs math.Tanh) so forward-only callers outside the
-// package evaluate activations bit-identically to the training path.
-func FastTanh(x float64) float64 { return fastTanh(x) }
-
 // Evaluator is a forward-only view of an MLP: it references the network's
 // parameters but owns every evaluation buffer, so any number of Evaluators
 // over the same MLP may run concurrently with each other. Parameter *writes*
@@ -89,9 +84,7 @@ func (e *Evaluator) ForwardBatch(x []float64, n int) []float64 {
 			cur = dst
 		} else {
 			dst := out[:n*s.size]
-			for i, v := range cur {
-				dst[i] = fastTanh(v)
-			}
+			FastTanh(dst, cur)
 			cur = dst
 		}
 		out, next = next, out
@@ -101,9 +94,9 @@ func (e *Evaluator) ForwardBatch(x []float64, n int) []float64 {
 
 // forwardCols is ForwardBatch on the column path: the input is transposed
 // once into [width][ld] scratch (ld = n rounded up to colRows, padding rows
-// zero), every layer runs there — linearCols for a Linear, fastTanh on the
-// n live entries of each activation row for a Tanh — and the output is
-// transposed back. Padding rows are computed and never read.
+// zero), every layer runs there — linearCols for a Linear, FastTanh in place
+// on the whole [size][ld] block for a Tanh — and the output is transposed
+// back. Padding rows are computed and never read.
 func (e *Evaluator) forwardCols(x []float64, n int) []float64 {
 	ld := (n + colRows - 1) / colRows * colRows
 	e.a = Grow(e.a, ld*e.maxDim)
@@ -118,12 +111,8 @@ func (e *Evaluator) forwardCols(x []float64, n int) []float64 {
 			dim = l.Out
 			continue
 		}
-		for i := 0; i < s.size; i++ {
-			act := cur[i*ld : i*ld+n]
-			for r, v := range act {
-				act[r] = fastTanh(v)
-			}
-		}
+		act := cur[:s.size*ld]
+		FastTanh(act, act)
 	}
 	y := free[:n*dim]
 	fromCols(y, cur, n, dim, ld)

@@ -21,14 +21,28 @@ func axpyRowsAVX(dst *float64, m int, a *float64, aStride int, sc *float64, scSt
 //go:noescape
 func addToAsm(dst, src *float64, n int)
 
+// The element-wise kernels behind FastTanh, tanhBack and adamStep: each
+// takes a multiple of 4 elements, and the helpers run the rest in Go.
+
+//go:noescape
+func tanhAVX(dst, src *float64, n int)
+
+//go:noescape
+func tanhBackAVX(dst, grad, y *float64, n int)
+
+//go:noescape
+func adamAVX(p, grad, m, v *float64, n int, k *[8]float64)
+
 // cpuHasAVX reports whether the CPU and the OS support the AVX instructions
-// of linearColsAVX and axpyRowsAVX.
+// of linearColsAVX, axpyRowsAVX and the element-wise kernels.
 func cpuHasAVX() bool
 
-// useAVX selects axpyRowsAVX over its SSE2 counterpart, and the column
-// path (linearCols) of Linear.ForwardBatch and Evaluator.ForwardBatch over
-// linearRows. Each pair produces identical bits for every input (pinned by
-// the tests in kernels_amd64_test.go), so the choice shows in speed only.
+// useAVX selects axpyRowsAVX over its SSE2 counterpart, the column path
+// (linearCols) of Linear.ForwardBatch and Evaluator.ForwardBatch over
+// linearRows, and the element-wise kernels over their Go loops. Each pair
+// produces identical bits for every input (pinned by the tests in
+// kernels_amd64_test.go and elementwise_amd64_test.go), so the choice shows
+// in speed only.
 var useAVX = cpuHasAVX()
 
 // linearRows computes one full Linear layer over n row-major batch rows by

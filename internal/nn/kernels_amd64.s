@@ -2,13 +2,19 @@
 
 #include "textflag.h"
 
-// Microkernels for the Linear layer. The SSE2 ones (amd64 baseline — no
-// feature detection needed) come first: the backward's two-wide axpy and
-// the gradient reduction, then linearRow1Asm, the one forward sum order of
-// the package. The AVX ones at the end of the file are four-wide
-// re-expressions of the same per-element arithmetic, selected by cpuHasAVX
-// at init: linearColsAVX runs linearRow1Asm's sums over a column-major
-// batch, for training and serving alike.
+// Microkernels for the Linear layer, the Tanh layer and Adam. The SSE2 ones
+// (amd64 baseline — no feature detection needed) come first: the
+// backward's two-wide axpy and the gradient reduction, then linearRow1Asm,
+// the one forward sum order of the package. The AVX ones after them are
+// four-wide re-expressions of the same per-element arithmetic, selected by
+// cpuHasAVX at init: axpyRowsAVX for the backward, linearColsAVX running
+// linearRow1Asm's sums over a column-major batch, for training and serving
+// alike, and at the end of the file the element-wise kernels, each the Go
+// loop it replaces (fastTanh, tanhBackGo, adamGo) in four lanes.
+// linearRow1Asm (at its entry), linearColsAVX and the element-wise kernels
+// (at their loop heads) carry a PCALIGN $64, which also starts the function
+// on a 64-byte boundary, so the code linked before them does not move where
+// their loops fall.
 
 // func axpy4Asm(dst, a0, a1, a2, a3 *float64, g0, g1, g2, g3 float64, m int)
 //
@@ -638,4 +644,207 @@ lcnext1:
 
 lcdone:
 	VZEROUPPER
+	RET
+
+// The element-wise kernels: fastTanh, the tanh backward and Adam's update,
+// each the Go loop's exact per-element sequence in four lanes. No lane reads
+// another, so nothing here depends on how a slice is split into vectors; the
+// Go helpers run the n mod 4 tail through the Go loop itself.
+
+// fastTanh's constants (tanhMax, tanhN/(2·tanhMax), tanhN, the two
+// saturation values) and the last table interval tanhN-1 as an int32.
+DATA tanhConst<>+0(SB)/8, $16.0
+DATA tanhConst<>+8(SB)/8, $128.0
+DATA tanhConst<>+16(SB)/8, $4096.0
+DATA tanhConst<>+24(SB)/8, $-1.0
+DATA tanhConst<>+32(SB)/8, $1.0
+DATA tanhConst<>+40(SB)/4, $4095
+GLOBL tanhConst<>(SB), RODATA|NOPTR, $44
+
+// func tanhAVX(dst, src *float64, n int)
+//
+// dst[i] = fastTanh(src[i]) for i in [0,n), n a multiple of 4; dst may be
+// src. Per lane: t = (x + tanhMax)·scale, j = int(t) by truncation, clamped
+// to [0, tanhN-1] before it indexes the table (lanes outside (0, tanhN) are
+// replaced below, so their j only has to be a safe index), u = t - j, then
+// the interval's four coefficients — two 16-byte loads per lane, put in
+// coefficient-major order by four unpacks, no gather — and Horner in
+// fastTanh's order with separate roundings. Last, the three exits as
+// blends: -1 where !(t > 0), 1 where t >= tanhN, and x itself, payload and
+// all, where x is NaN.
+//
+// Registers: Y15 tanhMax, Y14 scale, Y13 zero, Y12 tanhN, Y11 -1, Y10 1,
+// X9 tanhN-1 in each int32; R8 the table; AX, BX, DX, R9 lanes 0–3's byte
+// offsets into it.
+TEXT ·tanhAVX(SB), NOSPLIT, $0-24
+	MOVQ dst+0(FP), DI
+	MOVQ src+8(FP), SI
+	MOVQ n+16(FP), CX
+	MOVQ ·tanhCoef(SB), R8
+	TESTQ CX, CX
+	JZ    tdone
+	VBROADCASTSD tanhConst<>+0(SB), Y15
+	VBROADCASTSD tanhConst<>+8(SB), Y14
+	VXORPD       Y13, Y13, Y13
+	VBROADCASTSD tanhConst<>+16(SB), Y12
+	VBROADCASTSD tanhConst<>+24(SB), Y11
+	VBROADCASTSD tanhConst<>+32(SB), Y10
+	VBROADCASTSS tanhConst<>+40(SB), X9
+	PCALIGN $64
+
+tloop:
+	VMOVUPD     (SI), Y0
+	VADDPD      Y15, Y0, Y1
+	VMULPD      Y14, Y1, Y1 // t
+	VCVTTPD2DQY Y1, X2
+	VPMAXSD     X13, X2, X2
+	VPMINSD     X9, X2, X2  // j, clamped
+	VCVTDQ2PD   X2, Y3
+	VSUBPD      Y3, Y1, Y3  // u
+	VPSLLD      $5, X2, X2  // j*32: the interval's byte offset
+	VMOVD       X2, AX
+	VPEXTRD     $1, X2, BX
+	VPEXTRD     $2, X2, DX
+	VPEXTRD     $3, X2, R9
+
+	// Y4 = lanes 0 and 2's c[0], c[1]; Y5 the same of lanes 1 and 3; Y6
+	// and Y7 their c[2], c[3]. An unpack of a pair gives one coefficient
+	// of all four lanes in lane order.
+	VMOVUPD     (R8)(AX*1), X4
+	VINSERTF128 $1, (R8)(DX*1), Y4, Y4
+	VMOVUPD     (R8)(BX*1), X5
+	VINSERTF128 $1, (R8)(R9*1), Y5, Y5
+	VMOVUPD     16(R8)(AX*1), X6
+	VINSERTF128 $1, 16(R8)(DX*1), Y6, Y6
+	VMOVUPD     16(R8)(BX*1), X7
+	VINSERTF128 $1, 16(R8)(R9*1), Y7, Y7
+
+	// c[0] + u*(c[1] + u*(c[2] + u*c[3])).
+	VUNPCKHPD Y7, Y6, Y8
+	VMULPD    Y8, Y3, Y8
+	VUNPCKLPD Y7, Y6, Y6
+	VADDPD    Y8, Y6, Y8
+	VMULPD    Y8, Y3, Y8
+	VUNPCKHPD Y5, Y4, Y7
+	VADDPD    Y8, Y7, Y8
+	VMULPD    Y8, Y3, Y8
+	VUNPCKLPD Y5, Y4, Y4
+	VADDPD    Y8, Y4, Y8
+
+	VCMPPD    $0x0A, Y13, Y1, Y5 // !(t > 0): NGT, true on NaN
+	VBLENDVPD Y5, Y11, Y8, Y8
+	VCMPPD    $0x1D, Y12, Y1, Y5 // t >= tanhN
+	VBLENDVPD Y5, Y10, Y8, Y8
+	VCMPPD    $0x03, Y0, Y0, Y5  // x is NaN
+	VBLENDVPD Y5, Y0, Y8, Y8
+	VMOVUPD   Y8, (DI)
+	ADDQ      $32, SI
+	ADDQ      $32, DI
+	SUBQ      $4, CX
+	JNZ       tloop
+	VZEROUPPER
+
+tdone:
+	RET
+
+// func tanhBackAVX(dst, grad, y *float64, n int)
+//
+// dst[i] = grad[i] * (1 - y[i]*y[i]) for i in [0,n), n a multiple of 4: the
+// Tanh layer's backward from its cached outputs, operands in the Go order.
+TEXT ·tanhBackAVX(SB), NOSPLIT, $0-32
+	MOVQ  dst+0(FP), DI
+	MOVQ  grad+8(FP), SI
+	MOVQ  y+16(FP), DX
+	MOVQ  n+24(FP), CX
+	TESTQ CX, CX
+	JZ    tbdone
+	VBROADCASTSD tanhConst<>+32(SB), Y15
+	PCALIGN $64
+
+tbloop:
+	VMOVUPD (DX), Y0
+	VMULPD  Y0, Y0, Y0
+	VSUBPD  Y0, Y15, Y0
+	VMOVUPD (SI), Y1
+	VMULPD  Y0, Y1, Y1
+	VMOVUPD Y1, (DI)
+	ADDQ    $32, DX
+	ADDQ    $32, SI
+	ADDQ    $32, DI
+	SUBQ    $4, CX
+	JNZ     tbloop
+	VZEROUPPER
+
+tbdone:
+	RET
+
+// func adamAVX(p, grad, m, v *float64, n int, k *[8]float64)
+//
+// Adam's update of n elements, n a multiple of 4, with k = {β1, 1-β1, β2,
+// 1-β2, 1/bc1, 1/bc2, lr, ε}, in Adam.Step's order:
+//
+//	mj = β1·m + (1-β1)·g
+//	vj = β2·v + ((1-β2)·g)·g
+//	p  = p - (lr·(mj·(1/bc1))) / (sqrt(vj·(1/bc2)) + ε)
+//
+// VSQRTPD and VDIVPD round correctly, like SQRTSD and DIVSD, so each lane
+// keeps its bits. An element whose gradient is NaN or ±Inf keeps its m, v
+// and p: the blend mask is g - g ordered, that is g - g == 0.
+//
+// Registers: Y0–Y7 the constants; Y8 g, Y9 m, Y10 v, Y11 p, Y12 the mask.
+TEXT ·adamAVX(SB), NOSPLIT, $0-48
+	MOVQ  p+0(FP), DI
+	MOVQ  grad+8(FP), SI
+	MOVQ  m+16(FP), BX
+	MOVQ  v+24(FP), DX
+	MOVQ  n+32(FP), CX
+	MOVQ  k+40(FP), AX
+	TESTQ CX, CX
+	JZ    addone
+	VBROADCASTSD 0(AX), Y0
+	VBROADCASTSD 8(AX), Y1
+	VBROADCASTSD 16(AX), Y2
+	VBROADCASTSD 24(AX), Y3
+	VBROADCASTSD 32(AX), Y4
+	VBROADCASTSD 40(AX), Y5
+	VBROADCASTSD 48(AX), Y6
+	VBROADCASTSD 56(AX), Y7
+	PCALIGN $64
+
+adloop:
+	VMOVUPD   (SI), Y8
+	VMOVUPD   (BX), Y9
+	VMOVUPD   (DX), Y10
+	VMOVUPD   (DI), Y11
+	VSUBPD    Y8, Y8, Y12
+	VCMPPD    $0x07, Y12, Y12, Y12 // g finite
+	VMULPD    Y9, Y0, Y13
+	VMULPD    Y8, Y1, Y14
+	VADDPD    Y14, Y13, Y13        // mj
+	VMULPD    Y8, Y3, Y14
+	VMULPD    Y8, Y14, Y14
+	VMULPD    Y10, Y2, Y15
+	VADDPD    Y14, Y15, Y14        // vj
+	VBLENDVPD Y12, Y13, Y9, Y9
+	VMOVUPD   Y9, (BX)
+	VBLENDVPD Y12, Y14, Y10, Y10
+	VMOVUPD   Y10, (DX)
+	VMULPD    Y5, Y14, Y14
+	VSQRTPD   Y14, Y14
+	VADDPD    Y7, Y14, Y14
+	VMULPD    Y4, Y13, Y13
+	VMULPD    Y13, Y6, Y13
+	VDIVPD    Y14, Y13, Y13
+	VSUBPD    Y13, Y11, Y13
+	VBLENDVPD Y12, Y13, Y11, Y11
+	VMOVUPD   Y11, (DI)
+	ADDQ      $32, SI
+	ADDQ      $32, BX
+	ADDQ      $32, DX
+	ADDQ      $32, DI
+	SUBQ      $4, CX
+	JNZ       adloop
+	VZEROUPPER
+
+addone:
 	RET

@@ -5,12 +5,18 @@ package nn
 // Portable stand-ins for the kernels in kernels_amd64.s.
 
 // useAVX is never set off amd64: Linear.ForwardBatch and
-// Evaluator.ForwardBatch run linearRows at every batch size.
+// Evaluator.ForwardBatch run linearRows at every batch size, and the
+// element-wise helpers their Go loops.
 const useAVX = false
 
 // linearCols is the column path's AVX kernel, which only runs when useAVX is
 // set.
 func linearCols(w, b, xt, yt []float64, in, out, ld int) { panic("nn: linearCols without AVX") }
+
+// The element-wise AVX kernels, which only run when useAVX is set.
+func tanhAVX(dst, src *float64, n int)                     { panic("nn: tanhAVX without AVX") }
+func tanhBackAVX(dst, grad, y *float64, n int)             { panic("nn: tanhBackAVX without AVX") }
+func adamAVX(p, grad, m, v *float64, n int, k *[8]float64) { panic("nn: adamAVX without AVX") }
 
 // linearRows runs the n = 1 forward, linearRow1, on each of n row-major
 // batch rows.

@@ -214,22 +214,25 @@ var tanhCoef = func() *[tanhN * 4]float64 {
 	var c [tanhN * 4]float64
 	const dx = 2 * tanhMax / tanhN
 	for j := 0; j < tanhN; j++ {
-		x0 := -tanhMax + float64(j)*dx
+		x0 := -tanhMax + float64(float64(j)*dx)
 		y0, y1 := math.Tanh(x0), math.Tanh(x0+dx)
-		d0 := (1 - y0*y0) * dx
-		d1 := (1 - y1*y1) * dx
+		d0 := float64((1 - float64(y0*y0)) * dx)
+		d1 := float64((1 - float64(y1*y1)) * dx)
 		c[j*4+0] = y0
 		c[j*4+1] = d0
-		c[j*4+2] = 3*(y1-y0) - 2*d0 - d1
-		c[j*4+3] = 2*(y0-y1) + d0 + d1
+		c[j*4+2] = float64(3*(y1-y0)) - float64(2*d0) - d1
+		c[j*4+3] = float64(2*(y0-y1)) + d0 + d1
 	}
 	return &c
 }()
 
 // fastTanh evaluates the interpolant; fastTanh(0) == 0 exactly and NaN
-// propagates like math.Tanh.
+// propagates like math.Tanh. It is the oracle of tanhAVX, which computes the
+// same sequence four lanes at a time; the conversions round each product on
+// its own, so no GOARCH fuses it into the add that follows (the table's
+// construction above follows the same rule).
 func fastTanh(x float64) float64 {
-	t := (x + tanhMax) * (tanhN / (2 * tanhMax))
+	t := float64((x + tanhMax) * (tanhN / (2 * tanhMax)))
 	if !(t > 0) {
 		if math.IsNaN(x) {
 			return x
@@ -242,7 +245,50 @@ func fastTanh(x float64) float64 {
 	j := int(t)
 	u := t - float64(j)
 	c := tanhCoef[j*4 : j*4+4 : j*4+4]
-	return c[0] + u*(c[1]+u*(c[2]+u*c[3]))
+	return c[0] + float64(u*(c[1]+float64(u*(c[2]+float64(u*c[3])))))
+}
+
+// FastTanh writes the table-driven tanh interpolant of src[i] into dst[i]
+// (max abs error ~2e-11 vs math.Tanh); dst and src have equal length, and
+// dst may be src. It is the Tanh layer's activation, so forward-only
+// callers outside the package evaluate it bit-identically to the training
+// path. With AVX, tanhAVX takes the longest prefix of a multiple of four
+// elements and fastTanh the rest; each element's bits are fastTanh's.
+func FastTanh(dst, src []float64) {
+	if len(dst) != len(src) {
+		panic("nn: FastTanh length mismatch")
+	}
+	i := 0
+	if useAVX && len(dst) >= 4 {
+		i = len(dst) &^ 3
+		tanhAVX(&dst[0], &src[0], i)
+	}
+	for ; i < len(dst); i++ {
+		dst[i] = fastTanh(src[i])
+	}
+}
+
+// tanhBack writes the tanh backward dst[i] = g[i]·(1 - y[i]²) from the
+// layer's cached outputs y; the three slices have equal length. With AVX,
+// tanhBackAVX takes the longest prefix of a multiple of four elements and
+// tanhBackGo, its oracle, the rest.
+func tanhBack(dst, g, y []float64) {
+	g, y = g[:len(dst)], y[:len(dst)]
+	i := 0
+	if useAVX && len(dst) >= 4 {
+		i = len(dst) &^ 3
+		tanhBackAVX(&dst[0], &g[0], &y[0], i)
+	}
+	tanhBackGo(dst[i:], g[i:], y[i:])
+}
+
+// tanhBackGo is tanhBack in Go, y·y rounded on its own.
+func tanhBackGo(dst, g, y []float64) {
+	g, y = g[:len(dst)], y[:len(dst)]
+	for i, gi := range g {
+		yi := y[i]
+		dst[i] = gi * (1 - float64(yi*yi))
+	}
 }
 
 // Tanh is an element-wise tanh activation layer.
@@ -268,9 +314,7 @@ func (t *Tanh) ForwardBatch(x []float64, n int) []float64 {
 	}
 	t.lastOut = Grow(t.lastOut, n*t.size)
 	t.batch = n
-	for i, v := range x {
-		t.lastOut[i] = fastTanh(v)
-	}
+	FastTanh(t.lastOut, x)
 	return t.lastOut
 }
 
@@ -288,10 +332,7 @@ func (t *Tanh) BackwardBatch(gradOut []float64, n int) []float64 {
 		panic(fmt.Sprintf("nn: Tanh backward batch %d, but forward cached %d rows", n, t.batch))
 	}
 	t.gradIn = Grow(t.gradIn, n*t.size)
-	for i, g := range gradOut {
-		y := t.lastOut[i]
-		t.gradIn[i] = g * (1 - y*y)
-	}
+	tanhBack(t.gradIn, gradOut, t.lastOut)
 	return t.gradIn
 }
 
