@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet test test-race chaos chaos-serve obs bench bench-micro fuzz-scen fuzz-nn ci
+.PHONY: all build vet test test-race chaos chaos-serve obs bench bench-micro fuzz-scen fuzz-nn fuzz-serve ci
 
 all: build vet test
 
@@ -38,9 +38,13 @@ chaos:
 # daemon's per-flow order and drop, its bit-identity to a shadow library,
 # its flat session table, zero-alloc round trip, per-batch reply coalescing
 # and its walk of coalesced report records (plus the client demux fuzz
-# seeds), the client's report combining and its failed-write fan-out, and
-# client failover across a daemon killed and restarted mid-load (seeded
-# fault plans, zero Report errors end to end).
+# seeds), the client's report combining and its failed-write fan-out, the
+# client's deadline sweep (a timeout fires within a quarter Timeout of its
+# deadline against a daemon that never answers, a shorter Timeout reaches a
+# reader parked on a longer one, stale replies neither end a wait nor keep
+# the sweep or Close from ending it), and client failover across a daemon
+# killed and restarted mid-load (seeded fault plans, zero Report errors end
+# to end).
 chaos-serve:
 	$(GO) test -short -count=1 -run 'Overload|Shed|QueueBound|Panic|Watchdog|Rollback|Canary|BaseEpoch' ./internal/serve
 	$(GO) test -short -count=1 -run 'Rollback|Canary|ServingState|EvictionChurn' .
@@ -71,13 +75,16 @@ bench:
 # path and the training loop serial vs data-parallel (nn, rl, core), the
 # netsim packet-train engine vs its per-packet reference, the multi-link
 # topo engine on its own (the sim-topo shape without the scenario layer,
-# the parking lot against the reference, the 10k-flow incast), and the
-# pantheon sweep scheduler (run with -count for stability).
+# the parking lot against the reference, the 10k-flow incast), the
+# pantheon sweep scheduler, and the serve client in the serve-fleet shape
+# (64 goroutines over 4096 flows on loopback). Run with -count for
+# stability.
 bench-micro:
 	$(GO) test -run '^$$' -bench . -benchmem ./internal/nn ./internal/rl ./internal/core
 	$(GO) test -run '^$$' -bench 'Engine' -benchmem ./internal/netsim
 	$(GO) test -run '^$$' -bench 'Topo' -benchmem ./internal/topo
 	$(GO) test -run '^$$' -bench 'RunSweep' -benchmem ./internal/pantheon
+	$(GO) test -run '^$$' -bench 'ServeConnReport' -benchmem ./transport
 
 # Differential fuzz smoke: 25 generator-seeded scenarios replayed through
 # both netsim engines (packet-train vs per-packet reference), then 25 more
@@ -101,5 +108,13 @@ fuzz-scen:
 fuzz-nn:
 	$(GO) test -run '^$$' -fuzz FuzzEvaluatorForwardBatch -fuzztime 10s ./internal/nn
 	$(GO) test -run '^$$' -fuzz FuzzElementwiseKernels -fuzztime 10s ./internal/nn
+
+# Serve demux fuzz smoke, ten seconds per target: FuzzServeConnReplies feeds
+# arbitrary reply datagrams to the client's demux (each whole valid rate
+# record reaches its own flow, in order; a bad tail counts one Malformed),
+# FuzzRateServerDatagram arbitrary report datagrams to the daemon's.
+fuzz-serve:
+	$(GO) test -run '^$$' -fuzz FuzzServeConnReplies -fuzztime 10s ./transport
+	$(GO) test -run '^$$' -fuzz FuzzRateServerDatagram -fuzztime 10s ./transport
 
 ci: all

@@ -22,7 +22,7 @@ var (
 	chaosErr   error
 )
 
-func chaosLibrary(t *testing.T, opts ...mocc.Option) *mocc.Library {
+func chaosLibrary(t testing.TB, opts ...mocc.Option) *mocc.Library {
 	t.Helper()
 	chaosOnce.Do(func() {
 		topts := mocc.QuickTraining()

@@ -34,7 +34,7 @@ func chaosStatus(round int) mocc.Status {
 
 // startRateServer binds a daemon for lib on addr ("127.0.0.1:0" for any
 // port) and runs its read loop.
-func startRateServer(t *testing.T, lib *mocc.Library, addr string) *transport.RateServer {
+func startRateServer(t testing.TB, lib *mocc.Library, addr string) *transport.RateServer {
 	t.Helper()
 	udpAddr, err := net.ResolveUDPAddr("udp", addr)
 	if err != nil {

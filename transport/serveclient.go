@@ -6,6 +6,7 @@ import (
 	"math"
 	"math/rand"
 	"net"
+	"os"
 	"runtime"
 	"slices"
 	"sync"
@@ -29,6 +30,9 @@ import (
 // everything pending as datagrams of up to maxReportRecords records (see
 // request). A lone report goes out alone.
 //
+// A waiting flow blocks on its channel alone: once per quarter of the
+// smallest Timeout of its flows, the reader sweeps for expired deadlines.
+//
 // ServeConnConfig.WrapConn is the chaos seam: a fault-injection shim
 // (mocc/internal/faults.Plan.WrapConn) interposed here classifies report
 // datagrams on the write side and rate replies on the read side, so
@@ -37,8 +41,10 @@ type ServeConn struct {
 	conn PacketConn
 	raw  *net.UDPConn
 
-	mu    sync.Mutex
-	flows map[uint64]*ServeFlow // never shrinks: a flow stays for the conn's life
+	mu     sync.Mutex
+	flows  map[uint64]*ServeFlow // never shrinks: a flow stays for the conn's life
+	period time.Duration         // the sweep's, 0 before the first flow
+	base   time.Time             // zero of the flows' monotonic deadlines
 
 	// wmu guards the write path: the socket-wide report seq, the records
 	// waiting for a writer, the recycled buffers of the batch last written,
@@ -50,7 +56,6 @@ type ServeConn struct {
 	writing bool
 
 	closed     atomic.Bool
-	stop       chan struct{}
 	readerDone chan struct{}
 	malformed  atomic.Int64
 
@@ -129,7 +134,7 @@ func (c *ServeConn) total(i int) uint64 {
 }
 
 // rateReply is one decoded rate record, or, with err set, the failed write
-// of report seq.
+// of report seq; seq 0 is a sweep's wake.
 type rateReply struct {
 	seq   uint64
 	nanos int64
@@ -169,7 +174,7 @@ func DialServe(addr string, cfg ServeConnConfig) (*ServeConn, error) {
 		conn:       conn,
 		raw:        raw,
 		flows:      make(map[uint64]*ServeFlow),
-		stop:       make(chan struct{}),
+		base:       time.Now(),
 		readerDone: make(chan struct{}),
 	}
 	c.registerMetrics(cfg.Metrics)
@@ -183,7 +188,7 @@ func (c *ServeConn) Close() error {
 	if !c.closed.CompareAndSwap(false, true) {
 		return nil
 	}
-	close(c.stop)
+	c.sweep(math.MaxInt64) // after closed is set: see request
 	err := c.conn.Close()
 	<-c.readerDone
 	return err
@@ -193,22 +198,39 @@ func (c *ServeConn) Close() error {
 // headers, truncated records), once per datagram.
 func (c *ServeConn) Malformed() int64 { return c.malformed.Load() }
 
-// readLoop is the central reader: one deliver per reply datagram.
-// Transient socket errors (ICMP refused while the daemon restarts) are
-// retried.
+// readLoop is the central reader: one deliver per reply datagram, one sweep
+// per expired (absolute) read deadline. Transient socket errors (ICMP
+// refused while the daemon restarts) are retried.
 func (c *ServeConn) readLoop() {
 	defer close(c.readerDone)
 	buf := make([]byte, 64*1024)
 	for {
 		n, err := c.conn.Read(buf)
-		if err != nil {
-			if c.closed.Load() || errors.Is(err, net.ErrClosed) {
-				return
-			}
-			continue
+		switch {
+		case err == nil:
+			c.deliver(buf[:n])
+		case c.closed.Load() || errors.Is(err, net.ErrClosed):
+			return
+		case errors.Is(err, os.ErrDeadlineExceeded):
+			c.sweep(int64(time.Since(c.base)))
 		}
-		c.deliver(buf[:n])
 	}
+}
+
+// sweep wakes, as deliver posts, every flow whose deadline is ≤ by (a full
+// channel is a flow awake already), and re-arms the read deadline.
+func (c *ServeConn) sweep(by int64) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	for _, f := range c.flows {
+		if d := f.deadline.Load(); d != 0 && d <= by {
+			select {
+			case f.ch <- rateReply{}:
+			default:
+			}
+		}
+	}
+	_ = c.conn.SetReadDeadline(time.Now().Add(c.period)) // fails only once closed
 }
 
 // deliver demuxes one reply datagram — one or more whole rate records back
@@ -250,14 +272,23 @@ func (c *ServeConn) deliver(buf []byte) {
 // socket-wide seq (what seeded fault plans key blackout windows on, as on
 // the data path) and encodes its record into the pending batch. If another
 // flow holds the write turn, that flow will send the record; otherwise this
-// one takes the turn (writePending) before it waits for its reply.
+// one takes the turn (writePending) before it waits on f.ch alone. A wake
+// that is not its reply makes the flow check closed and its own deadline,
+// which it stores before it checks closed: Close's sweep finds it, or it
+// sees closed.
 func (f *ServeFlow) request(rep datapath.WireReport) (rateReply, bool, error) {
 	c := f.conn
-	now := time.Now().UnixNano()
+	now := time.Now()
+	deadline := int64(now.Sub(c.base) + f.cfg.Timeout)
+	f.deadline.Store(deadline)
+	defer f.deadline.Store(0)
+	if c.closed.Load() {
+		return rateReply{}, false, net.ErrClosed
+	}
 	c.wmu.Lock()
 	c.seq++
 	seq := c.seq
-	c.pending.add(f, seq, now, rep)
+	c.pending.add(f, seq, now.UnixNano(), rep)
 	if c.writing {
 		c.wmu.Unlock()
 	} else {
@@ -273,30 +304,19 @@ func (f *ServeFlow) request(rep datapath.WireReport) (rateReply, bool, error) {
 		runtime.Gosched()
 		c.writePending()
 	}
-	// The flow's own timer, re-armed per exchange: a fresh one would be
-	// the largest allocation of a report. Stop guarantees no stale expiry
-	// is delivered to the next exchange.
-	f.timer.Reset(f.cfg.Timeout)
-	defer f.timer.Stop()
 	for {
-		select {
-		case r := <-f.ch:
-			if r.seq != seq {
-				continue // stale reply from an earlier timed-out attempt
-			}
-			if r.err == nil {
-				return r, true, nil
-			}
-			if c.closed.Load() || errors.Is(r.err, net.ErrClosed) {
-				return rateReply{}, false, net.ErrClosed
-			}
-			// Transient (e.g. ICMP refused while the daemon restarts):
-			// report it as an unreachable daemon, not an error.
-			return rateReply{}, false, nil
-		case <-f.timer.C:
-			return rateReply{}, false, nil
-		case <-c.stop:
+		r := <-f.ch
+		if r.seq == seq && r.err == nil {
+			return r, true, nil
+		}
+		if c.closed.Load() || errors.Is(r.err, net.ErrClosed) {
 			return rateReply{}, false, net.ErrClosed
+		}
+		// This seq's failed write (transient, e.g. ICMP refused while the
+		// daemon restarts) or a passed deadline is an unreachable daemon,
+		// not an error; anything else was stale.
+		if r.seq == seq || int64(time.Since(c.base)) >= deadline {
+			return rateReply{}, false, nil
 		}
 	}
 }
@@ -352,7 +372,9 @@ func (c *ServeConn) send(out reportBatch) {
 // FailoverConfig tunes a flow's retry/backoff/fallback behaviour. Zero
 // fields keep their defaults.
 type FailoverConfig struct {
-	// Timeout is the per-attempt wait for a rate reply (default 150ms).
+	// Timeout is the per-attempt wait for a rate reply (default 150ms). A
+	// timeout fires in [Timeout, Timeout + Timeout/4], the Timeout/4 of the
+	// smallest Timeout among the ServeConn's flows.
 	Timeout time.Duration
 	// Retries is how many extra attempts a Report makes before the flow
 	// fails over to the local controller (default 1; negative means 0).
@@ -428,13 +450,14 @@ type ServeFlowStats struct {
 // concurrently). Its counters are atomics written only by that goroutine;
 // Stats and the ServeConn's mocc_client_* series read them from any.
 type ServeFlow struct {
-	conn  *ServeConn
-	flow  uint64
-	w     mocc.Weights
-	cfg   FailoverConfig
-	ch    chan rateReply
-	timer *time.Timer // per-exchange reply timeout, stopped between exchanges
-	rng   *rand.Rand  // jitter source, built on first use
+	conn *ServeConn
+	flow uint64
+	w    mocc.Weights
+	cfg  FailoverConfig
+	ch   chan rateReply
+	rng  *rand.Rand // jitter source, built on first use
+
+	deadline atomic.Int64 // of the exchange in flight, ns after conn.base; 0 between
 
 	fallback   *cc.AIMD
 	lastServed float64 // last rate the daemon answered (0 before the first)
@@ -455,12 +478,15 @@ func (c *ServeConn) Flow(flow uint64, w mocc.Weights, cfg FailoverConfig) *Serve
 		w:        w,
 		cfg:      cfg.withDefaults(),
 		ch:       make(chan rateReply, 4),
-		timer:    time.NewTimer(time.Hour),
 		fallback: cc.NewAIMD(),
 	}
-	f.timer.Stop()
 	c.mu.Lock()
 	c.flows[flow] = f
+	// A lower period re-arms a reader parked on a longer one at once.
+	if p := max(f.cfg.Timeout/4, 1); c.period == 0 || p < c.period {
+		c.period = p
+		_ = c.conn.SetReadDeadline(time.Now().Add(p)) // fails only once closed
+	}
 	c.mu.Unlock()
 	return f
 }
@@ -509,6 +535,9 @@ func (f *ServeFlow) Report(st mocc.Status) (float64, error) {
 
 // report is Report without the latency observation wrapper.
 func (f *ServeFlow) report(st mocc.Status) (float64, error) {
+	if f.conn.closed.Load() {
+		return 0, net.ErrClosed
+	}
 	if st.Duration <= 0 {
 		return 0, fmt.Errorf("transport: serve report: Duration %v must be positive", st.Duration)
 	}

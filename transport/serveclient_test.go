@@ -228,3 +228,137 @@ func TestServeConnFailedWriteFailsEveryFlow(t *testing.T) {
 		}
 	}
 }
+
+// silentConn dials a ServeConn to a stub daemon that reads every report and
+// never answers.
+func silentConn(t *testing.T) *ServeConn {
+	t.Helper()
+	c, err := DialServe(listenStub(t).LocalAddr().String(), ServeConnConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { c.Close() })
+	return c
+}
+
+// timeoutSlack is scheduling headroom on a loaded box, beyond the sweep's
+// period.
+const timeoutSlack = 50 * time.Millisecond
+
+// timedReport runs one Report of a flow that does not retry and returns
+// how long it took; against a silent daemon that is one attempt's timeout.
+// A Report that never returns fails the test (Cleanup's Close ends it).
+func timedReport(t *testing.T, sf *ServeFlow) time.Duration {
+	t.Helper()
+	start := time.Now()
+	done := make(chan error, 1)
+	go func() {
+		_, err := sf.Report(stubStatus)
+		done <- err
+	}()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("Report never timed out")
+	}
+	d := time.Since(start)
+	if st := sf.Stats(); st.Timeouts != 1 || st.Fallbacks != 1 {
+		t.Fatalf("%+v, want one timeout and one failover", st)
+	}
+	return d
+}
+
+// TestServeFlowTimeoutResolution pins the sweep's resolution against a
+// daemon that never answers: an attempt times out in [Timeout, Timeout +
+// Timeout/4], give or take scheduling, never early.
+func TestServeFlowTimeoutResolution(t *testing.T) {
+	c := silentConn(t)
+	const timeout = 100 * time.Millisecond
+	for i := uint64(1); i <= 3; i++ {
+		sf := c.Flow(i, mocc.BalancedPreference, FailoverConfig{Timeout: timeout, Retries: -1})
+		if d := timedReport(t, sf); d < timeout || d > timeout+timeout/4+timeoutSlack {
+			t.Errorf("flow %d timed out after %v, want [%v, %v]", i, d, timeout, timeout+timeout/4)
+		}
+	}
+}
+
+// TestServeFlowTimeoutLowersArmedSweep registers a 2 s flow, so the reader
+// parks on a 500 ms read deadline, then an 80 ms one: the shorter period
+// must reach the parked reader, and the 80 ms flow time out inside its own
+// window rather than at the next 500 ms sweep.
+func TestServeFlowTimeoutLowersArmedSweep(t *testing.T) {
+	c := silentConn(t)
+	c.Flow(1, mocc.BalancedPreference, FailoverConfig{Timeout: 2 * time.Second})
+	time.Sleep(20 * time.Millisecond) // the reader is parked on the 500 ms deadline
+	const timeout = 80 * time.Millisecond
+	sf := c.Flow(2, mocc.BalancedPreference, FailoverConfig{Timeout: timeout, Retries: -1})
+	if d := timedReport(t, sf); d < timeout || d > timeout+timeout/4+timeoutSlack {
+		t.Errorf("80 ms flow timed out after %v, want [%v, %v]", d, timeout, timeout+timeout/4)
+	}
+}
+
+// TestServeFlowStaleRepliesTimeoutAndClose fills a flow's channel with
+// four stale replies before it waits. Draining them must not end the wait,
+// and must not keep the sweep, or Close, from ending it.
+func TestServeFlowStaleRepliesTimeoutAndClose(t *testing.T) {
+	stale := func(sf *ServeFlow) {
+		for i := 0; i < cap(sf.ch); i++ {
+			sf.ch <- rateReply{seq: 1<<62 + uint64(i), rate: 1000}
+		}
+	}
+	t.Run("timeout", func(t *testing.T) {
+		c := silentConn(t)
+		const timeout = 100 * time.Millisecond
+		sf := c.Flow(1, mocc.BalancedPreference, FailoverConfig{Timeout: timeout, Retries: -1})
+		stale(sf)
+		if d := timedReport(t, sf); d < timeout || d > timeout+timeout/4+timeoutSlack {
+			t.Errorf("timed out after %v, want [%v, %v]", d, timeout, timeout+timeout/4)
+		}
+	})
+	t.Run("close", func(t *testing.T) {
+		c := silentConn(t)
+		sf := c.Flow(1, mocc.BalancedPreference, FailoverConfig{Timeout: time.Minute})
+		stale(sf)
+		done := make(chan error, 1)
+		go func() {
+			_, err := sf.Report(stubStatus)
+			done <- err
+		}()
+		for sf.deadline.Load() == 0 || len(sf.ch) > 0 {
+			select {
+			case err := <-done:
+				t.Fatalf("Report returned %v before Close", err)
+			case <-time.After(time.Millisecond): // until the flow waits on an empty channel
+			}
+		}
+		c.Close()
+		select {
+		case err := <-done:
+			if !errors.Is(err, net.ErrClosed) {
+				t.Fatalf("Report after Close: %v, want net.ErrClosed", err)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatal("Close did not unblock a waiting Report")
+		}
+	})
+}
+
+// TestServeFlowReportAfterClose pins the ServeFlow contract on a closed
+// conn: Report returns net.ErrClosed, including from a degraded flow whose
+// next probe is a minute away (which would otherwise decide locally).
+func TestServeFlowReportAfterClose(t *testing.T) {
+	c := silentConn(t)
+	sf := c.Flow(1, mocc.BalancedPreference, FailoverConfig{
+		Timeout: 20 * time.Millisecond, Retries: -1, BackoffBase: time.Minute})
+	timedReport(t, sf)
+	if !sf.Stats().FallbackActive {
+		t.Fatal("flow did not fail over")
+	}
+	c.Close()
+	if _, err := sf.Report(stubStatus); !errors.Is(err, net.ErrClosed) {
+		t.Fatalf("Report of a degraded flow after Close: %v, want net.ErrClosed", err)
+	}
+}

@@ -490,3 +490,51 @@ func TestRateServerWalksReportRecords(t *testing.T) {
 		t.Fatalf("stats %+v, want %d report datagrams, %d sessions, nothing malformed or dropped", st, rounds, flows)
 	}
 }
+
+// BenchmarkServeConnReport is the serve-fleet shape on one layer: 64
+// goroutines, each owning 64 of 4096 flows in turn, report over one client
+// socket to an in-process RateServer on loopback. ns/op is the fleet's time
+// per served report, allocs/op both ends' allocations per report.
+func BenchmarkServeConnReport(b *testing.B) {
+	const flows, workers = 4096, 64
+	lib := chaosLibrary(b, mocc.WithServing(mocc.ServingOptions{}))
+	defer lib.Close()
+	srv := startRateServer(b, lib, "127.0.0.1:0")
+	defer srv.Close()
+	conn, err := transport.DialServe(srv.Addr(), transport.ServeConnConfig{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer conn.Close()
+	owned := make([][]*transport.ServeFlow, workers)
+	for i := 0; i < flows; i++ {
+		sf := conn.Flow(uint64(i+1), mocc.BalancedPreference, patient)
+		owned[i%workers] = append(owned[i%workers], sf)
+	}
+	st := chaosStatus(3)
+	for _, mine := range owned {
+		for _, sf := range mine { // the daemon registers each flow's session
+			if _, err := sf.Report(st); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	var quota atomic.Int64
+	quota.Store(int64(b.N))
+	b.ReportAllocs()
+	b.ResetTimer()
+	var wg sync.WaitGroup
+	for _, mine := range owned {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; quota.Add(-1) >= 0; i++ {
+				if _, err := mine[i%len(mine)].Report(st); err != nil {
+					b.Error(err)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+}
