@@ -104,10 +104,14 @@ fuzz-scen:
 # against MLP.Forward on that row, over random shapes, batch sizes, biases
 # and special-value inputs; FuzzElementwiseKernels checks the tanh forward,
 # the tanh backward and Adam's update bit for bit against their Go loops on
-# arbitrary float64s.
+# arbitrary float64s; FuzzLinearKernels checks the n = 1 forward's
+# output-lane kernel against linearRow1Asm and the backward's
+# four-destination kernel against axpyRows, on arbitrary float64s and
+# shapes.
 fuzz-nn:
 	$(GO) test -run '^$$' -fuzz FuzzEvaluatorForwardBatch -fuzztime 10s ./internal/nn
 	$(GO) test -run '^$$' -fuzz FuzzElementwiseKernels -fuzztime 10s ./internal/nn
+	$(GO) test -run '^$$' -fuzz FuzzLinearKernels -fuzztime 10s ./internal/nn
 
 # Serve demux fuzz smoke, ten seconds per target: FuzzServeConnReplies feeds
 # arbitrary reply datagrams to the client's demux (each whole valid rate

@@ -164,10 +164,14 @@ func TestDiscardInputGrad(t *testing.T) {
 
 // TestBatchForwardZeroAllocs pins the tentpole's steady-state guarantee:
 // after a warm-up call sizes the scratch arenas, batched forward and
-// forward+backward perform zero allocations.
-func TestBatchForwardZeroAllocs(t *testing.T) {
+// forward+backward perform zero allocations, with the first layer
+// discarding part of its input gradient.
+func TestBatchForwardZeroAllocs(t *testing.T) { batchForwardZeroAllocs(t) }
+
+func batchForwardZeroAllocs(t *testing.T) {
 	rng := rand.New(rand.NewSource(51))
 	m := NewMLP(rng, 40, 64, 32, 2)
+	m.DiscardInputGrad(30)
 	const n = 64
 	x := randBatch(52, n, 40)
 	g := randBatch(53, n, 2)

@@ -149,7 +149,9 @@ func TestEvaluatorForwardBatchAllocFree(t *testing.T) {
 
 // TestEvaluatorAllocFree pins the steady-state single-row forward path to
 // zero allocations.
-func TestEvaluatorAllocFree(t *testing.T) {
+func TestEvaluatorAllocFree(t *testing.T) { evaluatorAllocFree(t) }
+
+func evaluatorAllocFree(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	mlp := NewMLP(rng, 8, 16, 8, 1)
 	ev := mlp.NewEvaluator()

@@ -123,7 +123,9 @@ func fuzzShape(widths ...int) uint32 {
 // on that row alone. The seeds run with every
 // `go test`: the model's own layer shapes at n = 1, 8, 13 and 64, every
 // special value, and column-path batches of 4, 5, 9 and 13 rows whose
-// output width is not a multiple of four.
+// output width is not a multiple of four. Below four rows both sides run
+// linearRows, so there it checks only that rows do not interact; the
+// kernels under linearRows are FuzzLinearKernels' subject.
 func FuzzEvaluatorForwardBatch(f *testing.F) {
 	allSpecial := make([]byte, len(specialValues))
 	for i := range allSpecial {

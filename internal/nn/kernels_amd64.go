@@ -10,6 +10,9 @@ package nn
 func linearRow1Asm(w, b, x, y *float64, in, out int)
 
 //go:noescape
+func linearRow1AVX(w, b, x, y *float64, in, out int)
+
+//go:noescape
 func linearColsAVX(w, b, xt, yt *float64, in, out, ld int)
 
 //go:noescape
@@ -17,6 +20,9 @@ func axpy4Asm(dst, a0, a1, a2, a3 *float64, g0, g1, g2, g3 float64, m int)
 
 //go:noescape
 func axpyRowsAVX(dst *float64, m int, a *float64, aStride int, sc *float64, scStride int, rows int)
+
+//go:noescape
+func axpyRows4AVX(dst *float64, dStride, m int, a *float64, aStride int, sc *float64, scStride, scLane, rows int)
 
 //go:noescape
 func addToAsm(dst, src *float64, n int)
@@ -34,15 +40,17 @@ func tanhBackAVX(dst, grad, y *float64, n int)
 func adamAVX(p, grad, m, v *float64, n int, k *[8]float64)
 
 // cpuHasAVX reports whether the CPU and the OS support the AVX instructions
-// of linearColsAVX, axpyRowsAVX and the element-wise kernels.
+// of the AVX kernels.
 func cpuHasAVX() bool
 
-// useAVX selects axpyRowsAVX over its SSE2 counterpart, the column path
-// (linearCols) of Linear.ForwardBatch and Evaluator.ForwardBatch over
-// linearRows, and the element-wise kernels over their Go loops. Each pair
-// produces identical bits for every input (pinned by the tests in
-// kernels_amd64_test.go and elementwise_amd64_test.go), so the choice shows
-// in speed only.
+// useAVX selects the AVX kernels over the SSE2 ones and the Go loops:
+// linearRow1AVX for the n = 1 forward's first out &^ 15 outputs,
+// axpyRowsAVX over its SSE2 counterpart and axpyRows4AVX for the backward's
+// blocks of four destinations, the column path (linearCols) of
+// Linear.ForwardBatch and Evaluator.ForwardBatch over linearRows, and the
+// element-wise kernels over their Go loops. Each pair produces identical
+// bits for every input (pinned by the tests in kernels_amd64_test.go and
+// elementwise_amd64_test.go), so the choice shows in speed only.
 var useAVX = cpuHasAVX()
 
 // linearRows computes one full Linear layer over n row-major batch rows by
@@ -51,12 +59,22 @@ var useAVX = cpuHasAVX()
 // rows beside it, which is what lets serving batch requests freely and
 // gives every row of a training batch the bits of MLP.Forward on that row.
 // It is the forward for batches too small for linearCols' row block, and on
-// CPUs without AVX.
+// CPUs without AVX. With AVX, linearRow1AVX computes the outputs in blocks
+// of sixteen and linearRow1Asm the out mod 16 left, with the same sums.
 func linearRows(w, b, x, y []float64, n, in, out int) {
-	// The kernel takes bare pointers: fail here on a short slice.
+	// The kernels take bare pointers: fail here on a short slice.
 	_, _, _, _ = w[in*out-1], b[out-1], x[n*in-1], y[n*out-1]
+	wide := 0
+	if useAVX {
+		wide = out &^ 15
+	}
 	for r := 0; r < n; r++ {
-		linearRow1Asm(&w[0], &b[0], &x[r*in], &y[r*out], in, out)
+		if wide > 0 {
+			linearRow1AVX(&w[0], &b[0], &x[r*in], &y[r*out], in, wide)
+		}
+		if wide < out {
+			linearRow1Asm(&w[wide*in], &b[wide], &x[r*in], &y[r*out+wide], in, out-wide)
+		}
 	}
 }
 
@@ -98,6 +116,18 @@ func axpyRows(dst, a []float64, aStride int, g []float64, gStride, rows int) {
 			dst[i] += gr * ar[i]
 		}
 	}
+}
+
+// axpyRows4 is axpyRows on four destinations that share a and the row
+// count: for k = 0…3, the m elements at dst[k*dStride:] accumulate a's rows
+// scaled by sc[row*scStride+k*scLane], each with the bits of its own
+// axpyRows call. One load of a serves all four. It runs only with AVX.
+func axpyRows4(dst []float64, dStride, m int, a []float64, aStride int, sc []float64, scStride, scLane, rows int) {
+	if m == 0 || rows == 0 {
+		return
+	}
+	_, _, _ = dst[3*dStride+m-1], a[(rows-1)*aStride+m-1], sc[(rows-1)*scStride+3*scLane]
+	axpyRows4AVX(&dst[0], dStride, m, &a[0], aStride, &sc[0], scStride, scLane, rows)
 }
 
 // addTo accumulates src into dst element-wise (dst[i] += src[i]), the

@@ -7,14 +7,16 @@
 // backward's two-wide axpy and the gradient reduction, then linearRow1Asm,
 // the one forward sum order of the package. The AVX ones after them are
 // four-wide re-expressions of the same per-element arithmetic, selected by
-// cpuHasAVX at init: axpyRowsAVX for the backward, linearColsAVX running
-// linearRow1Asm's sums over a column-major batch, for training and serving
-// alike, and at the end of the file the element-wise kernels, each the Go
-// loop it replaces (fastTanh, tanhBackGo, adamGo) in four lanes.
-// linearRow1Asm (at its entry), linearColsAVX and the element-wise kernels
-// (at their loop heads) carry a PCALIGN $64, which also starts the function
-// on a 64-byte boundary, so the code linked before them does not move where
-// their loops fall.
+// cpuHasAVX at init: for the backward axpyRowsAVX and axpyRows4AVX, which
+// shares each row's loads among four destinations; for the forward
+// linearColsAVX, running linearRow1Asm's sums over a column-major batch,
+// and linearRow1AVX, the same sums of one row with the outputs in the
+// lanes, for training and serving alike; and at the end of the file the
+// element-wise kernels, each the Go loop it replaces (fastTanh, tanhBackGo,
+// adamGo) in four lanes. linearRow1Asm and every AVX kernel carry a
+// PCALIGN $64, at the entry or at the loop heads, which also starts the
+// function on a 64-byte boundary, and every AVX loop head has one, so the
+// code linked before them does not move where their loops fall.
 
 // func axpy4Asm(dst, a0, a1, a2, a3 *float64, g0, g1, g2, g3 float64, m int)
 //
@@ -172,10 +174,9 @@ noavx:
 // each sum accumulated from zero in index order, the bias added last — the
 // order of every forward in the package, at any batch size. That is one
 // latency-bound chain per output, so four outputs are computed at once and
-// four independent chains share each load of x[i].
-// PCALIGN at the entry has the linker start the function on a 64-byte
-// boundary, so where its loops fall no longer depends on the code linked
-// before it.
+// four independent chains share each load of x[i]. It is the whole n = 1
+// forward on CPUs without AVX; with AVX it runs the out mod 16 outputs that
+// linearRow1AVX leaves.
 TEXT ·linearRow1Asm(SB), NOSPLIT, $0-48
 	PCALIGN $64
 	MOVQ w+0(FP), DI
@@ -315,6 +316,7 @@ GLOBL avxTailMask<>(SB), RODATA|NOPTR, $128
 // the rows, so each row costs loads and arithmetic only; the last tile has
 // one to four registers, its last one under the tail mask.
 TEXT ·axpyRowsAVX(SB), NOSPLIT, $0-56
+	PCALIGN $64
 	MOVQ dst+0(FP), DI
 	MOVQ m+8(FP), R8
 	MOVQ a+16(FP), SI
@@ -348,6 +350,7 @@ artile:
 	MOVQ    SI, R11
 	MOVQ    DX, R12
 	MOVQ    R13, CX
+	PCALIGN $64
 
 arrow4:
 	VBROADCASTSD (R12), Y8
@@ -378,6 +381,7 @@ arlast:
 
 	// One vector, masked.
 	VMASKMOVPD (DI), Y9, Y0
+	PCALIGN $64
 
 arrowm1:
 	VBROADCASTSD (R12), Y8
@@ -390,6 +394,7 @@ arrowm1:
 arlast2:
 	VMOVUPD    (DI), Y0
 	VMASKMOVPD 32(DI), Y9, Y1
+	PCALIGN $64
 
 arrowm2:
 	VBROADCASTSD (R12), Y8
@@ -405,6 +410,7 @@ arlast3:
 	VMOVUPD    (DI), Y0
 	VMOVUPD    32(DI), Y1
 	VMASKMOVPD 64(DI), Y9, Y2
+	PCALIGN $64
 
 arrowm3:
 	VBROADCASTSD (R12), Y8
@@ -423,6 +429,7 @@ arlast4:
 	VMOVUPD    32(DI), Y1
 	VMOVUPD    64(DI), Y2
 	VMASKMOVPD 96(DI), Y9, Y3
+	PCALIGN $64
 
 arrowm4:
 	VBROADCASTSD (R12), Y8
@@ -435,6 +442,166 @@ arrowm4:
 	VMOVUPD    Y1, 32(DI)
 	VMOVUPD    Y2, 64(DI)
 	VMASKMOVPD Y3, Y9, 96(DI)
+	VZEROUPPER
+	RET
+
+// One row's contribution to a destination's accumulator in axpyRows4AVX:
+// acc += av * s, the row values first in the multiply and the running sum
+// first in the add, as in ACC.
+#define MAC(av, s, acc, tmp) \
+	VMULPD s, av, tmp;   \
+	VADDPD tmp, acc, acc
+
+// The four destinations' scalars of the row at R15, broadcast into Y10–Y13.
+#define SCAL4 \
+	VBROADCASTSD (R15), Y10;        \
+	VBROADCASTSD (R15)(R12*1), Y11; \
+	VBROADCASTSD (R15)(R12*2), Y12; \
+	VBROADCASTSD (R15)(R13*1), Y13
+
+// Loop tail of axpyRows4AVX's row loops: next row, next scalars.
+#define NEXTROW4(label) \
+	ADDQ R10, AX;  \
+	ADDQ R11, R15; \
+	DECQ CX;       \
+	JNZ  label
+
+// func axpyRows4AVX(dst *float64, dStride, m int, a *float64, aStride int, sc *float64, scStride, scLane, rows int)
+//
+// axpyRowsAVX on four destinations that share the rows: for k in [0,4) and
+// row in [0,rows), in order, dst[k*dStride+i] += a[row*aStride+i] *
+// sc[row*scStride+k*scLane] for every i in [0,m) (strides in elements; m,
+// rows >= 1). Every element takes axpyRowsAVX's sequence, so four calls of
+// that kernel give the same bits; here each load of a serves four
+// destinations. A pass holds eight elements of each destination in eight
+// accumulators for the whole walk over the rows; a one-vector pass and a
+// last vector under the tail mask take the m mod 8 rest.
+//
+// Registers: DI dst at element i, R8 dStride*8, R9 3*dStride*8, SI a at
+// element i, R10 aStride*8, DX sc, R11 scStride*8, R12 scLane*8, R13
+// 3*scLane*8, R14 rows, BX elements left; in the row loops AX the row of a,
+// R15 its scalars, CX rows left.
+TEXT ·axpyRows4AVX(SB), NOSPLIT, $0-72
+	PCALIGN $64
+	MOVQ dst+0(FP), DI
+	MOVQ dStride+8(FP), R8
+	MOVQ m+16(FP), BX
+	MOVQ a+24(FP), SI
+	MOVQ aStride+32(FP), R10
+	MOVQ sc+40(FP), DX
+	MOVQ scStride+48(FP), R11
+	MOVQ scLane+56(FP), R12
+	MOVQ rows+64(FP), R14
+	SHLQ $3, R8
+	SHLQ $3, R10
+	SHLQ $3, R11
+	SHLQ $3, R12
+	LEAQ (R8)(R8*2), R9
+	LEAQ (R12)(R12*2), R13
+
+a4two:
+	CMPQ    BX, $8
+	JL      a4one
+	VMOVUPD (DI), Y0
+	VMOVUPD 32(DI), Y1
+	VMOVUPD (DI)(R8*1), Y2
+	VMOVUPD 32(DI)(R8*1), Y3
+	VMOVUPD (DI)(R8*2), Y4
+	VMOVUPD 32(DI)(R8*2), Y5
+	VMOVUPD (DI)(R9*1), Y6
+	VMOVUPD 32(DI)(R9*1), Y7
+	MOVQ    SI, AX
+	MOVQ    DX, R15
+	MOVQ    R14, CX
+	PCALIGN $64
+
+a4row2:
+	VMOVUPD (AX), Y8
+	VMOVUPD 32(AX), Y9
+	SCAL4
+	MAC(Y8, Y10, Y0, Y14)
+	MAC(Y9, Y10, Y1, Y15)
+	MAC(Y8, Y11, Y2, Y14)
+	MAC(Y9, Y11, Y3, Y15)
+	MAC(Y8, Y12, Y4, Y14)
+	MAC(Y9, Y12, Y5, Y15)
+	MAC(Y8, Y13, Y6, Y14)
+	MAC(Y9, Y13, Y7, Y15)
+	NEXTROW4(a4row2)
+	VMOVUPD Y0, (DI)
+	VMOVUPD Y1, 32(DI)
+	VMOVUPD Y2, (DI)(R8*1)
+	VMOVUPD Y3, 32(DI)(R8*1)
+	VMOVUPD Y4, (DI)(R8*2)
+	VMOVUPD Y5, 32(DI)(R8*2)
+	VMOVUPD Y6, (DI)(R9*1)
+	VMOVUPD Y7, 32(DI)(R9*1)
+	ADDQ    $64, DI
+	ADDQ    $64, SI
+	SUBQ    $8, BX
+	JMP     a4two
+
+a4one:
+	// Four to seven elements left: one full vector.
+	CMPQ    BX, $4
+	JL      a4mask
+	VMOVUPD (DI), Y0
+	VMOVUPD (DI)(R8*1), Y2
+	VMOVUPD (DI)(R8*2), Y4
+	VMOVUPD (DI)(R9*1), Y6
+	MOVQ    SI, AX
+	MOVQ    DX, R15
+	MOVQ    R14, CX
+	PCALIGN $64
+
+a4row1:
+	VMOVUPD (AX), Y8
+	SCAL4
+	MAC(Y8, Y10, Y0, Y14)
+	MAC(Y8, Y11, Y2, Y14)
+	MAC(Y8, Y12, Y4, Y14)
+	MAC(Y8, Y13, Y6, Y14)
+	NEXTROW4(a4row1)
+	VMOVUPD Y0, (DI)
+	VMOVUPD Y2, (DI)(R8*1)
+	VMOVUPD Y4, (DI)(R8*2)
+	VMOVUPD Y6, (DI)(R9*1)
+	ADDQ    $32, DI
+	ADDQ    $32, SI
+	SUBQ    $4, BX
+
+a4mask:
+	// One to three elements left, or none: the last vector under Y9, the
+	// mask of its BX lanes (masked-off lanes load as zero and are never
+	// stored).
+	TESTQ      BX, BX
+	JZ         a4done
+	SHLQ       $5, BX
+	LEAQ       avxTailMask<>(SB), AX
+	VMOVUPD    (AX)(BX*1), Y9
+	VMASKMOVPD (DI), Y9, Y0
+	VMASKMOVPD (DI)(R8*1), Y9, Y2
+	VMASKMOVPD (DI)(R8*2), Y9, Y4
+	VMASKMOVPD (DI)(R9*1), Y9, Y6
+	MOVQ       SI, AX
+	MOVQ       DX, R15
+	MOVQ       R14, CX
+	PCALIGN    $64
+
+a4rowm:
+	VMASKMOVPD (AX), Y9, Y8
+	SCAL4
+	MAC(Y8, Y10, Y0, Y14)
+	MAC(Y8, Y11, Y2, Y14)
+	MAC(Y8, Y12, Y4, Y14)
+	MAC(Y8, Y13, Y6, Y14)
+	NEXTROW4(a4rowm)
+	VMASKMOVPD Y0, Y9, (DI)
+	VMASKMOVPD Y2, Y9, (DI)(R8*1)
+	VMASKMOVPD Y4, Y9, (DI)(R8*2)
+	VMASKMOVPD Y6, Y9, (DI)(R9*1)
+
+a4done:
 	VZEROUPPER
 	RET
 
@@ -643,6 +810,118 @@ lcnext1:
 	JMP  lcout1
 
 lcdone:
+	VZEROUPPER
+	RET
+
+// One input pair of four outputs in linearRow1AVX: the weights w[o…o+3][i]
+// and w[o…o+3][i+1] of the rows at m0…m3 (m0 and m2 into ya's halves, m1 and
+// m3 into yb's, then one unpack each for column i and column i+1), each
+// times x[i] (Y4) or x[i+1] (Y5) and added to acc, column i first. x is the
+// multiply's first operand and the running sum the add's, as in
+// linearRow1Asm.
+#define PAIR4(m0, m1, m2, m3, xa, ya, xb, yb, acc) \
+	VMOVUPD     m0, xa;          \
+	VINSERTF128 $1, m2, ya, ya;  \
+	VMOVUPD     m1, xb;          \
+	VINSERTF128 $1, m3, yb, yb;  \
+	VUNPCKLPD   yb, ya, Y14;     \
+	VUNPCKHPD   yb, ya, Y15;     \
+	VMULPD      Y14, Y4, Y14;    \
+	VADDPD      Y14, acc, acc;   \
+	VMULPD      Y15, Y5, Y15;    \
+	VADDPD      Y15, acc, acc
+
+// The last input of an odd count for four outputs: w[o…o+3][i] gathered
+// pairwise into xa and xb, joined into ya, times x[i] (Y4), added to acc.
+#define ODD4(m0, m1, m2, m3, xa, ya, xb, acc) \
+	VMOVSD      m0, xa;         \
+	VMOVHPD     m1, xa, xa;     \
+	VMOVSD      m2, xb;         \
+	VMOVHPD     m3, xb, xb;     \
+	VINSERTF128 $1, xb, ya, ya; \
+	VMULPD      ya, Y4, ya;     \
+	VADDPD      ya, acc, acc
+
+// func linearRow1AVX(w, b, x, y *float64, in, out int)
+//
+// linearRow1Asm for out a multiple of sixteen, with outputs in the YMM
+// lanes: y[o] = (sum_i x[i]*w[o*in+i]) + b[o], each sum from zero in index
+// order, the bias added last, every step linearRow1Asm's, so the bits are
+// too. A pass holds sixteen outputs in four accumulators. The weights need
+// no transposed copy: per input pair, each row gives a 16-byte load, two
+// rows share a register, and unpacks turn four rows into the columns i and
+// i+1; an odd last input is gathered element by element. Each broadcast of
+// x serves a whole pass.
+//
+// Registers: SI x, DI the weight row of output o, DX &b[o], R10 &y[o], R8
+// outputs left, R11 in*8 (the row stride), R12, R13 and R14 three, five and
+// seven rows, R15 input pairs; in the input loops AX the weights of output
+// o at input i, BX those of output o+8, R9 &x[i], CX pairs left.
+TEXT ·linearRow1AVX(SB), NOSPLIT, $0-48
+	PCALIGN $64
+	MOVQ w+0(FP), DI
+	MOVQ b+8(FP), DX
+	MOVQ x+16(FP), SI
+	MOVQ y+24(FP), R10
+	MOVQ in+32(FP), R11
+	MOVQ out+40(FP), R8
+	MOVQ R11, R15
+	SHRQ $1, R15
+	SHLQ $3, R11
+	LEAQ (R11)(R11*2), R12
+	LEAQ (R11)(R11*4), R13
+	LEAQ (R12)(R11*4), R14
+
+lr16:
+	VXORPD Y0, Y0, Y0
+	VXORPD Y1, Y1, Y1
+	VXORPD Y2, Y2, Y2
+	VXORPD Y3, Y3, Y3
+	MOVQ   DI, AX
+	LEAQ   (DI)(R11*8), BX
+	MOVQ   SI, R9
+	MOVQ   R15, CX
+	TESTQ  CX, CX
+	JZ     lr16odd
+	PCALIGN $64
+
+lr16i:
+	VBROADCASTSD (R9), Y4
+	VBROADCASTSD 8(R9), Y5
+	PAIR4((AX), (AX)(R11*1), (AX)(R11*2), (AX)(R12*1), X6, Y6, X7, Y7, Y0)
+	PAIR4((AX)(R11*4), (AX)(R13*1), (AX)(R12*2), (AX)(R14*1), X8, Y8, X9, Y9, Y1)
+	PAIR4((BX), (BX)(R11*1), (BX)(R11*2), (BX)(R12*1), X10, Y10, X11, Y11, Y2)
+	PAIR4((BX)(R11*4), (BX)(R13*1), (BX)(R12*2), (BX)(R14*1), X12, Y12, X13, Y13, Y3)
+	ADDQ         $16, AX
+	ADDQ         $16, BX
+	ADDQ         $16, R9
+	DECQ         CX
+	JNZ          lr16i
+
+lr16odd:
+	TESTQ        $8, R11
+	JZ           lr16store
+	VBROADCASTSD (R9), Y4
+	ODD4((AX), (AX)(R11*1), (AX)(R11*2), (AX)(R12*1), X6, Y6, X7, Y0)
+	ODD4((AX)(R11*4), (AX)(R13*1), (AX)(R12*2), (AX)(R14*1), X8, Y8, X9, Y1)
+	ODD4((BX), (BX)(R11*1), (BX)(R11*2), (BX)(R12*1), X10, Y10, X11, Y2)
+	ODD4((BX)(R11*4), (BX)(R13*1), (BX)(R12*2), (BX)(R14*1), X12, Y12, X13, Y3)
+
+lr16store:
+	VADDPD  (DX), Y0, Y0
+	VADDPD  32(DX), Y1, Y1
+	VADDPD  64(DX), Y2, Y2
+	VADDPD  96(DX), Y3, Y3
+	VMOVUPD Y0, (R10)
+	VMOVUPD Y1, 32(R10)
+	VMOVUPD Y2, 64(R10)
+	VMOVUPD Y3, 96(R10)
+	ADDQ    $128, DX
+	ADDQ    $128, R10
+	LEAQ    (DI)(R11*8), DI
+	LEAQ    (DI)(R11*8), DI
+	SUBQ    $16, R8
+	JNZ     lr16
 	VZEROUPPER
 	RET
 

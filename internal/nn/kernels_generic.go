@@ -13,6 +13,12 @@ const useAVX = false
 // set.
 func linearCols(w, b, xt, yt []float64, in, out, ld int) { panic("nn: linearCols without AVX") }
 
+// axpyRows4 is the backward's four-destination AVX kernel, which only runs
+// when useAVX is set.
+func axpyRows4(dst []float64, dStride, m int, a []float64, aStride int, sc []float64, scStride, scLane, rows int) {
+	panic("nn: axpyRows4 without AVX")
+}
+
 // The element-wise AVX kernels, which only run when useAVX is set.
 func tanhAVX(dst, src *float64, n int)                     { panic("nn: tanhAVX without AVX") }
 func tanhBackAVX(dst, grad, y *float64, n int)             { panic("nn: tanhBackAVX without AVX") }
@@ -27,12 +33,14 @@ func linearRows(w, b, x, y []float64, n, in, out int) {
 }
 
 // axpyRows accumulates rows scaled rows into dst, one after the other:
-// dst[i] += a[row*aStride+i] * g[row*gStride] for row = 0 … rows-1.
+// dst[i] += a[row*aStride+i] * g[row*gStride] for row = 0 … rows-1. The
+// conversion rounds each product on its own, as the amd64 kernels do, so
+// no GOARCH fuses it into the add that follows.
 func axpyRows(dst, a []float64, aStride int, g []float64, gStride, rows int) {
 	for r := 0; r < rows; r++ {
 		gr, ar := g[r*gStride], a[r*aStride:r*aStride+len(dst)]
 		for i := range dst {
-			dst[i] += gr * ar[i]
+			dst[i] += float64(gr * ar[i])
 		}
 	}
 }

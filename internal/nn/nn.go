@@ -159,31 +159,55 @@ func (l *Linear) BackwardBatch(gradOut []float64, n int) []float64 {
 	l.gradIn = Grow(l.gradIn, n*l.In)
 	in, out := l.In, l.Out
 
-	// Bias gradients, four batch rows per sum.
-	for o := 0; o < out; o++ {
-		r := 0
-		for ; r+3 < n; r += 4 {
-			l.B.Grad[o] += gradOut[(r+0)*out+o] + gradOut[(r+1)*out+o] + gradOut[(r+2)*out+o] + gradOut[(r+3)*out+o]
+	// Bias gradients, four batch rows per sum: bg[o] += g0[o] + g1[o] +
+	// g2[o] + g3[o] for each block of rows, then the rows left one by one.
+	// Rows outside and outputs inside walk gradOut in order.
+	bg := l.B.Grad[:out]
+	r := 0
+	for ; r+3 < n; r += 4 {
+		g0 := gradOut[r*out : (r+1)*out][:len(bg)]
+		g1 := gradOut[(r+1)*out : (r+2)*out][:len(bg)]
+		g2 := gradOut[(r+2)*out : (r+3)*out][:len(bg)]
+		g3 := gradOut[(r+3)*out : (r+4)*out][:len(bg)]
+		for o := range bg {
+			bg[o] += g0[o] + g1[o] + g2[o] + g3[o]
 		}
-		for ; r < n; r++ {
-			l.B.Grad[o] += gradOut[r*out+o]
+	}
+	for ; r < n; r++ {
+		g0 := gradOut[r*out : (r+1)*out][:len(bg)]
+		for o := range bg {
+			bg[o] += g0[o]
 		}
 	}
 
 	// Weight gradients: row o gathers every batch row's input scaled by that
-	// row's gradient at output o.
-	for o := 0; o < out; o++ {
+	// row's gradient at output o. With AVX, axpyRows4 takes four rows per
+	// pass over the inputs.
+	o := 0
+	if useAVX {
+		for ; o+3 < out; o += 4 {
+			axpyRows4(l.W.Grad[o*in:], in, in, l.lastIn, in, gradOut[o:], out, 1, n)
+		}
+	}
+	for ; o < out; o++ {
 		axpyRows(l.W.Grad[o*in:(o+1)*in], l.lastIn, in, gradOut[o:], out, n)
 	}
 
 	// Input gradients gradIn = gradOut x W: row r gathers every weight row
-	// scaled by that row's gradient at the weight's output.
+	// scaled by that row's gradient at the weight's output. With AVX,
+	// axpyRows4 takes four batch rows per pass over the weights.
 	clear(l.gradIn)
 	from := l.GradInFrom
 	if from >= in {
 		return l.gradIn
 	}
-	for r := 0; r < n; r++ {
+	r = 0
+	if useAVX {
+		for ; r+3 < n; r += 4 {
+			axpyRows4(l.gradIn[r*in+from:], in, in-from, l.W.Value[from:], in, gradOut[r*out:], 1, out, out)
+		}
+	}
+	for ; r < n; r++ {
 		axpyRows(l.gradIn[r*in+from:(r+1)*in], l.W.Value[from:], in, gradOut[r*out:(r+1)*out], 1, out)
 	}
 	return l.gradIn
