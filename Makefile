@@ -15,8 +15,9 @@ test:
 
 # Race detector over the concurrency-bearing packages: the shard-parallel
 # public API (root + transport), the serving engine's batching shards,
-# the parallel collectors/schedulers and the data-parallel PPO update.
-# (The simulators are not here: netsim and topo run on one goroutine.)
+# the pantheon scenario scheduler and the data-parallel PPO update.
+# (The simulators and rollout collection are not concurrent: netsim, topo
+# and rl's lockstep collector run on one goroutine.)
 test-race:
 	$(GO) test -race . ./transport ./internal/faults ./internal/rl ./internal/core ./internal/pantheon ./internal/serve ./internal/obs
 

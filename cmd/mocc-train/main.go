@@ -34,7 +34,7 @@ func main() {
 		scale   = flag.String("scale", "quick", "training scale: quick | standard | full")
 		omega   = flag.Int("omega", 0, "override landmark objective count (0 = scale default)")
 		seed    = flag.Int64("seed", 1, "training seed")
-		workers = flag.Int("workers", 0, "parallel collection + PPO update workers (0 = scale default)")
+		workers = flag.Int("workers", 0, "rollout tasks per iteration (collected in lockstep) + PPO update workers (0 = scale default)")
 		out     = flag.String("out", "mocc-model.json", "output model path")
 		quiet   = flag.Bool("quiet", false, "suppress progress output")
 		metrics = flag.String("metrics-addr", "", "HTTP observability address serving /metrics, /vars and /debug/pprof for the live run (empty disables)")

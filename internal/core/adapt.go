@@ -69,9 +69,10 @@ type Adapter struct {
 	rng     *rand.Rand
 	seedCtr int64
 
-	// The new and the replayed objective's rollouts, each collected into
+	// Collects the new and the replayed objective's rollouts together, into
 	// storage reused from the previous step.
-	newRo, replayedRo rl.Collector
+	collector rl.Collector
+	tasks     [2]rl.CollectTask
 }
 
 // NewAdapter wraps a (typically offline-pre-trained) model for online
@@ -117,33 +118,24 @@ func (a *Adapter) nextSeed() int64 {
 	return a.seedCtr * 1103515245
 }
 
-// collectCfg builds the adaptation collection settings.
-func (a *Adapter) collectCfg() rl.CollectConfig {
-	return rl.CollectConfig{
-		Steps:          a.Cfg.RolloutSteps,
-		EpisodeLen:     a.Cfg.EpisodeLen,
-		IncludeWeights: true,
-		MaxAction:      2,
-	}
-}
-
 // Step performs one online-adaptation PPO iteration for objective w,
 // implementing Equation 6: the update jointly optimizes the new objective
 // and one uniformly sampled old objective from the pool (when replay is
 // enabled and the pool has other entries). It returns the new objective's
 // rollout reward.
 func (a *Adapter) Step(w objective.Weights) float64 {
-	var buf [2]rl.Rollout
-	buf[0] = a.newRo.Collect(a.Model, a.Cfg.Envs, w, a.collectCfg(), a.nextSeed())
-	rollouts := buf[:1]
+	a.tasks[0] = rl.CollectTask{Weights: w, Seed: a.nextSeed()}
+	tasks := a.tasks[:1]
 	if a.Cfg.Replay {
 		if old, ok := a.pool.Sample(a.rng, w); ok {
-			buf[1] = a.replayedRo.Collect(a.Model, a.Cfg.Envs, old, a.collectCfg(), a.nextSeed())
-			rollouts = buf[:2]
+			a.tasks[1] = rl.CollectTask{Weights: old, Seed: a.nextSeed()}
+			tasks = a.tasks[:2]
 		}
 	}
+	cfg := rl.CollectConfig{Steps: a.Cfg.RolloutSteps, EpisodeLen: a.Cfg.EpisodeLen, IncludeWeights: true, MaxAction: 2}
+	rollouts := a.collector.CollectTasks(a.Model, a.Cfg.Envs, cfg, tasks)
 	a.ppo.UpdateMulti(rollouts)
-	return buf[0].MeanReward
+	return rollouts[0].MeanReward
 }
 
 // Adapt registers w and runs adaptation iterations until MaxIters,

@@ -32,10 +32,11 @@ func benchTrainConfig(workers int) TrainConfig {
 }
 
 // BenchmarkOfflineTrain measures whole training-loop wall-clock (collection
-// + PPO update) serial and with W=4 data-parallel collection+update. The
-// ≥2x target needs a ≥4-core machine; on a 1-core container W=4 must stay
-// flat against serial. steps/s is
-// the environment-step throughput (the figure training sweeps are gated on).
+// + PPO update) at Workers = 1 and 4. Collection is one goroutine either
+// way: w4 splits each round into four tasks stepped in lockstep through
+// batched forwards, and shards each PPO minibatch over four goroutines.
+// steps/s is the environment-step throughput (the figure training sweeps
+// are gated on).
 func BenchmarkOfflineTrain(b *testing.B) {
 	cases := []struct {
 		name    string

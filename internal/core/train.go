@@ -31,21 +31,19 @@ type TrainConfig struct {
 	// iteration; EpisodeLen bounds each episode (and re-samples the link).
 	RolloutSteps int
 	EpisodeLen   int
-	// Workers > 1 enables goroutine-parallel rollout collection AND
-	// data-parallel PPO minibatch updates (unless PPO.Workers overrides the
-	// latter). Workers is an upper bound on collection fan-out, not a
-	// guarantee: a round never creates more tasks than full episodes fit in
-	// the budget (tasks = min(Workers, max(1, RolloutSteps/EpisodeLen))),
-	// so small rollouts run on fewer goroutines instead of churning idle
-	// ones, and the tasks split RolloutSteps exactly — total collected
-	// steps never exceed the budget regardless of worker count. Training is
-	// deterministic for a fixed seed and worker count.
+	// Workers splits each iteration's rollout into that many tasks, which
+	// one goroutine collects in lockstep (rl.Collector.CollectTasks), and
+	// shards the PPO minibatch updates over that many goroutines unless
+	// PPO.Workers overrides it. A round never has more tasks than full
+	// episodes fit in the budget (tasks = min(Workers,
+	// max(1, RolloutSteps/EpisodeLen))), and the tasks split RolloutSteps
+	// exactly. Training is deterministic for a fixed seed and worker count.
 	Workers int
 	// Seed drives all environment sampling and action noise.
 	Seed int64
 	// PPO carries the optimizer hyperparameters. PPO.Workers = 0 inherits
 	// Workers for the data-parallel update engine; set PPO.Workers = 1 to
-	// pin the update serial while keeping parallel collection.
+	// pin the update to one goroutine while keeping Workers' task split.
 	PPO rl.PPOConfig
 	// Envs generates training environments (defaults to Table 3 training
 	// ranges when nil — set explicitly in tests for speed).
@@ -127,7 +125,8 @@ type OfflineTrainer struct {
 	Cfg   TrainConfig
 
 	ppo       *rl.PPO
-	collector *rl.ParallelCollector
+	collector rl.Collector
+	tasks     []rl.CollectTask // makeTasks' storage
 	seedCtr   int64
 	envSteps  int // transitions collected across all iterations
 	met       trainMetrics
@@ -153,20 +152,13 @@ func NewOfflineTrainer(model *Model, cfg TrainConfig) (*OfflineTrainer, error) {
 	if cfg.PPO.Workers == 0 {
 		cfg.PPO.Workers = cfg.Workers
 	}
-	t := &OfflineTrainer{
+	return &OfflineTrainer{
 		Model:   model,
 		Cfg:     cfg,
 		ppo:     rl.NewPPO(model, cfg.PPO),
 		seedCtr: cfg.Seed,
 		met:     newTrainMetrics(cfg.Metrics),
-	}
-	if cfg.Workers > 1 {
-		hl := model.HistoryLen
-		t.collector = rl.NewParallelCollector(cfg.Workers, func() rl.ActorCritic {
-			return NewModel(hl, 0)
-		})
-	}
-	return t, nil
+	}, nil
 }
 
 // PPO exposes the underlying trainer (e.g. for entropy-schedule inspection).
@@ -178,73 +170,43 @@ func (t *OfflineTrainer) nextSeed() int64 {
 	return t.seedCtr * 2654435761 // Knuth multiplicative spread
 }
 
-// collectCfg builds the per-iteration collection settings.
-func (t *OfflineTrainer) collectCfg(steps int) rl.CollectConfig {
-	return rl.CollectConfig{
-		Steps:          steps,
-		EpisodeLen:     t.Cfg.EpisodeLen,
-		IncludeWeights: true,
-		MaxAction:      2,
-	}
-}
-
 // makeTasks plans one collection round for objective w, drawing one seed per
 // task: at most Workers tasks, never more than RolloutSteps/EpisodeLen so
 // every task collects at least one full episode, with RolloutSteps
-// distributed exactly (earlier tasks absorb the remainder).
+// distributed exactly (earlier tasks absorb the remainder). The returned
+// slice is the trainer's storage.
 func (t *OfflineTrainer) makeTasks(w objective.Weights) []rl.CollectTask {
-	n := t.collector.Workers()
+	n := t.Cfg.Workers
 	if chunks := t.Cfg.RolloutSteps / t.Cfg.EpisodeLen; chunks < n {
-		n = chunks
-		if n < 1 {
-			n = 1
-		}
+		n = max(chunks, 1)
 	}
 	per, rem := t.Cfg.RolloutSteps/n, t.Cfg.RolloutSteps%n
-	tasks := make([]rl.CollectTask, n)
-	for i := range tasks {
+	t.tasks = t.tasks[:0]
+	for i := 0; i < n; i++ {
 		steps := per
 		if i < rem {
 			steps++
 		}
-		tasks[i] = rl.CollectTask{Weights: w, Seed: t.nextSeed(), Steps: steps}
+		t.tasks = append(t.tasks, rl.CollectTask{Weights: w, Seed: t.nextSeed(), Steps: steps})
 	}
-	return tasks
+	return t.tasks
 }
 
 // Iterate runs a single PPO iteration on objective w and returns the
-// rollout's mean reward. With Workers > 1 the rollout is split across
-// parallel collectors and the losses averaged, which is gradient-equivalent
-// to one large rollout.
+// rollouts' mean reward. The round's tasks are collected in lockstep and
+// updated jointly, their losses averaged, which is gradient-equivalent to
+// one large rollout.
 func (t *OfflineTrainer) Iterate(w objective.Weights) (float64, error) {
-	if t.collector == nil {
-		ro := rl.Collect(t.Model, t.Cfg.Envs, w, t.collectCfg(t.Cfg.RolloutSteps), t.nextSeed())
-		t.envSteps += len(ro.Trans)
-		t.met.envSteps.Add(uint64(len(ro.Trans)))
-		start := time.Now()
-		st := t.ppo.Update(ro)
-		t.met.update.Observe(uint64(time.Since(start)))
-		return st.MeanReward, nil
+	cfg := rl.CollectConfig{EpisodeLen: t.Cfg.EpisodeLen, IncludeWeights: true, MaxAction: 2}
+	rollouts := t.collector.CollectTasks(t.Model, t.Cfg.Envs, cfg, t.makeTasks(w))
+	for i := range rollouts {
+		t.envSteps += len(rollouts[i].Trans)
+		t.met.envSteps.Add(uint64(len(rollouts[i].Trans)))
 	}
-	rollouts, err := t.collector.Collect(t.Model, t.Cfg.Envs, t.collectCfg(0), t.makeTasks(w))
-	if err != nil {
-		return 0, err
-	}
-	t.countSteps(rollouts)
 	start := time.Now()
 	st := t.ppo.UpdateMulti(rollouts)
 	t.met.update.Observe(uint64(time.Since(start)))
 	return st.MeanReward, nil
-}
-
-// countSteps accumulates the transitions actually collected.
-func (t *OfflineTrainer) countSteps(rollouts []rl.Rollout) {
-	n := 0
-	for i := range rollouts {
-		n += len(rollouts[i].Trans)
-	}
-	t.envSteps += n
-	t.met.envSteps.Add(uint64(n))
 }
 
 // progress emits a milestone line when configured.

@@ -57,9 +57,10 @@ func assertModelsBitIdentical(t *testing.T, a, b *Model, label string) {
 	}
 }
 
-// TestParallelTrainingDeterministic: the W=4 data-parallel update engine on
-// the MOCC model (preference sub-networks) is bitwise reproducible, and the
-// collection fan-out spends the rollout budget exactly.
+// TestParallelTrainingDeterministic: W=4 training on the MOCC model
+// (preference sub-networks: four lockstep collection tasks, the
+// data-parallel update engine) is bitwise reproducible, and the task split
+// spends the rollout budget exactly.
 func TestParallelTrainingDeterministic(t *testing.T) {
 	cfg := parallelTrainConfig(4)
 	a, resA := runTrainer(t, cfg)
@@ -69,7 +70,7 @@ func TestParallelTrainingDeterministic(t *testing.T) {
 		t.Fatalf("iteration counts differ: %d vs %d", resA.TotalIters(), resB.TotalIters())
 	}
 	if want := resA.TotalIters() * cfg.RolloutSteps; resA.EnvSteps != want {
-		t.Errorf("EnvSteps = %d, want %d (fan-out must split the budget exactly)",
+		t.Errorf("EnvSteps = %d, want %d (tasks must split the budget exactly)",
 			resA.EnvSteps, want)
 	}
 }
@@ -146,7 +147,7 @@ func TestModelTrainingReplica(t *testing.T) {
 	}
 }
 
-// TestMakeTasksFanout pins the Workers fan-out semantics: the task count is
+// TestMakeTasksFanout pins the Workers task split: the task count is
 // bounded by full episodes in the budget, steps split the budget exactly,
 // and every task draws its own seed.
 func TestMakeTasksFanout(t *testing.T) {

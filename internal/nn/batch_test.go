@@ -40,6 +40,63 @@ func forwardBatchMatchesSingle(t *testing.T) {
 	}
 }
 
+// TestMLPForwardBatchMatchesLayers pins MLP.ForwardBatch, which keeps the
+// activations in column scratch between layers, to driving the same layers
+// one Layer.ForwardBatch at a time: the outputs and, through a backward
+// that reads every layer's cache, the input and parameter gradients must
+// agree bit for bit. Batch sizes cover both paths and the padding rows;
+// the last network ends in a Tanh and holds a Linear whose next layer is
+// another Linear.
+func TestMLPForwardBatchMatchesLayers(t *testing.T) {
+	nets := []func(*rand.Rand) *MLP{
+		func(rng *rand.Rand) *MLP { return NewMLP(rng, 40, 64, 32, 2) },
+		func(rng *rand.Rand) *MLP { return NewMLP(rng, 3, 16) },
+		func(rng *rand.Rand) *MLP {
+			return &MLP{Layers: []Layer{NewLinear(5, 9, rng), NewLinear(9, 6, rng), NewTanh(6)}}
+		},
+	}
+	for k, build := range nets {
+		for _, n := range []int{1, 3, 4, 6, 16, 65} {
+			chained := randomBiases(build(rand.New(rand.NewSource(101))), rand.New(rand.NewSource(102)))
+			layered := randomBiases(build(rand.New(rand.NewSource(101))), rand.New(rand.NewSource(102)))
+			chained.DiscardInputGrad(2)
+			layered.DiscardInputGrad(2)
+			in, out := chained.InSize(), chained.OutSize()
+			x := randBatch(int64(103+n), n, in)
+			g := randBatch(int64(104+n), n, out)
+
+			ZeroGrad(chained.Params())
+			ZeroGrad(layered.Params())
+			y := append([]float64(nil), chained.ForwardBatch(x, n)...)
+			want := x
+			for _, l := range layered.Layers {
+				want = l.ForwardBatch(want, n)
+			}
+			gi := append([]float64(nil), chained.BackwardBatch(g, n)...)
+			wantGi := layered.BackwardBatch(g, n)
+			for _, c := range []struct {
+				what      string
+				got, want []float64
+			}{{"output", y, want}, {"input grad", gi, wantGi}} {
+				for i := range c.want {
+					if math.Float64bits(c.got[i]) != math.Float64bits(c.want[i]) {
+						t.Fatalf("net %d n %d: %s %d = %v, per-layer forward %v", k, n, c.what, i, c.got[i], c.want[i])
+					}
+				}
+			}
+			pc, pl := chained.Params(), layered.Params()
+			for i := range pc {
+				for j := range pc[i].Grad {
+					if math.Float64bits(pc[i].Grad[j]) != math.Float64bits(pl[i].Grad[j]) {
+						t.Fatalf("net %d n %d: param %s[%d] grad %v, per-layer forward %v",
+							k, n, pc[i].Name, j, pc[i].Grad[j], pl[i].Grad[j])
+					}
+				}
+			}
+		}
+	}
+}
+
 // TestBackwardBatchMatchesSingle: one batched backward must accumulate the
 // same parameter gradients and return the same input gradients as looping
 // the single-sample path over the rows.
@@ -220,6 +277,16 @@ func TestBackwardBatchMismatchPanics(t *testing.T) {
 	m := NewMLP(rng, 3, 2)
 	m.ForwardBatch(randBatch(82, 4, 3), 4)
 	assertPanics(t, func() { m.BackwardBatch(make([]float64, 2*2), 2) })
+}
+
+// TestMLPForwardBatchWidthMismatchPanics: a Tanh wider than the Linear
+// before it must panic on both forward paths, not read stale column scratch
+// (n = 8 after n = 16 leaves room for the wider read).
+func TestMLPForwardBatchWidthMismatchPanics(t *testing.T) {
+	m := &MLP{Layers: []Layer{NewLinear(3, 5, rand.New(rand.NewSource(111))), NewTanh(6)}}
+	for _, n := range []int{1, 16, 8} {
+		assertPanics(t, func() { m.ForwardBatch(randBatch(112, n, 3), n) })
+	}
 }
 
 // TestGaussianVecHelpersMatchScalar ties the vectorized log-prob/grad

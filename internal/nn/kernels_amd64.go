@@ -16,6 +16,9 @@ func linearRow1AVX(w, b, x, y *float64, in, out int)
 func linearColsAVX(w, b, xt, yt *float64, in, out, ld int)
 
 //go:noescape
+func transpose4AVX(dst *float64, dLine, dBlock int, src *float64, sLine, sBlock, blocks int)
+
+//go:noescape
 func axpy4Asm(dst, a0, a1, a2, a3 *float64, g0, g1, g2, g3 float64, m int)
 
 //go:noescape
@@ -87,6 +90,18 @@ func linearCols(w, b, xt, yt []float64, in, out, ld int) {
 	// The kernel takes bare pointers: fail here on a short slice.
 	_, _, _, _ = w[in*out-1], b[out-1], xt[in*ld-1], yt[out*ld-1]
 	linearColsAVX(&w[0], &b[0], &xt[0], &yt[0], in, out, ld)
+}
+
+// transpose4 runs blocks four-by-four transposes (transpose4AVX): block b
+// reads the four vectors src[k*sLine+b*sBlock:][:4], k = 0…3, and writes
+// element j of vector k to dst[j*dLine+b*dBlock+k]. It runs only with AVX.
+func transpose4(dst []float64, dLine, dBlock int, src []float64, sLine, sBlock, blocks int) {
+	if blocks == 0 {
+		return
+	}
+	// The kernel takes bare pointers: fail here on a short slice.
+	_, _ = dst[3*dLine+(blocks-1)*dBlock+3], src[3*sLine+(blocks-1)*sBlock+3]
+	transpose4AVX(&dst[0], dLine, dBlock, &src[0], sLine, sBlock, blocks)
 }
 
 // axpyRows accumulates rows scaled rows into dst, one after the other:

@@ -925,6 +925,60 @@ lr16store:
 	VZEROUPPER
 	RET
 
+// func transpose4AVX(dst *float64, dLine, dBlock int, src *float64, sLine, sBlock, blocks int)
+//
+// The column path's transposes, four by four: block b loads the four
+// vectors src[k*sLine+b*sBlock : +4], k = 0…3, and stores element j of
+// vector k at dst[j*dLine+b*dBlock+k]. Strides count elements. It only
+// moves data, so every element keeps its bits.
+//
+// Registers: SI and DI the block's source and destination, R10 and R8
+// sLine*8 and dLine*8, R12 and R13 three times those, R11 and R9 sBlock*8
+// and dBlock*8, CX blocks left.
+TEXT ·transpose4AVX(SB), NOSPLIT, $0-56
+	MOVQ  dst+0(FP), DI
+	MOVQ  dLine+8(FP), R8
+	MOVQ  dBlock+16(FP), R9
+	MOVQ  src+24(FP), SI
+	MOVQ  sLine+32(FP), R10
+	MOVQ  sBlock+40(FP), R11
+	MOVQ  blocks+48(FP), CX
+	SHLQ  $3, R8
+	SHLQ  $3, R9
+	SHLQ  $3, R10
+	SHLQ  $3, R11
+	LEAQ  (R10)(R10*2), R12
+	LEAQ  (R8)(R8*2), R13
+	TESTQ CX, CX
+	JZ    tpdone
+	PCALIGN $64
+
+tploop:
+	VMOVUPD    (SI), Y0                // a0 a1 a2 a3
+	VMOVUPD    (SI)(R10*1), Y1         // b
+	VMOVUPD    (SI)(R10*2), Y2         // c
+	VMOVUPD    (SI)(R12*1), Y3         // d
+	VUNPCKLPD  Y1, Y0, Y4              // a0 b0 a2 b2
+	VUNPCKHPD  Y1, Y0, Y5              // a1 b1 a3 b3
+	VUNPCKLPD  Y3, Y2, Y6              // c0 d0 c2 d2
+	VUNPCKHPD  Y3, Y2, Y7              // c1 d1 c3 d3
+	VPERM2F128 $0x20, Y6, Y4, Y0       // a0 b0 c0 d0
+	VPERM2F128 $0x20, Y7, Y5, Y1       // a1 b1 c1 d1
+	VPERM2F128 $0x31, Y6, Y4, Y2       // a2 b2 c2 d2
+	VPERM2F128 $0x31, Y7, Y5, Y3       // a3 b3 c3 d3
+	VMOVUPD    Y0, (DI)
+	VMOVUPD    Y1, (DI)(R8*1)
+	VMOVUPD    Y2, (DI)(R8*2)
+	VMOVUPD    Y3, (DI)(R13*1)
+	ADDQ       R11, SI
+	ADDQ       R9, DI
+	DECQ       CX
+	JNZ        tploop
+	VZEROUPPER
+
+tpdone:
+	RET
+
 // The element-wise kernels: fastTanh, the tanh backward and Adam's update,
 // each the Go loop's exact per-element sequence in four lanes. No lane reads
 // another, so nothing here depends on how a slice is split into vectors; the

@@ -161,6 +161,51 @@ func TestForwardBatchMatchesSingleWithoutAVX(t *testing.T) {
 	withoutAVX(func() { forwardBatchMatchesSingle(t) })
 }
 
+// TestColumnTransposes pins toCols and fromCols, whose full four-by-four
+// blocks run transpose4AVX, to their definitions: xt[i*ld+r] = x[r*dim+i]
+// with the padding rows zeroed over stale scratch, and back on the live
+// rows, NaN payloads included. Widths cover no full block, blocks with and
+// without a column tail; row counts full row blocks with and without a row
+// tail; slices start at offsets that break 32-byte alignment; and a
+// sentinel after each destination must survive.
+func TestColumnTransposes(t *testing.T) {
+	if !useAVX {
+		t.Skip("the column path runs only with AVX")
+	}
+	sentinel := math.Float64frombits(0x7ff8_0000_5e17_0000)
+	draw := drawer(121)
+	for _, dim := range []int{1, 3, 4, 5, 8, 16, 28, 33, 64} {
+		for _, n := range []int{1, 3, 4, 5, 8, 11, 16} {
+			for off := 0; off < 3; off++ {
+				ld := (n + colRows - 1) / colRows * colRows
+				x := make([]float64, off+n*dim)[off:]
+				for i := range x {
+					x[i] = draw()
+				}
+				xt := make([]float64, off+dim*ld+1)[off:]
+				for i := range xt {
+					xt[i] = sentinel // stale scratch; the padding must be zeroed
+				}
+				toCols(xt[:dim*ld], x, n, dim, ld)
+				want := make([]float64, dim*ld+1)
+				want[dim*ld] = sentinel
+				for r := 0; r < n; r++ {
+					for i := 0; i < dim; i++ {
+						want[i*ld+r] = x[r*dim+i]
+					}
+				}
+				label := fmt.Sprintf("toCols dim %d n %d off %d", dim, n, off)
+				sameBits(t, label, xt, want, true)
+
+				y := make([]float64, off+n*dim+1)[off:]
+				y[n*dim] = sentinel
+				fromCols(y[:n*dim], xt, n, dim, ld)
+				sameBits(t, "fromCols "+label[7:], y, append(x[:n*dim:n*dim], sentinel), true)
+			}
+		}
+	}
+}
+
 // checkLinearRow1 runs the n = 1 forward, linearRows, against linearRow1Asm
 // over all out outputs, and linearRow1AVX alone on the first out &^ 15 of
 // them, which must write nothing past its last output.

@@ -13,6 +13,12 @@ const useAVX = false
 // set.
 func linearCols(w, b, xt, yt []float64, in, out, ld int) { panic("nn: linearCols without AVX") }
 
+// transpose4 is the column path's AVX transpose, which only runs when useAVX
+// is set.
+func transpose4(dst []float64, dLine, dBlock int, src []float64, sLine, sBlock, blocks int) {
+	panic("nn: transpose4 without AVX")
+}
+
 // axpyRows4 is the backward's four-destination AVX kernel, which only runs
 // when useAVX is set.
 func axpyRows4(dst []float64, dStride, m int, a []float64, aStride int, sc []float64, scStride, scLane, rows int) {

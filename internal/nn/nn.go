@@ -122,13 +122,7 @@ func (l *Linear) Forward(x []float64) []float64 {
 // runs linearCols, and is transposed back. The cached input stays row-major
 // for BackwardBatch.
 func (l *Linear) ForwardBatch(x []float64, n int) []float64 {
-	if len(x) != n*l.In {
-		panic(fmt.Sprintf("nn: Linear input size %d, want %d rows x %d", len(x), n, l.In))
-	}
-	l.lastIn = Grow(l.lastIn, n*l.In)
-	copy(l.lastIn, x)
-	l.out = Grow(l.out, n*l.Out)
-	l.batch = n
+	l.cacheInput(x, n)
 	if !useAVX || n < colRows {
 		linearRows(l.W.Value, l.B.Value, l.lastIn, l.out, n, l.In, l.Out)
 		return l.out
@@ -140,6 +134,18 @@ func (l *Linear) ForwardBatch(x []float64, n int) []float64 {
 	linearCols(l.W.Value, l.B.Value, xt, yt, l.In, l.Out, ld)
 	fromCols(l.out, yt, n, l.Out, ld)
 	return l.out
+}
+
+// cacheInput keeps a copy of the n-row input x for BackwardBatch and sizes
+// the output scratch.
+func (l *Linear) cacheInput(x []float64, n int) {
+	if len(x) != n*l.In {
+		panic(fmt.Sprintf("nn: Linear input size %d, want %d rows x %d", len(x), n, l.In))
+	}
+	l.lastIn = Grow(l.lastIn, n*l.In)
+	copy(l.lastIn, x)
+	l.out = Grow(l.out, n*l.Out)
+	l.batch = n
 }
 
 // Backward implements Layer. It accumulates dL/dW and dL/db and returns
@@ -405,10 +411,66 @@ func (m *MLP) Forward(x []float64) []float64 {
 }
 
 // ForwardBatch implements Layer. Intermediate activations live in each
-// layer's scratch arena, so steady-state evaluation allocates nothing.
+// layer's scratch arena, so steady-state evaluation allocates nothing. On
+// the column path (AVX, colRows rows or more) the activations stay in
+// column scratch from one layer to the next (forwardCols); otherwise each
+// layer runs its own ForwardBatch.
 func (m *MLP) ForwardBatch(x []float64, n int) []float64 {
+	if useAVX && n >= colRows {
+		return m.forwardCols(x, n)
+	}
 	for _, l := range m.Layers {
 		x = l.ForwardBatch(x, n)
+	}
+	return x
+}
+
+// forwardCols is ForwardBatch with the activations kept column-major
+// between layers, each layer caching what its BackwardBatch needs exactly as
+// its own ForwardBatch does. The input is transposed once, a Tanh runs
+// FastTanh in place on the column block before writing its row-major cache
+// (which is also the next Linear's input), and a Linear transposes its
+// output back only when no Tanh follows. Every element goes through the
+// kernels of the per-layer path, so outputs and caches have its bits; what
+// goes is each later Linear's transpose of its input into columns.
+func (m *MLP) forwardCols(x []float64, n int) []float64 {
+	ld := (n + colRows - 1) / colRows * colRows
+	var xt []float64 // x column-major, or nil when only row-major x is current
+	for i, layer := range m.Layers {
+		switch l := layer.(type) {
+		case *Linear:
+			l.cacheInput(x, n)
+			l.cols = Grow(l.cols, ld*(l.In+l.Out))
+			if xt == nil {
+				xt = l.cols[:ld*l.In]
+				toCols(xt, l.lastIn, n, l.In, ld)
+			}
+			yt := l.cols[ld*l.In:]
+			linearCols(l.W.Value, l.B.Value, xt, yt, l.In, l.Out, ld)
+			xt = yt
+			if i+1 < len(m.Layers) {
+				if _, ok := m.Layers[i+1].(*Tanh); ok {
+					continue // x is the Tanh's output, written below
+				}
+			}
+			fromCols(l.out, yt, n, l.Out, ld)
+			x, xt = l.out, nil
+		case *Tanh:
+			if xt == nil {
+				x = l.ForwardBatch(x, n)
+				continue
+			}
+			if len(xt) != l.size*ld {
+				panic(fmt.Sprintf("nn: Tanh input width %d, want %d", len(xt)/ld, l.size))
+			}
+			FastTanh(xt, xt)
+			l.lastOut = Grow(l.lastOut, n*l.size)
+			l.batch = n
+			fromCols(l.lastOut, xt, n, l.size, ld)
+			x = l.lastOut
+		default:
+			x, xt = layer.ForwardBatch(x, n), nil
+		}
 	}
 	return x
 }

@@ -91,7 +91,8 @@ func RunFig7(z *Zoo, cfg Fig7Config) Fig7Result {
 	var snapIters []int
 	moccRes := adapter.AdaptWithSnapshots(cfg.NewObjective, cfg.SnapshotEvery, func(iter int, snap *core.Model) {
 		snapIters = append(snapIters, iter)
-		moccOld = append(moccOld, evalModel(snap, evalEnv(cfg.Seed+int64(iter)), cfg.OldObjective, cfg.EvalSteps))
+		moccOld = append(moccOld, rl.EvaluateActor(snap.PolicyFor(cfg.OldObjective).Act,
+			evalEnv(cfg.Seed+int64(iter)), cfg.OldObjective, false, cfg.EvalSteps))
 	})
 	res.MOCCCurve = moccRes.Curve
 	res.MOCCConverge = moccRes.ConvergedAt

@@ -9,6 +9,7 @@ import (
 	"mocc/internal/core"
 	"mocc/internal/gym"
 	"mocc/internal/objective"
+	"mocc/internal/rl"
 	"mocc/internal/stats"
 	"mocc/internal/trace"
 )
@@ -220,25 +221,12 @@ func RunFig16(cfg Fig16Config) Fig16Result {
 		rewards := make([]float64, len(evalObjs))
 		Runner{Workers: cfg.Workers}.Each(len(evalObjs), func(oi int) {
 			env := gym.New(gym.FromCondition(evalCond, 1500, cfg.Seed+int64(oi)))
-			rewards[oi] = evalModel(model.Clone(), env, evalObjs[oi], cfg.EvalSteps)
+			w := evalObjs[oi]
+			rewards[oi] = rl.EvaluateActor(model.Clone().PolicyFor(w).Act, env, w, false, cfg.EvalSteps)
 		})
 		res.Rewards[omega] = rewards
 	}
 	return res
-}
-
-// evalModel runs the deterministic MOCC policy and returns mean reward.
-func evalModel(m *core.Model, env *gym.Env, w objective.Weights, steps int) float64 {
-	env.Reset()
-	var sum float64
-	for i := 0; i < steps; i++ {
-		a := stats.Clamp(m.ActFor(w, env.Observation()), -2, 2)
-		env.ApplyAction(a)
-		metrics := env.Step()
-		oThr, oLat, oLoss := gym.RewardTerms(metrics)
-		sum += w.Reward(oThr, oLat, oLoss)
-	}
-	return sum / float64(steps)
 }
 
 // Table renders Figure 16.
@@ -305,33 +293,15 @@ func RunFig18(z *Zoo, cfg Fig18Config) Fig18Result {
 		for oi, w := range objs {
 			seed := cfg.Seed + int64(ci)*1000 + int64(oi)
 			envP := gym.New(gym.FromCondition(cond, 1500, seed))
-			res.PPORewards = append(res.PPORewards, evalModel(ppoModel, envP, w, cfg.EvalSteps))
+			res.PPORewards = append(res.PPORewards,
+				rl.EvaluateActor(ppoModel.PolicyFor(w).Act, envP, w, false, cfg.EvalSteps))
 
 			envD := gym.New(gym.FromCondition(cond, 1500, seed))
-			wLocal := w
-			reward := evalActor(func(netObs []float64) float64 {
-				obs := append(append([]float64{}, netObs...), wLocal.Thr, wLocal.Lat, wLocal.Loss)
-				return dqnModel.Act(obs)
-			}, envD, w, cfg.EvalSteps)
-			res.DQNRewards = append(res.DQNRewards, reward)
+			res.DQNRewards = append(res.DQNRewards,
+				rl.EvaluateActor(dqnModel.Act, envD, w, true, cfg.EvalSteps))
 		}
 	}
 	return res
-}
-
-// evalActor mirrors evalModel for arbitrary policies over network
-// observations.
-func evalActor(act func(netObs []float64) float64, env *gym.Env, w objective.Weights, steps int) float64 {
-	env.Reset()
-	var sum float64
-	for i := 0; i < steps; i++ {
-		a := stats.Clamp(act(env.Observation()), -2, 2)
-		env.ApplyAction(a)
-		metrics := env.Step()
-		oThr, oLat, oLoss := gym.RewardTerms(metrics)
-		sum += w.Reward(oThr, oLat, oLoss)
-	}
-	return sum / float64(steps)
 }
 
 // Table renders Figure 18.

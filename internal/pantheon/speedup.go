@@ -11,9 +11,10 @@ import (
 
 // Fig19Result reports the training-speedup comparison (§6.5): individual
 // per-objective training vs two-phase transfer learning vs transfer plus
-// parallel rollout collection. Wall-clock times are measured on this
-// machine at the configured scale; the paper's absolute hours differ but
-// the ordering and rough factors are the reproduction target.
+// parallel environments (Workers rollout tasks per iteration, collected in
+// lockstep) and the data-parallel update. Wall-clock times are measured on
+// this machine at the configured scale; the paper's absolute hours differ
+// but the ordering and rough factors are the reproduction target.
 type Fig19Result struct {
 	IndividualTime time.Duration
 	TransferTime   time.Duration
@@ -96,8 +97,8 @@ func RunFig19(cfg Fig19Config) (Fig19Result, error) {
 	res.TransferTime = time.Since(start)
 	res.TransferIters = tr.TotalIters()
 
-	// 3. Transfer + parallel rollout collection. Worker count resolves
-	// like the scenario scheduler's: <= 0 selects GOMAXPROCS.
+	// 3. Transfer + parallel environments and update. Worker count
+	// resolves like the scenario scheduler's: <= 0 selects GOMAXPROCS.
 	parCfg := base
 	parCfg.Workers = workerCount(cfg.Workers)
 	start = time.Now()

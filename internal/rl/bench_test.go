@@ -8,7 +8,7 @@ import (
 // benchRollout collects a fixed 512-step rollout once so PPO benchmarks
 // measure update cost only. ComputeReturns is idempotent, so the same
 // rollout can be re-updated every iteration.
-func benchRollout(agent ActorCritic) Rollout {
+func benchRollout(agent BatchActorCritic) Rollout {
 	return Collect(agent, testFactory, wThr,
 		CollectConfig{Steps: 512, EpisodeLen: 64}, 42)
 }
@@ -61,12 +61,26 @@ func BenchmarkPPOUpdateParallel(b *testing.B) {
 	}
 }
 
+// BenchmarkCollect measures lockstep collection of K 256-step rollouts into
+// a kept Collector: one policy and one value forward over the K tasks per
+// round. ns/step is per environment step, so k2 and k4 against k1 show what
+// sharing a forward across tasks saves.
 func BenchmarkCollect(b *testing.B) {
-	agent := NewPlainAgent(12, 1)
-	cfg := CollectConfig{Steps: 256, EpisodeLen: 64}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		Collect(agent, testFactory, wThr, cfg, int64(i))
+	for _, k := range []int{1, 2, 4} {
+		b.Run(fmt.Sprintf("k%d", k), func(b *testing.B) {
+			agent := NewPlainAgent(12, 1)
+			cfg := CollectConfig{Steps: 256, EpisodeLen: 64}
+			tasks := make([]CollectTask, k)
+			var c Collector
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				for j := range tasks {
+					tasks[j] = CollectTask{Weights: wThr, Seed: int64(i*k + j)}
+				}
+				c.CollectTasks(agent, testFactory, cfg, tasks)
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*k*cfg.Steps), "ns/step")
+		})
 	}
 }

@@ -236,38 +236,6 @@ func TestPPOEmptyUpdate(t *testing.T) {
 	}
 }
 
-func TestParallelCollectorMatchesSerial(t *testing.T) {
-	master := NewPlainAgent(12, 1)
-	pc := NewParallelCollector(4, func() ActorCritic { return NewPlainAgent(12, 0) })
-	if pc.Workers() != 4 {
-		t.Fatalf("Workers = %d", pc.Workers())
-	}
-	cfg := CollectConfig{Steps: 40, EpisodeLen: 20}
-	tasks := []CollectTask{
-		{Weights: wThr, Seed: 11},
-		{Weights: wThr, Seed: 22},
-		{Weights: wThr, Seed: 33},
-		{Weights: wThr, Seed: 44},
-		{Weights: wThr, Seed: 55},
-	}
-	got, err := pc.Collect(master, testFactory, cfg, tasks)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != len(tasks) {
-		t.Fatalf("got %d rollouts", len(got))
-	}
-	for i, task := range tasks {
-		want := Collect(master, testFactory, task.Weights, cfg, task.Seed)
-		for j := range want.Trans {
-			if got[i].Trans[j].Action != want.Trans[j].Action {
-				t.Fatalf("task %d step %d: parallel %v vs serial %v",
-					i, j, got[i].Trans[j].Action, want.Trans[j].Action)
-			}
-		}
-	}
-}
-
 func TestReplayBuffer(t *testing.T) {
 	b := NewReplayBuffer(3)
 	if b.Len() != 0 {
@@ -345,16 +313,5 @@ func TestEvaluateActorRange(t *testing.T) {
 	r := EvaluateActor(func([]float64) float64 { return 0 }, env, wThr, false, 100)
 	if r < 0 || r > 1 {
 		t.Errorf("reward %v outside [0,1]", r)
-	}
-}
-
-func TestEvaluatePolicyAgreesWithEvaluateActor(t *testing.T) {
-	agent := NewPlainAgent(12, 4)
-	envA := testFactory(9)
-	envB := testFactory(9)
-	a := EvaluatePolicy(agent, envA, wThr, false, 100)
-	b := EvaluateActor(agent.Act, envB, wThr, false, 100)
-	if math.Abs(a-b) > 1e-12 {
-		t.Errorf("EvaluatePolicy %v != EvaluateActor %v", a, b)
 	}
 }

@@ -1,15 +1,19 @@
 // Package rl implements the reinforcement-learning substrate MOCC trains
 // on: PPO with the clipped surrogate objective, entropy regularization and
-// the Equation 4 advantage estimate; trajectory collection (serial and
-// goroutine-parallel, replacing Ray/RLlib from the paper's stack §5); and a
-// DQN implementation for the learning-algorithm ablation (Figure 18).
+// the Equation 4 advantage estimate; trajectory collection; and a DQN
+// implementation for the learning-algorithm ablation (Figure 18).
 //
-// An update runs on the calling goroutine unless PPOConfig.Workers > 1, which
-// shards every minibatch's rows over a worker pool and reduces the gradients
-// in fixed order (update_parallel.go): deterministic for a fixed worker
-// count, but a different floating-point summation order than whole
-// minibatches. Collection allocates per rollout through Collect, or not at
-// all through a Collector the caller keeps.
+// Collection runs on the calling goroutine. Collector.CollectTasks steps K
+// environments in lockstep through one batched policy forward and one
+// batched value forward per round, the single-process form of the Ray/RLlib
+// parallel environments of the paper's stack (§5); every rollout it returns
+// is bit for bit the one Collect gives for that task alone. Collection
+// allocates per rollout through Collect, or
+// not at all through a Collector the caller keeps. An update runs on the
+// calling goroutine unless PPOConfig.Workers > 1, which shards every
+// minibatch's rows over a worker pool and reduces the gradients in fixed
+// order (update_parallel.go): deterministic for a fixed worker count, but a
+// different floating-point summation order than whole minibatches.
 package rl
 
 import (
@@ -100,9 +104,11 @@ type ActorCritic interface {
 
 // BatchActorCritic is an ActorCritic whose networks additionally evaluate
 // and backpropagate whole minibatches at once over row-major [n x ObsSize]
-// observation matrices. PPO uses it to replace its per-sample loop with one
-// batched forward/backward per minibatch; agents that do not implement it
-// fall back to the per-sample path.
+// observation matrices. Collection requires it: each lockstep round is one
+// PolicyForwardBatch and one ValueForwardBatch. PPO uses it to replace its
+// per-sample loop with one batched forward/backward per minibatch; only
+// PPO's update falls back to the per-sample path for an agent that does not
+// implement it.
 //
 // Returned slices alias agent-owned scratch and are valid until the next
 // batched call on the same half-network.
@@ -138,8 +144,6 @@ type CollectConfig struct {
 	// observation (the MOCC state layout, §4.1). Aurora-style agents
 	// leave it false.
 	IncludeWeights bool
-	// Deterministic uses the policy mean instead of sampling (evaluation).
-	Deterministic bool
 	// MaxAction clips sampled actions before they reach the environment.
 	MaxAction float64
 }
@@ -162,102 +166,136 @@ func fillObs(dst []float64, env *gym.Env, w objective.Weights, includeWeights bo
 // cfg.Steps transitions and returns the rollout. The reward each step is
 // Equation 2 evaluated with w. envSeed seeds both environment sampling and
 // action sampling so collection is reproducible.
-func Collect(agent ActorCritic, factory EnvFactory, w objective.Weights, cfg CollectConfig, envSeed int64) Rollout {
-	return new(Collector).Collect(agent, factory, w, cfg, envSeed)
+func Collect(agent BatchActorCritic, factory EnvFactory, w objective.Weights, cfg CollectConfig, envSeed int64) Rollout {
+	return new(Collector).CollectTasks(agent, factory, cfg, []CollectTask{{Weights: w, Seed: envSeed}})[0]
 }
 
-// Collector is Collect over storage it keeps between calls: the rollout a
-// call returns (its transitions and their observations) is overwritten by
-// the next call on the same Collector. A loop that consumes each rollout
-// before collecting the next holds one Collector per rollout in flight and
-// stops allocating them.
+// CollectTask is one rollout of a collection round.
+type CollectTask struct {
+	Weights objective.Weights
+	Seed    int64
+	// Steps, when > 0, overrides CollectConfig.Steps for this task so a
+	// rollout budget can be split exactly across uneven tasks.
+	Steps int
+}
+
+// Collector collects rollouts into storage it keeps between calls: the
+// rollouts a call returns (their transitions and observations) are
+// overwritten by the next call on the same Collector. A loop that consumes
+// each round before collecting the next stops allocating them.
 type Collector struct {
-	trans   []Transition
+	tasks []taskState
+	live  []int     // indices of the tasks still collecting
+	obs   []float64 // the round's [len(live) x ObsSize] batch
+	out   []Rollout
+}
+
+// taskState is one task's environment, random stream and storage.
+type taskState struct {
+	rng       *rand.Rand
+	env       *gym.Env
+	w         objective.Weights
+	steps     int
+	epSteps   int
+	rewardSum float64
+	trans     []Transition
+	// backing holds every observation of the rollout; each transition's
+	// Obs is a slice of it.
 	backing []float64
 }
 
-// Collect is the package-level Collect into the collector's storage.
-func (c *Collector) Collect(agent ActorCritic, factory EnvFactory, w objective.Weights, cfg CollectConfig, envSeed int64) Rollout {
+// start seeds the task's random stream and first environment as Collect
+// seeds them and empties its storage for steps transitions.
+func (s *taskState) start(task CollectTask, steps, obsDim int, factory EnvFactory) {
+	if task.Steps > 0 {
+		steps = task.Steps
+	}
+	if s.rng == nil {
+		s.rng = rand.New(rand.NewSource(task.Seed))
+	} else {
+		s.rng.Seed(task.Seed) // the state of a fresh rand.NewSource(task.Seed)
+	}
+	s.env = factory(s.rng.Int63())
+	if cap(s.trans) < steps {
+		s.trans = make([]Transition, 0, steps)
+	}
+	s.trans = s.trans[:0]
+	s.backing = nn.Grow(s.backing, steps*obsDim)
+	s.w, s.steps, s.epSteps, s.rewardSum = task.Weights, steps, 0, 0
+}
+
+// CollectTasks collects one rollout per task, all of them in lockstep on the
+// calling goroutine. Each round gathers the unfinished tasks' observations
+// into one batch, runs one PolicyForwardBatch and one ValueForwardBatch
+// over it, samples each task's action from the task's own random stream and
+// steps each task's environment. A task leaves the batch once it has its
+// Steps transitions. Every task draws its random numbers in the order a
+// lone Collect draws them, and every row of a batched forward has the bits
+// of the one-row forward, so rollouts[i] is byte for byte what Collect
+// returns for task i alone. The returned slice is the collector's storage.
+func (c *Collector) CollectTasks(agent BatchActorCritic, factory EnvFactory, cfg CollectConfig, tasks []CollectTask) []Rollout {
 	if cfg.MaxAction <= 0 {
 		cfg.MaxAction = 2
 	}
-	rng := rand.New(rand.NewSource(envSeed))
-	env := factory(rng.Int63())
-	if cap(c.trans) < cfg.Steps {
-		c.trans = make([]Transition, 0, cfg.Steps)
-	}
-	ro := Rollout{Trans: c.trans[:0]}
-	epSteps := 0
-	var rewardSum float64
-
-	// One backing array holds every observation of the rollout; each
-	// transition's Obs is a slice into it, so collection performs a single
-	// allocation instead of one per step.
 	obsDim := agent.ObsSize()
-	c.backing = nn.Grow(c.backing, cfg.Steps*obsDim)
-	backing := c.backing
-
-	for len(ro.Trans) < cfg.Steps {
-		obs := backing[len(ro.Trans)*obsDim : (len(ro.Trans)+1)*obsDim : (len(ro.Trans)+1)*obsDim]
-		fillObs(obs, env, w, cfg.IncludeWeights)
-		mean, std := agent.PolicyForward(obs)
-		var action float64
-		if cfg.Deterministic {
-			action = mean
-		} else {
-			action = nn.GaussianSample(rng, mean, std)
+	for len(c.tasks) < len(tasks) {
+		c.tasks = append(c.tasks, taskState{})
+	}
+	live := c.live[:0]
+	for i, task := range tasks {
+		s := &c.tasks[i]
+		s.start(task, cfg.Steps, obsDim, factory)
+		if s.steps > 0 {
+			live = append(live, i)
 		}
-		clipped := math.Max(-cfg.MaxAction, math.Min(cfg.MaxAction, action))
-		logProb := nn.GaussianLogProb(action, mean, std)
-		value := agent.ValueForward(obs)
+	}
 
-		env.ApplyAction(clipped)
-		m := env.Step()
-		oThr, oLat, oLoss := gym.RewardTerms(m)
-		reward := w.Reward(oThr, oLat, oLoss)
-		rewardSum += reward
-
-		epSteps++
-		done := false
-		if cfg.EpisodeLen > 0 && epSteps >= cfg.EpisodeLen {
-			done = true
-			epSteps = 0
-			env = factory(rng.Int63())
-		} else if env.Done() {
-			done = true
-			epSteps = 0
-			env = factory(rng.Int63())
+	for len(live) > 0 {
+		k := len(live)
+		c.obs = nn.Grow(c.obs, k*obsDim)
+		for j, i := range live {
+			s := &c.tasks[i]
+			t := len(s.trans)
+			obs := s.backing[t*obsDim : (t+1)*obsDim : (t+1)*obsDim]
+			fillObs(obs, s.env, s.w, cfg.IncludeWeights)
+			copy(c.obs[j*obsDim:(j+1)*obsDim], obs)
+			s.trans = append(s.trans, Transition{Obs: obs})
 		}
 
-		ro.Trans = append(ro.Trans, Transition{
-			Obs:     obs,
-			Action:  action,
-			LogProb: logProb,
-			Reward:  reward,
-			Value:   value,
-			Done:    done,
-		})
-	}
-	c.trans = ro.Trans
-	ro.MeanReward = rewardSum / float64(len(ro.Trans))
-	return ro
-}
+		means, std := agent.PolicyForwardBatch(c.obs, k)
+		values := agent.ValueForwardBatch(c.obs, k)
+		next := live[:0]
+		for j, i := range live {
+			s := &c.tasks[i]
+			tr := &s.trans[len(s.trans)-1]
+			tr.Action = nn.GaussianSample(s.rng, means[j], std)
+			tr.LogProb = nn.GaussianLogProb(tr.Action, means[j], std)
+			tr.Value = values[j]
 
-// EvaluatePolicy runs the deterministic policy for steps MIs on one
-// environment and returns the mean Equation 2 reward — the scalar used for
-// the reward CDFs (Figures 6, 16, 18).
-func EvaluatePolicy(agent ActorCritic, env *gym.Env, w objective.Weights, includeWeights bool, steps int) float64 {
-	env.Reset()
-	var sum float64
-	obs := make([]float64, agent.ObsSize())
-	for i := 0; i < steps; i++ {
-		fillObs(obs, env, w, includeWeights)
-		mean, _ := agent.PolicyForward(obs)
-		a := math.Max(-2, math.Min(2, mean))
-		env.ApplyAction(a)
-		m := env.Step()
-		oThr, oLat, oLoss := gym.RewardTerms(m)
-		sum += w.Reward(oThr, oLat, oLoss)
+			s.env.ApplyAction(math.Max(-cfg.MaxAction, math.Min(cfg.MaxAction, tr.Action)))
+			oThr, oLat, oLoss := gym.RewardTerms(s.env.Step())
+			tr.Reward = s.w.Reward(oThr, oLat, oLoss)
+			s.rewardSum += tr.Reward
+
+			s.epSteps++
+			tr.Done = cfg.EpisodeLen > 0 && s.epSteps >= cfg.EpisodeLen || s.env.Done()
+			if len(s.trans) == s.steps {
+				continue // finished: the next episode would never be stepped
+			}
+			if tr.Done {
+				s.epSteps = 0
+				s.env = factory(s.rng.Int63())
+			}
+			next = append(next, i)
+		}
+		live = next
 	}
-	return sum / float64(steps)
+	c.live = live
+
+	c.out = c.out[:0]
+	for i := range tasks {
+		s := &c.tasks[i]
+		c.out = append(c.out, Rollout{Trans: s.trans, MeanReward: s.rewardSum / float64(len(s.trans))})
+	}
+	return c.out
 }

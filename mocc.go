@@ -195,9 +195,11 @@ type TrainingOptions struct {
 	// RolloutSteps / EpisodeLen control per-iteration experience.
 	RolloutSteps int
 	EpisodeLen   int
-	// Workers enables parallel rollout collection and data-parallel PPO
-	// minibatch updates (per-worker gradients reduced in fixed order, so
-	// training stays deterministic for a fixed seed and worker count).
+	// Workers splits each iteration's rollout into that many tasks, which
+	// one goroutine collects in lockstep through batched forwards, and
+	// shards PPO minibatch updates over that many goroutines (per-worker
+	// gradients reduced in fixed order, so training stays deterministic
+	// for a fixed seed and worker count).
 	Workers int
 	// Seed makes training reproducible.
 	Seed int64

@@ -515,7 +515,8 @@ func TestNewValidation(t *testing.T) {
 
 // TestQuickTrainingGoldenModel pins the offline trainer's output across
 // changes that may move speed but not numbers: the file `mocc-train -scale
-// quick -seed 3` writes (Workers = 4, so the data-parallel update pool and,
+// quick -seed 3` writes (Workers = 4, so four rollouts collected in
+// lockstep through the batched forward, the data-parallel update pool and,
 // where the CPU has them, the AVX kernels under it) hashes to what it did
 // when training's batched forward became serving's row order — every
 // (row, output) summed from zero in index order with the bias last, so each
