@@ -83,21 +83,24 @@ bench:
 bench-micro:
 	$(GO) test -run '^$$' -bench . -benchmem ./internal/nn ./internal/rl ./internal/core
 	$(GO) test -run '^$$' -bench 'Engine' -benchmem ./internal/netsim
-	$(GO) test -run '^$$' -bench 'Topo' -benchmem ./internal/topo
+	$(GO) test -run '^$$' -bench 'Topo|OneLink' -benchmem ./internal/topo
 	$(GO) test -run '^$$' -bench 'RunSweep' -benchmem ./internal/pantheon
 	$(GO) test -run '^$$' -bench 'ServeConnReport' -benchmem ./transport
 
 # Differential fuzz smoke: 25 generator-seeded scenarios replayed through
 # both netsim engines (packet-train vs per-packet reference), then 25 more
 # from the three topology families (parking-lot, incast-10k, chain) through
-# both topo engines (per-link packet trains vs per-packet reference) —
-# every pair must agree bit-for-bit AND satisfy the engine-independent
-# physical invariants (packet conservation, RTT ≥ path propagation,
-# per-link throughput ≤ capacity). Runs in a few seconds including the
-# build.
+# both topo engines (per-link packet trains and per-flow delivery inboxes vs
+# per-packet reference) under each of two seeds — the second because the
+# inboxes' drain points sit on the chain family's bulk budgets and
+# staggered stops, which one seed's 25 draws cover thinly. Every pair must
+# agree bit-for-bit AND satisfy the engine-independent physical invariants
+# (packet conservation, RTT ≥ path propagation, per-link throughput ≤
+# capacity). Runs in a few seconds including the build.
 fuzz-scen:
 	$(GO) run ./cmd/mocc-scen fuzz -n 25 -seed 1
 	$(GO) run ./cmd/mocc-scen fuzz -topo -n 25 -seed 1
+	$(GO) run ./cmd/mocc-scen fuzz -topo -n 25 -seed 2
 
 # Kernel fuzz smoke, ten seconds per target (go test -fuzz takes one target
 # per run): FuzzEvaluatorForwardBatch checks every row of both batched

@@ -79,6 +79,17 @@ func (bi *BatchInference) ActBatch(ws []objective.Weights, obs [][]float64, out 
 	if n == 0 {
 		return
 	}
+	bi.load(ws, obs)
+	bi.model.RLockParams()
+	acts := bi.forward(n)
+	bi.model.RUnlockParams()
+	copy(out, acts[:n])
+}
+
+// load assembles the preference rows and the network half of the trunk
+// input rows of len(ws) pairs; obs must be as long as ws.
+func (bi *BatchInference) load(ws []objective.Weights, obs [][]float64) {
+	n := len(ws)
 	netDim := 3 * bi.model.HistoryLen
 	jointDim := netDim + PrefFeatures
 	bi.wBuf = nn.Grow(bi.wBuf, n*WeightDim)
@@ -92,13 +103,17 @@ func (bi *BatchInference) ActBatch(ws []objective.Weights, obs [][]float64, out 
 		bi.wBuf[r*WeightDim+2] = w.Loss
 		copy(bi.joint[r*jointDim:r*jointDim+netDim], obs[r])
 	}
+}
 
-	bi.model.RLockParams()
+// forward runs the actor over the n loaded rows and returns the n actions,
+// aliasing the trunk evaluator's scratch. The caller holds whatever
+// parameter lock its sharing needs.
+func (bi *BatchInference) forward(n int) []float64 {
+	netDim := 3 * bi.model.HistoryLen
+	jointDim := netDim + PrefFeatures
 	feat := bi.actorPref.ForwardBatch(bi.wBuf[:n*WeightDim], n)
 	for r := 0; r < n; r++ {
 		nn.FastTanh(bi.joint[r*jointDim+netDim:(r+1)*jointDim], feat[r*PrefFeatures:(r+1)*PrefFeatures])
 	}
-	acts := bi.actorTrunk.ForwardBatch(bi.joint[:n*jointDim], n)
-	bi.model.RUnlockParams()
-	copy(out, acts[:n])
+	return bi.actorTrunk.ForwardBatch(bi.joint[:n*jointDim], n)
 }

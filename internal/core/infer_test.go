@@ -6,6 +6,7 @@ import (
 	"sync"
 	"testing"
 
+	"mocc/internal/nn"
 	"mocc/internal/objective"
 	"mocc/internal/trace"
 )
@@ -33,8 +34,47 @@ func TestInferenceMatchesActFor(t *testing.T) {
 	}
 }
 
+// policyMean is PolicyForward's mean for one (preference, observation) pair:
+// training's caching forward at n = 1, the anchor every deployment path is
+// pinned to.
+func policyMean(m *Model, w objective.Weights, netObs []float64) float64 {
+	obs := append(append([]float64(nil), netObs...), w.Thr, w.Lat, w.Loss)
+	mean, _ := m.PolicyForward(obs)
+	return mean
+}
+
+// TestActForMatchesPolicyForward pins Model.ActFor, which runs serving's
+// forward-only evaluators, to PolicyForward's mean bit for bit on random
+// observations under random preferences, with the AVX kernels and without.
+// A Clone answers the same and builds its own view rather than sharing the
+// original's.
+func TestActForMatchesPolicyForward(t *testing.T) {
+	check := func(t *testing.T) {
+		m := NewModel(HistoryLen, 23)
+		rng := rand.New(rand.NewSource(5))
+		prefs := objective.UniformObjectives(64, 11)
+		obs := make([]float64, 3*m.HistoryLen)
+		for trial := range 200 {
+			for i := range obs {
+				obs[i] = 3 * rng.NormFloat64()
+			}
+			w := prefs[trial%len(prefs)]
+			want := policyMean(m, w, obs)
+			if got := m.ActFor(w, obs); math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("trial %d: ActFor = %v, PolicyForward mean = %v", trial, got, want)
+			}
+		}
+		c := m.Clone()
+		if got, want := c.ActFor(prefs[0], obs), m.ActFor(prefs[0], obs); got != want || c.act == m.act {
+			t.Fatalf("clone ActFor = %v with view %p, original %v with view %p", got, c.act, want, m.act)
+		}
+	}
+	t.Run("AVX", check)
+	t.Run("noAVX", func(t *testing.T) { nn.WithoutAVX(func() { check(t) }) })
+}
+
 // TestBatchInferenceBitIdentical pins every BatchInference.ActBatch row to
-// Model.ActFor — the training-side MLP layers at n = 1 — bit for bit, across
+// PolicyForward's mean — the training-side MLP layers at n = 1 — bit for bit, across
 // batch sizes on both sides of every blocking the training kernels use. This
 // is the determinism pin behind request coalescing: a decision must not
 // depend on how many other apps happened to land in the same micro-batch.
@@ -57,7 +97,7 @@ func TestBatchInferenceBitIdentical(t *testing.T) {
 		out := make([]float64, n)
 		bi.ActBatch(ws, obs, out)
 		for r := 0; r < n; r++ {
-			if want := m.ActFor(ws[r], obs[r]); math.Float64bits(out[r]) != math.Float64bits(want) {
+			if want := policyMean(m, ws[r], obs[r]); math.Float64bits(out[r]) != math.Float64bits(want) {
 				t.Fatalf("batch %d row %d: batched %v, single %v", n, r, out[r], want)
 			}
 		}

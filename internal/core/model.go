@@ -65,8 +65,11 @@ type Model struct {
 	wBuf     []float64 // [n x WeightDim] extracted weight vectors
 	jointBuf []float64 // [n x (netDim+PrefFeatures)] trunk inputs
 	featGrad []float64 // [n x PrefFeatures] gradients into the pref net
-	obsBuf   []float64 // single-observation assembly for ActFor
 	d1       [1]float64
+
+	// act is ActFor's forward-only view of the actor, built at the first
+	// call, so a Clone or a TrainingReplica never shares its scratch.
+	act *BatchInference
 
 	// paramMu arbitrates shared deployment against parameter writes:
 	// Inference (the read-shared entry point behind per-app handles) takes
@@ -297,15 +300,18 @@ func (m *Model) CheckFinite() error { return nn.CheckFinite(m.AllParams()) }
 func (m *Model) Restore(s nn.Snapshot) error { return s.Restore(m.AllParams()) }
 
 // ActFor returns the deterministic action for a network-history observation
-// under preference w.
+// under preference w: PolicyForward's mean, bit for bit, through serving's
+// forward-only path (BatchInference on a batch of one), which keeps nothing
+// for a backward. Like training's forward it takes no lock and uses the
+// model's own scratch, so it belongs to one goroutine; concurrent callers
+// use an Inference each.
 func (m *Model) ActFor(w objective.Weights, netObs []float64) float64 {
-	m.obsBuf = nn.Grow(m.obsBuf, len(netObs)+WeightDim)
-	copy(m.obsBuf, netObs)
-	m.obsBuf[len(netObs)] = w.Thr
-	m.obsBuf[len(netObs)+1] = w.Lat
-	m.obsBuf[len(netObs)+2] = w.Loss
-	mean, _ := m.PolicyForward(m.obsBuf)
-	return mean
+	if m.act == nil {
+		m.act = m.NewBatchInference()
+	}
+	ws, obs := [1]objective.Weights{w}, [1][]float64{netObs}
+	m.act.load(ws[:], obs[:])
+	return m.act.forward(1)[0]
 }
 
 // PolicyFor returns a congestion-control policy bound to preference w: it

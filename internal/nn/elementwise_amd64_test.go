@@ -35,7 +35,7 @@ func withAndWithoutAVX(t *testing.T, f func(t *testing.T)) {
 		}
 		f(t)
 	})
-	t.Run("noAVX", func(t *testing.T) { withoutAVX(func() { f(t) }) })
+	t.Run("noAVX", func(t *testing.T) { WithoutAVX(func() { f(t) }) })
 }
 
 // tanhSweepInputs are every table node -tanhMax + j·(2·tanhMax/tanhN) for
@@ -169,7 +169,7 @@ func TestAdamStepBitEqual(t *testing.T) {
 				}
 			}
 			a.Step()
-			withoutAVX(b.Step)
+			WithoutAVX(b.Step)
 			for i, p := range ps {
 				sameBits(t, "Adam.Step value", p.Value, oracle[i].Value, true)
 				sameBits(t, "Adam.Step m", a.m[i], b.m[i], true)

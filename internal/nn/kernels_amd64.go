@@ -56,6 +56,16 @@ func cpuHasAVX() bool
 // elementwise_amd64_test.go), so the choice shows in speed only.
 var useAVX = cpuHasAVX()
 
+// WithoutAVX runs f with useAVX cleared: the SSE2 kernels and the Go loops
+// in place of the AVX ones. Tests here and in the packages above use it to
+// pin a result to the same bits on both paths; nothing else may evaluate a
+// network while it runs.
+func WithoutAVX(f func()) {
+	defer func(v bool) { useAVX = v }(useAVX)
+	useAVX = false
+	f()
+}
+
 // linearRows computes one full Linear layer over n row-major batch rows by
 // running the n = 1 forward on each row: each (row, output) summed from zero
 // in index order, the bias added last. No row's bits depend on n or on the

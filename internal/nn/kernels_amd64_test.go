@@ -56,13 +56,6 @@ func sameBits(t *testing.T, label string, got, want []float64, strict bool) {
 	}
 }
 
-// withoutAVX runs f on the SSE2 kernels.
-func withoutAVX(f func()) {
-	defer func(v bool) { useAVX = v }(useAVX)
-	useAVX = false
-	f()
-}
-
 // axpyRowsScalar is axpyRows in plain Go; the conversions forbid fusing a
 // product into the add that follows it.
 func axpyRowsScalar(dst, a []float64, aStride int, g []float64, gStride, rows int) {
@@ -91,7 +84,7 @@ func TestAxpyRowsKernelsBitEqual(t *testing.T) {
 			avx := append([]float64(nil), dst...)
 			axpyRows(avx[off:off+m], a[aOff:], aStride, g[gOff:], gStride, rows)
 			sse := append([]float64(nil), dst...)
-			withoutAVX(func() { axpyRows(sse[off:off+m], a[aOff:], aStride, g[gOff:], gStride, rows) })
+			WithoutAVX(func() { axpyRows(sse[off:off+m], a[aOff:], aStride, g[gOff:], gStride, rows) })
 			axpyRowsScalar(dst[off:off+m], a[aOff:], aStride, g[gOff:], gStride, rows)
 
 			// The SSE2 path's last rows mod 4 are a Go loop.
@@ -152,13 +145,13 @@ func TestLinearForwardKernelsBitEqual(t *testing.T) {
 // TestEvaluatorForwardBatchBitIdenticalWithoutAVX pins the serving forward
 // of a CPU without AVX, which runs linearRows at every batch size.
 func TestEvaluatorForwardBatchBitIdenticalWithoutAVX(t *testing.T) {
-	withoutAVX(func() { forwardBatchBitIdentical(t) })
+	WithoutAVX(func() { forwardBatchBitIdentical(t) })
 }
 
 // TestForwardBatchMatchesSingleWithoutAVX pins the training forward of a
 // CPU without AVX, which runs linearRows at every batch size.
 func TestForwardBatchMatchesSingleWithoutAVX(t *testing.T) {
-	withoutAVX(func() { forwardBatchMatchesSingle(t) })
+	WithoutAVX(func() { forwardBatchMatchesSingle(t) })
 }
 
 // TestColumnTransposes pins toCols and fromCols, whose full four-by-four
@@ -372,7 +365,7 @@ func TestLinearBackwardBatchBitEqual(t *testing.T) {
 			sameBits(t, label("bias grad vs one by one"), avx.B.Grad, ref.B.Grad, false)
 
 			var sseIn []float64
-			withoutAVX(func() {
+			WithoutAVX(func() {
 				sse.ForwardBatch(x, n)
 				sseIn = append([]float64(nil), sse.BackwardBatch(g, n)...)
 			})
@@ -386,11 +379,11 @@ func TestLinearBackwardBatchBitEqual(t *testing.T) {
 // TestBatchForwardZeroAllocsWithoutAVX and TestEvaluatorAllocFreeWithoutAVX
 // pin the SSE2 kernels' paths to zero allocations too.
 func TestBatchForwardZeroAllocsWithoutAVX(t *testing.T) {
-	withoutAVX(func() { batchForwardZeroAllocs(t) })
+	WithoutAVX(func() { batchForwardZeroAllocs(t) })
 }
 
 func TestEvaluatorAllocFreeWithoutAVX(t *testing.T) {
-	withoutAVX(func() { evaluatorAllocFree(t) })
+	WithoutAVX(func() { evaluatorAllocFree(t) })
 }
 
 // linearFuzzShape packs FuzzLinearKernels' shape argument: the layer's in

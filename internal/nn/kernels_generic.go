@@ -9,6 +9,9 @@ package nn
 // element-wise helpers their Go loops.
 const useAVX = false
 
+// WithoutAVX runs f; off amd64 every path is already the one without AVX.
+func WithoutAVX(f func()) { f() }
+
 // linearCols is the column path's AVX kernel, which only runs when useAVX is
 // set.
 func linearCols(w, b, xt, yt []float64, in, out, ld int) { panic("nn: linearCols without AVX") }

@@ -6,6 +6,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"mocc/internal/cc"
 	"mocc/internal/objective"
@@ -411,27 +412,43 @@ func TestRunFig18PPOBeatsDQN(t *testing.T) {
 	}
 }
 
+// TestRunFig19SpeedupOrdering holds transfer training to fewer iterations
+// and less wall-clock time than individual training. The arms do only about
+// 1.5x fewer iterations over a few hundred milliseconds, so one timing of
+// each is at the mercy of whatever else the machine runs (a full parallel
+// `go test ./...` once read 0.47): the speedup is taken between the best of
+// three alternating timings of each arm, which a burst has to hit three
+// times to turn.
 func TestRunFig19SpeedupOrdering(t *testing.T) {
 	cfg := DefaultFig19Config()
 	cfg.Omega = 6
 	cfg.ItersPerObjective = 4
 	cfg.RolloutSteps = 128
 	cfg.EpisodeLen = 64
-	res, err := RunFig19(cfg)
-	if err != nil {
-		t.Fatal(err)
+	var individual, transfer time.Duration
+	for round := range 3 {
+		res, err := RunFig19(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Transfer performs strictly fewer iterations than individual
+		// training; that is the structural speedup.
+		if res.TransferIters >= res.IndividualIters {
+			t.Fatalf("transfer iters %d not below individual %d",
+				res.TransferIters, res.IndividualIters)
+		}
+		if len(res.Table().Rows) != 3 {
+			t.Fatal("table rows")
+		}
+		if round == 0 || res.IndividualTime < individual {
+			individual = res.IndividualTime
+		}
+		if round == 0 || res.TransferTime < transfer {
+			transfer = res.TransferTime
+		}
 	}
-	// Transfer performs strictly fewer iterations than individual
-	// training; that is the structural speedup.
-	if res.TransferIters >= res.IndividualIters {
-		t.Errorf("transfer iters %d not below individual %d",
-			res.TransferIters, res.IndividualIters)
-	}
-	if res.SpeedupTransfer <= 1 {
-		t.Errorf("transfer speedup %v <= 1", res.SpeedupTransfer)
-	}
-	if len(res.Table().Rows) != 3 {
-		t.Error("table rows")
+	if speedup := float64(individual) / float64(transfer); speedup <= 1 {
+		t.Errorf("transfer speedup %v <= 1 (best individual %v, best transfer %v)", speedup, individual, transfer)
 	}
 }
 

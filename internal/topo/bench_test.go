@@ -1,6 +1,12 @@
 package topo
 
-import "testing"
+import (
+	"testing"
+
+	"mocc/internal/cc"
+	"mocc/internal/netsim"
+	"mocc/internal/trace"
+)
 
 // BenchmarkTopoIncast10k is the committed scale number: the 10k-flow
 // two-tier incast (4 racks + core, 2.5x overload, 2 simulated seconds) end
@@ -89,5 +95,57 @@ func BenchmarkTopoParkingLot(b *testing.B) {
 		} {
 			return NewReference(tp, 1)
 		})
+	})
+}
+
+// BenchmarkOneLink is the layer number behind making topo the one
+// simulator: the same one-link flows — cubic, bbr and vegas over a
+// fixed-rate cross flow — on netsim's packet-train engine and on topo's
+// engine over a one-link topology, which TestNetsimBitCompat holds to the
+// same bits. The ratio of the two pkts/s is the price of retiring netsim.
+func BenchmarkOneLink(b *testing.B) {
+	sc := singleLinkScenario{
+		link: netsim.LinkConfig{Capacity: trace.Constant(2500), OWD: 0.02, QueuePkts: 100, LossRate: 0.001},
+		flows: []netsim.FlowConfig{
+			{Alg: cc.NewCubic(), Seed: 1},
+			{Alg: cc.NewBBR(), Start: 1, Seed: 2},
+			{Alg: cc.NewVegas(), Start: 2, Seed: 3},
+			{Alg: &fixedRate{rate: 300}},
+		},
+		dur:  20,
+		seed: 1,
+	}
+	b.Run("netsim", func(b *testing.B) {
+		b.ReportAllocs()
+		var packets int
+		for range b.N {
+			n := netsim.NewNetwork(sc.link, sc.seed)
+			for _, fc := range sc.flows {
+				n.AddFlow(fc)
+			}
+			n.Run(sc.dur)
+			packets = 0
+			for _, f := range n.Flows {
+				packets += f.SentTotal
+			}
+		}
+		b.ReportMetric(float64(packets)*float64(b.N)/b.Elapsed().Seconds(), "pkts/s")
+	})
+	b.Run("topo", func(b *testing.B) {
+		tp, flows := asTopology(b, sc)
+		b.ReportAllocs()
+		var packets int
+		for range b.N {
+			e := NewEngine(tp, sc.seed)
+			for _, fc := range flows {
+				e.AddFlow(fc)
+			}
+			e.Run(sc.dur)
+			packets = 0
+			for _, f := range e.Flows {
+				packets += f.SentTotal
+			}
+		}
+		b.ReportMetric(float64(packets)*float64(b.N)/b.Elapsed().Seconds(), "pkts/s")
 	})
 }

@@ -35,11 +35,13 @@ func referenceEventCounts(t *testing.T, sc multiScenario) (byKind [evArrive + 1]
 }
 
 // TestEventSourceAccounting pins what the engine's speed rests on: on the
-// benchmark-shaped chain every delivery and every downstream-hop arrival
-// comes off a link ring, and the heap sees exactly the events that are not
-// FIFO — start/stop, MI closes, hop-0 transmissions and loss notices. An
-// engine that quietly put packets in flight back on the heap would still
-// pass the equivalence suite; it fails here.
+// benchmark-shaped chain every downstream-hop arrival comes off a link
+// ring, every delivery is drained from its flow's inbox without passing
+// through the global order, and the heap sees exactly the events that are
+// not FIFO — start/stop, MI closes, hop-0 transmissions and loss notices.
+// An engine that quietly put packets in flight back on the heap, or ran
+// deliveries through a ring, would still pass the equivalence suite; it
+// fails here.
 func TestEventSourceAccounting(t *testing.T) {
 	sc := chainScenario()
 	byKind, downstream := referenceEventCounts(t, sc)
@@ -48,58 +50,68 @@ func TestEventSourceAccounting(t *testing.T) {
 	if e.tieFallbacks != 0 {
 		t.Errorf("tie guard fired %d times on a chain whose service times are far above float resolution", e.tieFallbacks)
 	}
-	inFlight := byKind[evDeliver] + downstream
-	if e.ringPops != inFlight-e.tieFallbacks {
-		t.Errorf("ring pops = %d, want %d (every delivery %d + every downstream arrival %d)",
-			e.ringPops, inFlight, byKind[evDeliver], downstream)
+	if e.ringPops != downstream {
+		t.Errorf("ring pops = %d, want every downstream arrival %d", e.ringPops, downstream)
+	}
+	if e.drained != byKind[evDeliver] {
+		t.Errorf("drained deliveries = %d, want Reference's %d", e.drained, byKind[evDeliver])
 	}
 	control := byKind[evStart] + byKind[evStop] + byKind[evMI] + byKind[evLoss] + byKind[evArrive] - downstream
-	if e.heapPops != control+e.tieFallbacks {
+	if e.heapPops != control {
 		t.Errorf("heap pops = %d, want %d (start %d + stop %d + MI %d + loss %d + hop-0 sends %d)",
 			e.heapPops, control, byKind[evStart], byKind[evStop], byKind[evMI], byKind[evLoss], byKind[evArrive]-downstream)
 	}
 	// The shape the accounting is about: a run dominated by packets in
 	// flight, with every control kind present.
-	if inFlight < control || byKind[evLoss] == 0 || byKind[evStop] == 0 || downstream == 0 {
-		t.Errorf("scenario lost its shape: %d in flight vs %d control, by kind %v, %d downstream", inFlight, control, byKind, downstream)
+	if byKind[evDeliver]+downstream < control || byKind[evLoss] == 0 || byKind[evStop] == 0 || downstream == 0 {
+		t.Errorf("scenario lost its shape: %d deliveries and %d downstream arrivals vs %d control, by kind %v",
+			byKind[evDeliver], downstream, control, byKind)
 	}
 }
 
-// TestTieGuard drives the cases the ring invariant cannot be assumed in.
+// TestTieGuard drives the cases the ring invariant cannot be assumed in, and
+// holds every flow's delivery sequence — times and order — to Reference's.
 // Link A serves at 1e18 pkts/s, so past t = 0 its 1e-18 s service time is
 // absorbed (t + 1e-18 == t) and packets can leave it with equal stamps.
 //
-// arrive-vs-deliver: two flows start at the same instant at the same fixed
-// rate on paths [A, B] and [A]. Both packets of one instant leave A with
-// one stamp: flow 0's arrival at B, admitted first, and flow 1's delivery.
-// The canonical order at one timestamp is delivery first; a ring without
-// the guard would hold, and run, [arrive(flow 0), deliver(flow 1)].
+// flow-order: two flows cross [A, B], and A's delay is 1 s; flow 1 starts
+// at t = 1 and flow 0 one ulp later, and 1 + 2^-52 + 1 rounds to 2. Both
+// packets reach B with the stamp 2, A's ring holds them in admission order
+// [flow 1, flow 0], and the canonical order is by flow ID. The guard must
+// send flow 0's arrival to the heap: an unguarded ring would admit flow 1
+// to B first and give both flows other departure times, so the delivery
+// sequences tell, not only the counter.
 //
-// flow-order: both flows cross only A, whose delay is 1 s; flow 1 starts at
-// t = 1 and flow 0 one ulp later, and 1 + 2^-52 + 1 rounds to 2. The two
-// deliveries carry the stamp 2 in admission order [flow 1, flow 0], and the
-// canonical order is by flow ID — here the unguarded ring is observable in
-// the delivery callbacks, not only in the counter.
+// arrive-vs-deliver: two flows start at the same instant at the same fixed
+// rate on paths [A, B] and [A], so both packets of one instant leave A with
+// one stamp: flow 0's arrival at B and flow 1's delivery, whose canonical
+// order is delivery first. The delivery waits in flow 1's inbox, not on A's
+// ring, so nothing ties on a ring and the guard must stay quiet; the
+// sequences must still be Reference's.
 func TestTieGuard(t *testing.T) {
-	type delivery struct {
-		flow int
-		at   float64
-	}
-	cases := []multiScenario{
+	cases := []struct {
+		multiScenario
+		guard bool // whether the tie guard has to fire
+	}{
 		{
-			name:  "arrive-vs-deliver",
-			links: []LinkConfig{link("A", 1e18, 0.01), link("B", 1000, 0.02)},
-			flows: []FlowConfig{
-				{Alg: &fixedRate{rate: 200}, Path: []int{0, 1}},
-				{Alg: &fixedRate{rate: 200}, Path: []int{0}},
+			multiScenario: multiScenario{
+				name:  "flow-order",
+				links: []LinkConfig{link("A", 1e18, 1), link("B", 1000, 0.02)},
+				flows: []FlowConfig{
+					{Alg: &fixedRate{rate: 200}, Path: []int{0, 1}, Start: math.Nextafter(1, 2)},
+					{Alg: &fixedRate{rate: 200}, Path: []int{0, 1}, Start: 1},
+				},
 			},
+			guard: true,
 		},
 		{
-			name:  "flow-order",
-			links: []LinkConfig{link("A", 1e18, 1)},
-			flows: []FlowConfig{
-				{Alg: &fixedRate{rate: 200}, Path: []int{0}, Start: math.Nextafter(1, 2)},
-				{Alg: &fixedRate{rate: 200}, Path: []int{0}, Start: 1},
+			multiScenario: multiScenario{
+				name:  "arrive-vs-deliver",
+				links: []LinkConfig{link("A", 1e18, 0.01), link("B", 1000, 0.02)},
+				flows: []FlowConfig{
+					{Alg: &fixedRate{rate: 200}, Path: []int{0, 1}},
+					{Alg: &fixedRate{rate: 200}, Path: []int{0}},
+				},
 			},
 		},
 	}
@@ -108,12 +120,13 @@ func TestTieGuard(t *testing.T) {
 			run := func(n interface {
 				AddFlow(FlowConfig) *Flow
 				Run(float64)
-			}) (order []delivery) {
+			}) [][]float64 {
+				seq := make([][]float64, len(sc.flows))
 				for i, fc := range sc.flows {
-					n.AddFlow(fc).OnDeliver = func(ts float64) { order = append(order, delivery{i, ts}) }
+					n.AddFlow(fc).OnDeliver = func(ts float64) { seq[i] = append(seq[i], ts) }
 				}
 				n.Run(5)
-				return order
+				return seq
 			}
 			ref := NewReference(mustTopo(t, sc.links...), 1)
 			want := run(ref)
@@ -121,18 +134,58 @@ func TestTieGuard(t *testing.T) {
 			got := run(eng)
 
 			compareFlows(t, "engine", "reference", eng.Flows, ref.Flows)
-			if len(got) != len(want) || len(want) < 1000 {
-				t.Fatalf("%d deliveries on engine, %d on reference, want equal and over 1000", len(got), len(want))
-			}
-			for i := range want {
-				if got[i] != want[i] {
-					t.Fatalf("delivery %d: engine %+v, reference %+v", i, got[i], want[i])
+			for f := range want {
+				if len(got[f]) != len(want[f]) || len(want[f]) < 500 {
+					t.Fatalf("flow %d: %d deliveries on engine, %d on reference, want equal and over 500", f, len(got[f]), len(want[f]))
+				}
+				for i := range want[f] {
+					if got[f][i] != want[f][i] {
+						t.Fatalf("flow %d delivery %d: engine t=%v, reference t=%v", f, i, got[f][i], want[f][i])
+					}
 				}
 			}
-			if eng.tieFallbacks == 0 {
+			switch {
+			case sc.guard && eng.tieFallbacks == 0:
 				t.Error("the tie guard never fired: the scenario no longer produces equal stamps on one ring")
+			case !sc.guard && eng.tieFallbacks != 0:
+				t.Errorf("the tie guard fired %d times where no ring holds two packets of one stamp", eng.tieFallbacks)
 			}
 		})
+	}
+}
+
+// TestBudgetCompletesAtOwnBoundary lands a budgeted flow's completing
+// delivery on the very instant of its own MI boundary and its own pacing
+// instant, where the inbox's drain points have to split it exactly as
+// Reference's event ranks do: the MI closes without it (evMI ranks before
+// evDeliver), and the transmission at that instant finds the flow complete
+// and sends nothing (evDeliver ranks before evArrive). Every time is a
+// dyadic rational, so nothing rounds: pacing every 2^-8 s, service 2^-9 s
+// and delay 3·2^-9 s — each packet arrives two pacing gaps after it left —
+// and an MI of 2^-4 s, sixteen gaps. The 31st packet leaves at 30·2^-8 s and
+// arrives at 32·2^-8 = 0.125 s, the second MI boundary. A second flow on a
+// link of its own runs its own drains beside this one's.
+func TestBudgetCompletesAtOwnBoundary(t *testing.T) {
+	sc := multiScenario{
+		name:  "budget-at-boundary",
+		links: []LinkConfig{link("a", 512, 3.0/512), link("b", 700, 0.01)},
+		flows: []FlowConfig{
+			{Alg: &fixedRate{rate: 256}, Path: []int{0}, MIms: 62.5, PacketBudget: 31},
+			{Alg: &fixedRate{rate: 300}, Path: []int{1}},
+		},
+		dur:  1,
+		seed: 9,
+	}
+	r := runReference(sc)
+	compareFlows(t, "engine", "reference", runEngine(sc).Flows, r.Flows)
+
+	f := r.Flows[0]
+	if !f.Completed || f.CompletionTime != 0.125 {
+		t.Fatalf("budgeted flow completed=%v at %v, want completion at the MI boundary 0.125", f.Completed, f.CompletionTime)
+	}
+	if f.SentTotal != 32 || len(f.Stats) != 2 || f.Stats[1].Time != 0.125 || f.Stats[1].Delivered != 16 {
+		t.Errorf("scenario lost its shape: sent %d, MIs %+v; want 32 sent (the send at 0.125 s stale) "+
+			"and two MIs, the second at 0.125 s without the completing delivery", f.SentTotal, f.Stats)
 	}
 }
 
@@ -172,9 +225,10 @@ func TestLongChainEquivalence(t *testing.T) {
 // TestEngineSteadyStateAllocFree mirrors netsim's pin of the same name: a
 // 3-link run of over 150k packets may allocate only its setup — per flow
 // the Flow, its pre-sized Stats and AddFlow's path check; the SoA block,
-// the link states with their RNGs, the heap's growth to a dozen entries and
-// each ring's doublings from 64 entries up to its peak in-flight population
-// (68 allocations when this was written, 67 for a tenth of the packets) — and nothing per packet.
+// the link states with their RNGs, the heap's growth to a dozen entries,
+// and each link ring's and flow inbox's doublings from 2 entries up to its
+// peak population (68 allocations when this was written, 62 for a tenth of
+// the packets) — and nothing per packet.
 func TestEngineSteadyStateAllocFree(t *testing.T) {
 	tp := mustTopo(t, link("a", 4000, 0.005), link("b", 3000, 0.01), link("c", 3500, 0.005))
 	flows := []FlowConfig{
@@ -193,8 +247,8 @@ func TestEngineSteadyStateAllocFree(t *testing.T) {
 		for _, f := range e.Flows {
 			sent += f.SentTotal
 		}
-		if sent < 150_000 || e.ringPops < 150_000 {
-			t.Fatalf("run too short: %d packets, %d ring events", sent, e.ringPops)
+		if sent < 150_000 || e.ringPops+e.drained < 150_000 {
+			t.Fatalf("run too short: %d packets, %d ring events and %d drained deliveries", sent, e.ringPops, e.drained)
 		}
 	})
 	if allocs > 80 {

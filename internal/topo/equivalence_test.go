@@ -138,7 +138,7 @@ func singleLinkScenarios() []singleLinkScenario {
 }
 
 // asTopology lowers a netsim single-link scenario onto a one-link topology.
-func asTopology(t *testing.T, sc singleLinkScenario) (*Topology, []FlowConfig) {
+func asTopology(t testing.TB, sc singleLinkScenario) (*Topology, []FlowConfig) {
 	t.Helper()
 	tp, err := New([]LinkConfig{{
 		Name:      "bottleneck",

@@ -35,7 +35,9 @@ type event struct {
 // departure times are all strictly increasing per flow), so the order is
 // total — which is what makes the executed schedule independent of the
 // structures the pending events wait in: any engine that always runs the
-// eventBefore-minimum of everything pending runs the same schedule.
+// eventBefore-minimum of everything pending runs the same schedule. Engine
+// runs that minimum of everything but deliveries, which touch only their
+// own flow's state and run in their flow's own order (see Engine).
 func eventBefore(a, b *event) bool {
 	if a.time != b.time {
 		return a.time < b.time
@@ -170,39 +172,62 @@ func (q *eventQueue) sink(e event) {
 	ev[i] = e
 }
 
-// ring is one link's FIFO of the packets it has admitted, each stamped with
-// the time it reaches the next hop or the receiver (departure + the link's
-// delay) — netsim's deliveryRing, one per link. Entry times are strictly
-// increasing front to back; Engine.Run keeps that true by checking every
-// push. The buffer doubles up to the link's peak in-flight population
-// and is reused thereafter.
-type ring struct {
-	buf  []event // len is zero or a power of two
-	head int
-	n    int
+// fifo is one of Engine's FIFO queues of packets in flight, each stamped
+// with the time it leaves the queue: a link's ring of the events it has
+// admitted for a next hop (netsim's deliveryRing, one per link) and a
+// flow's inbox of the deliveries it has not yet applied. Entries are pushed
+// in the order they are due — a link releases packets in strictly
+// increasing order and each then adds the link's one delay — so the queue
+// is sorted as it is filled; Engine.Run checks that for the rings and
+// argues it for the inboxes. The buffer is allocated at the first push,
+// doubles up to the queue's peak population and is reused thereafter; the
+// 32-bit indices keep a 100k-flow incast's inboxes at 32 bytes a flow
+// before their buffers.
+type fifo[T any] struct {
+	buf  []T // len zero or a power of two
+	head int32
+	n    int32
 }
 
-// front returns the earliest entry; the ring must be non-empty.
-func (r *ring) front() *event { return &r.buf[r.head] }
+// full reports whether the next push has to grow the buffer.
+func (q *fifo[T]) full() bool { return int(q.n) == len(q.buf) }
 
-// back returns the latest entry; the ring must be non-empty.
-func (r *ring) back() *event { return &r.buf[(r.head+r.n-1)&(len(r.buf)-1)] }
+// front returns the earliest entry; the queue must be non-empty.
+func (q *fifo[T]) front() *T { return &q.buf[q.head] }
 
-// push appends e at the tail.
-func (r *ring) push(e event) {
-	if r.n == len(r.buf) {
-		grown := make([]event, max(64, 2*len(r.buf)))
-		for i := 0; i < r.n; i++ {
-			grown[i] = r.buf[(r.head+i)&(len(r.buf)-1)]
-		}
-		r.buf, r.head = grown, 0
+// back returns the latest entry; the queue must be non-empty.
+func (q *fifo[T]) back() *T { return &q.buf[(q.head+q.n-1)&int32(len(q.buf)-1)] }
+
+// push appends v at the tail.
+func (q *fifo[T]) push(v T) {
+	if q.full() {
+		q.grow()
 	}
-	r.buf[(r.head+r.n)&(len(r.buf)-1)] = e
-	r.n++
+	q.buf[(q.head+q.n)&int32(len(q.buf)-1)] = v
+	q.n++
 }
 
-// pop removes the earliest entry; the ring must be non-empty.
-func (r *ring) pop() {
-	r.head = (r.head + 1) & (len(r.buf) - 1)
-	r.n--
+// grow doubles the buffer, or allocates the first one: two entries, as
+// most flows of a large incast never have more than a packet or two past
+// their last link at once.
+func (q *fifo[T]) grow() {
+	grown := make([]T, max(2, 2*len(q.buf)))
+	for i := range q.n {
+		grown[i] = q.buf[(q.head+i)&int32(len(q.buf)-1)]
+	}
+	q.buf, q.head = grown, 0
+}
+
+// pop removes the earliest entry; the queue must be non-empty.
+func (q *fifo[T]) pop() {
+	q.head = (q.head + 1) & int32(len(q.buf)-1)
+	q.n--
+}
+
+// delivery is one packet that has left the last link of its flow's path:
+// when it reaches the receiver and when it entered the network. A flow's
+// packets all leave the same last link, in admission order and at
+// non-decreasing times, so its inbox is sorted as it is filled.
+type delivery struct {
+	time, sendTime float64
 }

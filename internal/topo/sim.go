@@ -8,9 +8,11 @@ package topo
 // on a wire it hands back to the caller, together with the link the packet
 // just left. Where that packet waits for its next event is the engines' one
 // difference: Reference pushes it on the same heap, Engine appends it to
-// the link's FIFO ring. Because the handlers are the same code, the engines
-// cannot drift: any schedule both execute in eventBefore order yields
-// bit-identical state.
+// the link's FIFO ring, or to its flow's inbox once it has left the last
+// link. Because the handlers are the same code, the engines cannot drift:
+// any schedule that runs each flow's events in eventBefore order, and every
+// event but a delivery in that order across flows, yields bit-identical
+// state.
 type core struct {
 	topo  *Topology
 	flows []*Flow
@@ -51,14 +53,24 @@ func (c *core) tailDelay(f *Flow, hop int16) float64 {
 // a wire it returns that packet's next event — evArrive at the next hop, or
 // evDeliver at the receiver after the last — and the index of the link the
 // packet just left; otherwise link is -1.
-//
-// evArrive moves one packet through one hop. Hop 0 is a transmission: it is
-// paced, counted against the flow's send totals, and a drop there is
-// charged immediately (exactly netsim's behaviour — the sender sits at its
-// first link). Later hops only touch link state; a drop there reaches the
-// sender's accounting as an evLoss notice stamped with the remaining
-// propagation delay.
 func (c *core) handle(e event) (pkt event, link int) {
+	if e.kind != evArrive {
+		c.control(e)
+		return event{}, -1
+	}
+	at, link, last := c.arrive(e)
+	switch {
+	case link < 0:
+		return event{}, -1
+	case last:
+		return event{time: at, kind: evDeliver, flowID: e.flowID, sendTime: e.sendTime}, link
+	}
+	return event{time: at, kind: evArrive, flowID: e.flowID, hop: e.hop + 1, sendTime: e.sendTime}, link
+}
+
+// control executes one event of a kind other than evArrive: none of them
+// puts a packet on a wire.
+func (c *core) control(e event) {
 	f := c.flows[e.flowID]
 	st := c.st
 	id := int(e.flowID)
@@ -84,32 +96,47 @@ func (c *core) handle(e event) (pkt event, link int) {
 	case evLoss:
 		st.lost[id]++
 		st.miLost[id]++
-	case evArrive:
-		path := f.Cfg.Path
-		li := path[e.hop]
-		if e.hop == 0 {
-			if st.flags[id]&flagActive == 0 {
-				break // stale pacing event for a stopped or completed flow
-			}
-			st.sent[id]++
-			st.miSent[id]++
-			next := t + 1/max(st.rate[id], 0.1)
-			c.heap.push(event{time: next, kind: evArrive, flowID: e.flowID, hop: 0, sendTime: next})
-		}
-		dep, ok := c.links[li].admit(t)
-		switch {
-		case ok && int(e.hop) == len(path)-1:
-			return event{time: dep + c.links[li].cfg.Delay, kind: evDeliver, flowID: e.flowID, sendTime: e.sendTime}, li
-		case ok:
-			return event{time: dep + c.links[li].cfg.Delay, kind: evArrive, flowID: e.flowID, hop: e.hop + 1, sendTime: e.sendTime}, li
-		case e.hop == 0:
-			st.lost[id]++
-			st.miLost[id]++
-		default:
-			c.heap.push(event{time: t + c.tailDelay(f, e.hop), kind: evLoss, flowID: e.flowID, hop: e.hop})
-		}
 	}
-	return event{}, -1
+}
+
+// arrive executes one evArrive, which moves one packet through one hop.
+// When the link admits the packet it returns the link's index, the time the
+// packet reaches the next hop or — when last is set — the receiver, and
+// otherwise link is -1. (It returns the parts of the packet's next event,
+// not the event: a 24-byte result stored field by field and read back
+// whole stalls the caller on store forwarding.) Hop 0 is a transmission:
+// it is paced, counted against the flow's send totals, and a drop there is
+// charged immediately (exactly netsim's behaviour — the sender sits at its
+// first link). Later hops only touch link state; a drop there reaches the
+// sender's accounting as an evLoss notice stamped with the remaining
+// propagation delay.
+func (c *core) arrive(e event) (at float64, link int, last bool) {
+	f := c.flows[e.flowID]
+	st := c.st
+	id := int(e.flowID)
+	t := e.time
+	path := f.Cfg.Path
+	li := path[e.hop]
+	if e.hop == 0 {
+		if st.flags[id]&flagActive == 0 {
+			return 0, -1, false // stale pacing event for a stopped or completed flow
+		}
+		st.sent[id]++
+		st.miSent[id]++
+		next := t + st.gap[id]
+		c.heap.push(event{time: next, kind: evArrive, flowID: e.flowID, hop: 0, sendTime: next})
+	}
+	dep, ok := c.links[li].admit(t)
+	switch {
+	case ok:
+		return dep + c.links[li].cfg.Delay, li, int(e.hop) == len(path)-1
+	case e.hop == 0:
+		st.lost[id]++
+		st.miLost[id]++
+	default:
+		c.heap.push(event{time: t + c.tailDelay(f, e.hop), kind: evLoss, flowID: e.flowID, hop: e.hop})
+	}
+	return 0, -1, false
 }
 
 // finishRun copies every flow's SoA slot into its exported result fields.

@@ -13,14 +13,21 @@
 // accounting arithmetic (core). Reference is the ground truth: a classical
 // per-packet discrete-event simulator over one global heap, one event per
 // hop traversal. Engine is the production engine, netsim's packet-train
-// scheme with one ring per link: a FIFO fixed-rate server releases packets
-// in strictly increasing order and each then adds the link's one delay, so
-// the packets a link has admitted wait in a FIFO ring that is sorted as it
-// is filled, and the heap keeps only what is not FIFO (start/stop, MI
-// boundaries, one pacing entry per flow, loss notices). Each step runs the
-// earliest of the heap top and the ring fronts. Both engines therefore
-// execute the one schedule eventBefore defines, on one goroutine, and a
-// fixed seed gives bit-identical statistics on either.
+// scheme with one ring per link and one inbox per flow: a FIFO fixed-rate
+// server releases packets in strictly increasing order and each then adds
+// the link's one delay, so the packets a link has admitted for a next hop
+// wait in a FIFO ring that is sorted as it is filled, the packets that have
+// left the last link of their path wait the same way in their flow's inbox,
+// and the heap keeps only what is not FIFO (start/stop, MI boundaries, one
+// pacing entry per flow, loss notices). Each step runs the earliest of the
+// heap top and the ring fronts, so every event but a delivery runs in the
+// one order eventBefore defines. A delivery changes only its own flow's
+// state, so Engine applies a flow's inbox only where that state is read —
+// before the flow's MI close, before a budgeted flow's transmission, when
+// the inbox is full and at the end of the run — each delivery at its own
+// time, in the flow's own order. Every flow thus runs the event sequence
+// Reference runs for it, on one goroutine, and a fixed seed gives
+// bit-identical statistics on either engine.
 //
 // Per-flow hot state lives in a structure-of-arrays block (soaState) sized
 // once per run, so 10k-100k-flow incast and flash-crowd scenarios allocate
@@ -232,8 +239,13 @@ type Flow struct {
 	// RTT of every delivered packet is aggregated here.
 	SumRTT float64
 
-	// OnDeliver, when set, is invoked at each packet delivery with the
-	// delivery time.
+	// OnDeliver, when set, is invoked once per delivered packet with the
+	// delivery time, in the flow's own delivery order. Reference calls it
+	// as each delivery runs; Engine calls it when it drains the flow's
+	// inbox — at the flow's next MI close, a budgeted flow's next
+	// transmission, a full inbox or the end of the run — so the calls of
+	// different flows interleave differently on the two engines and the
+	// simulation clock may already be past the time passed in.
 	OnDeliver func(t float64)
 }
 
@@ -257,6 +269,7 @@ const (
 // over dense float64/int64 arrays instead of 100k scattered structs.
 type soaState struct {
 	rate     []float64 // current pacing rate (pkts/s)
+	gap      []float64 // pacing gap 1/max(rate, 0.1), set with rate
 	miStart  []float64 // current monitor interval's start time
 	miRTTSum []float64 // RTT accumulated over the current MI
 	sumRTT   []float64 // RTT accumulated over the whole run
@@ -274,7 +287,7 @@ type soaState struct {
 
 // newSoaState allocates every field for n flows in one shot.
 func newSoaState(n int) *soaState {
-	f := make([]float64, 9*n)
+	f := make([]float64, 10*n)
 	i := make([]int64, 7*n)
 	return &soaState{
 		rate:     f[0*n : 1*n],
@@ -286,6 +299,7 @@ func newSoaState(n int) *soaState {
 		pathOWD:  f[6*n : 7*n],
 		maxRate:  f[7*n : 8*n],
 		miDur:    f[8*n : 9*n],
+		gap:      f[9*n : 10*n],
 
 		sent:        i[0*n : 1*n],
 		delivered:   i[1*n : 2*n],
@@ -330,7 +344,9 @@ func applyFlowDefaults(t *Topology, cfg FlowConfig) FlowConfig {
 }
 
 // startRun initializes flow f's state slot for a fresh run and pre-sizes
-// its per-MI statistics for the horizon, mirroring netsim.Flow.startRun.
+// its per-MI statistics, mirroring netsim.Flow.startRun, except that the
+// capacity covers the flow's active window — from its start to its stop or
+// the horizon — rather than the whole horizon.
 func (st *soaState) startRun(t *Topology, f *Flow, duration float64) {
 	id := f.ID
 	st.pathOWD[id] = t.PathDelay(f.Cfg.Path)
@@ -339,10 +355,21 @@ func (st *soaState) startRun(t *Topology, f *Flow, duration float64) {
 	st.budget[id] = int64(f.Cfg.PacketBudget)
 	st.minRTT[id] = math.Inf(1)
 	f.Cfg.Alg.Reset(f.Cfg.Seed)
-	st.rate[id] = math.Min(f.Cfg.Alg.InitialRate(2*st.pathOWD[id]), st.maxRate[id])
+	st.setRate(id, math.Min(f.Cfg.Alg.InitialRate(2*st.pathOWD[id]), st.maxRate[id]))
 	if mis := duration / st.miDur[id]; mis > 0 && mis < 1<<20 {
-		f.Stats = make([]MIStat, 0, int(mis)+2)
+		end := duration
+		if f.Cfg.Stop > f.Cfg.Start {
+			end = min(end, f.Cfg.Stop)
+		}
+		f.Stats = make([]MIStat, 0, int(max(end-f.Cfg.Start, 0)/st.miDur[id])+2)
 	}
+}
+
+// setRate sets flow id's pacing rate and the gap between its packets, so a
+// transmission adds the gap instead of dividing by the rate.
+func (st *soaState) setRate(id int, rate float64) {
+	st.rate[id] = rate
+	st.gap[id] = 1 / max(rate, 0.1)
 }
 
 // deliver records one packet arrival at the receiver at time now. The RTT
@@ -427,13 +454,14 @@ func (st *soaState) closeMI(f *Flow, now, backlog float64) bool {
 		MinRTT:     minRTT,
 		LossRate:   lossRate,
 	}
-	st.rate[id] = f.Cfg.Alg.Update(report)
-	if math.IsNaN(st.rate[id]) || st.rate[id] <= 0 {
-		st.rate[id] = 0.5
+	rate := f.Cfg.Alg.Update(report)
+	if math.IsNaN(rate) || rate <= 0 {
+		rate = 0.5
 	}
-	if st.rate[id] > st.maxRate[id] {
-		st.rate[id] = st.maxRate[id]
+	if rate > st.maxRate[id] {
+		rate = st.maxRate[id]
 	}
+	st.setRate(id, rate)
 
 	st.miSent[id], st.miDelivered[id], st.miLost[id] = 0, 0, 0
 	st.miRTTSum[id] = 0
@@ -453,14 +481,16 @@ func (st *soaState) finish(f *Flow) {
 }
 
 // linkState is one bottleneck's runtime state, shared by both engines: the
-// virtual-queue horizon, the devirtualized capacity sampler and the
-// per-link random-loss stream.
+// virtual-queue horizon, the devirtualized capacity sampler, the service
+// time of the last sampled capacity and the per-link random-loss stream.
 type linkState struct {
 	cfg     LinkConfig
 	capac   trace.Sampler
 	rng     *rand.Rand
 	lastDep float64
 	queue   float64
+	capRaw  float64 // the capacity svc was computed from (NaN: none yet)
+	svc     float64 // 1/max(capRaw, 0.1): one packet's service time
 }
 
 // newLinkState normalizes the config (netsim's 1000-packet queue default)
@@ -477,10 +507,11 @@ func newLinkState(l LinkConfig, idx int, seed int64) linkState {
 		s = seed ^ int64(uint64(idx)*0x9E3779B97F4A7C15)
 	}
 	return linkState{
-		cfg:   l,
-		capac: trace.NewSampler(l.Capacity),
-		rng:   rand.New(rand.NewSource(s)),
-		queue: float64(q),
+		cfg:    l,
+		capac:  trace.NewSampler(l.Capacity),
+		rng:    rand.New(rand.NewSource(s)),
+		queue:  float64(q),
+		capRaw: math.NaN(),
 	}
 }
 
@@ -488,12 +519,16 @@ func newLinkState(l LinkConfig, idx int, seed int64) linkState {
 // departure time off the virtual queue or reports a drop (random loss or
 // buffer overflow). The operation order matches netsim.Network.transmit
 // exactly — capacity sampled and backlog priced before the loss draw, the
-// draw consumed whenever the link has a loss process. (The builtin max is
+// draw consumed whenever the link has a loss process. The service time is
+// divided out only when the sampled capacity changes (a NaN capacity never
+// compares equal, so it is recomputed every time). (The builtin max is
 // math.Max to the bit, NaN and signed zeros included, compiled in line
-// where math.Max is an assembly call — two per packet hop.)
+// where math.Max is an assembly call.)
 func (l *linkState) admit(t float64) (dep float64, ok bool) {
 	capRaw := l.capac.At(t)
-	capNow := max(capRaw, 0.1)
+	if capRaw != l.capRaw {
+		l.capRaw, l.svc = capRaw, 1/max(capRaw, 0.1)
+	}
 	backlog := (l.lastDep - t) * capRaw
 	if l.cfg.LossRate > 0 && l.rng.Float64() < l.cfg.LossRate {
 		return 0, false // random (non-congestive) loss
@@ -501,7 +536,7 @@ func (l *linkState) admit(t float64) (dep float64, ok bool) {
 	if backlog >= l.queue {
 		return 0, false // drop-tail: buffer full
 	}
-	dep = max(t, l.lastDep) + 1/capNow
+	dep = max(t, l.lastDep) + l.svc
 	l.lastDep = dep
 	return dep, true
 }
