@@ -15,11 +15,13 @@ test:
 
 # Race detector over the concurrency-bearing packages: the shard-parallel
 # public API (root + transport), the serving engine's batching shards,
-# the pantheon scenario scheduler and the data-parallel PPO update.
+# the pantheon scenario scheduler, the data-parallel PPO update, and the
+# pools that recycle gym's environments and TrainingEnvs' random streams
+# across every goroutine that collects (gym, core).
 # (The simulators and rollout collection are not concurrent: netsim, topo
 # and rl's lockstep collector run on one goroutine.)
 test-race:
-	$(GO) test -race . ./transport ./internal/faults ./internal/rl ./internal/core ./internal/pantheon ./internal/serve ./internal/obs
+	$(GO) test -race . ./transport ./internal/faults ./internal/gym ./internal/rl ./internal/core ./internal/pantheon ./internal/serve ./internal/obs
 
 # Seeded chaos suite: the fault-injection package (bit-reproducible
 # same-seed plans, every wire/report/inference injector), safe-mode

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math/rand"
+	"sync"
 
 	"mocc/internal/gym"
 	"mocc/internal/rl"
@@ -33,9 +34,18 @@ const PacketBytes = 1500
 // Half the episodes add non-reactive cross traffic (20-60% of capacity) so
 // the learned policies neither starve against competitors nor assume they
 // own the queue — the same robustness training Orca and Aurora report.
+// The factory is safe for concurrent use, and with environments released
+// back to gym it allocates nothing once warm.
 func TrainingEnvs(ranges trace.NetRanges, historyLen int) rl.EnvFactory {
+	var draws sync.Pool // of *linkDraw
 	return func(seed int64) *gym.Env {
-		rng := rand.New(rand.NewSource(seed))
+		d, _ := draws.Get().(*linkDraw)
+		if d == nil {
+			d = &linkDraw{rng: rand.New(rand.NewSource(seed))}
+		} else {
+			d.rng.Seed(seed) // the state of a fresh rand.NewSource(seed)
+		}
+		rng := d.rng
 		cond := ranges.Sample(rng)
 		// Cap the buffer at 6x the bandwidth-delay product: Table 3's raw
 		// 3000-packet queues on 1-5 Mbps links take tens of seconds (many
@@ -47,20 +57,41 @@ func TrainingEnvs(ranges trace.NetRanges, historyLen int) rl.EnvFactory {
 		if maxQ := int(6 * bdp); cond.QueuePkts > maxQ && maxQ >= 2 {
 			cond.QueuePkts = maxQ
 		}
-		cfg := gym.FromCondition(cond, PacketBytes, rng.Int63())
-		cfg.HistoryLen = historyLen
+		// gym.FromCondition's Config, its schedules kept in d for gym.New
+		// to copy instead of boxed.
+		d.bw = trace.Constant(trace.MbpsToPktsPerSec(cond.BandwidthMbps, PacketBytes))
+		cfg := gym.Config{
+			Bandwidth:  &d.bw,
+			LatencyMs:  cond.LatencyMs,
+			QueuePkts:  cond.QueuePkts,
+			LossRate:   cond.LossRate,
+			HistoryLen: historyLen,
+			Seed:       rng.Int63(),
+		}
 		if rng.Float64() < 0.4 {
 			frac := 0.2 + 0.4*rng.Float64()
-			crossRate := frac * cfg.Bandwidth.At(0)
+			crossRate := frac * float64(d.bw)
 			if rng.Float64() < 0.5 {
-				cfg.CrossTraffic = trace.Constant(crossRate)
+				d.cross = trace.Constant(crossRate)
+				cfg.CrossTraffic = &d.cross
 			} else {
 				// On/off competitor for burstier dynamics.
-				cfg.CrossTraffic = trace.Step{Low: 0, High: crossRate, Period: 1 + 3*rng.Float64()}
+				d.onOff = trace.Step{Low: 0, High: crossRate, Period: 1 + 3*rng.Float64()}
+				cfg.CrossTraffic = &d.onOff
 			}
 		}
-		return gym.New(cfg)
+		env := gym.New(cfg)
+		draws.Put(d)
+		return env
 	}
+}
+
+// linkDraw is one TrainingEnvs call's state: the random stream that draws
+// the link, reseeded on every call, and the drawn schedules.
+type linkDraw struct {
+	rng       *rand.Rand
+	bw, cross trace.Constant
+	onOff     trace.Step
 }
 
 // FixedEnv returns a factory that always produces the given link condition

@@ -12,6 +12,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"sync"
 
 	"mocc/internal/stats"
 	"mocc/internal/trace"
@@ -107,6 +108,10 @@ func (m Metrics) LatencyRatioToBase() float64 {
 type Env struct {
 	cfg Config
 	rng *rand.Rand
+	// bw and cross hold the schedules New copied out of the caller's
+	// storage (see New).
+	bw, cross schedule
+	released  bool
 
 	time      float64
 	rate      float64 // current sending rate (pkts/s)
@@ -120,8 +125,17 @@ type Env struct {
 	maxThr    float64 // maximum observed throughput (capacity estimate)
 }
 
-// New creates and resets an environment. It panics if cfg.Bandwidth is nil,
-// since every experiment must state its link explicitly.
+// envPool holds released environments for New to renew.
+var envPool sync.Pool
+
+// New returns an environment for cfg, reset to the start of an episode: a
+// released one renewed in place when there is one, else a new one; either
+// way it steps bit for bit like the other. It panics if cfg.Bandwidth is
+// nil, since every experiment must state its link explicitly. A Bandwidth
+// or CrossTraffic given as a *trace.Constant or *trace.Step is copied into
+// the environment, so the caller may reuse that storage once New returns: a
+// factory that keeps its schedules there renews an environment without
+// allocating.
 func New(cfg Config) *Env {
 	if cfg.Bandwidth == nil {
 		panic("gym: Config.Bandwidth is required")
@@ -142,9 +156,51 @@ func New(cfg Config) *Env {
 	if cfg.MaxRate <= 0 {
 		cfg.MaxRate = 8 * math.Max(bw0, 1)
 	}
-	e := &Env{cfg: cfg, rng: rand.New(rand.NewSource(cfg.Seed))}
+	e, _ := envPool.Get().(*Env)
+	if e == nil {
+		e = &Env{rng: rand.New(rand.NewSource(cfg.Seed))}
+	} else {
+		e.released = false
+		e.rng.Seed(cfg.Seed) // the state of a fresh rand.NewSource(cfg.Seed)
+	}
+	cfg.Bandwidth = e.bw.own(cfg.Bandwidth)
+	cfg.CrossTraffic = e.cross.own(cfg.CrossTraffic)
+	e.cfg = cfg
 	e.Reset()
 	return e
+}
+
+// Release hands e back for New to renew. Only the owner of e may release
+// it (New and every rl.EnvFactory return environments their caller owns),
+// and neither e nor a Config read from it may be used afterwards. An
+// environment that is never released is garbage collected as usual.
+func (e *Env) Release() {
+	if e.released {
+		panic("gym: Env released twice")
+	}
+	e.released = true
+	e.cfg.Bandwidth, e.cfg.CrossTraffic = nil, nil
+	envPool.Put(e)
+}
+
+// schedule keeps a copy of a schedule New was given behind a pointer.
+type schedule struct {
+	c trace.Constant
+	s trace.Step
+}
+
+// own returns b, or, when b points at a trace.Constant or trace.Step, a
+// pointer to a copy of it in s.
+func (s *schedule) own(b trace.Bandwidth) trace.Bandwidth {
+	switch v := b.(type) {
+	case *trace.Constant:
+		s.c = *v
+		return &s.c
+	case *trace.Step:
+		s.s = *v
+		return &s.s
+	}
+	return b
 }
 
 // Config returns the environment configuration.
@@ -165,7 +221,10 @@ func (e *Env) Reset() {
 	e.minRTT = math.Inf(1)
 	e.prevRTT = 0
 	e.maxThr = 0
-	e.history = make([]Stat, e.cfg.HistoryLen)
+	if cap(e.history) < e.cfg.HistoryLen {
+		e.history = make([]Stat, e.cfg.HistoryLen)
+	}
+	e.history = e.history[:e.cfg.HistoryLen]
 	for i := range e.history {
 		e.history[i] = Stat{SendRatio: 1, LatencyRatio: 1}
 	}

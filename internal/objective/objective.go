@@ -455,19 +455,31 @@ func (p *Pool) Sample(rng *rand.Rand, exclude Weights) (Weights, bool) {
 	if len(p.items) == 0 {
 		return Weights{}, false
 	}
-	candidates := p.items
-	if len(p.items) > 1 {
-		filtered := make([]Weights, 0, len(p.items))
+	// Count the candidates, draw one and walk to it: the draw and the pick
+	// of indexing a filtered copy, without the copy.
+	n, skip := len(p.items), false
+	if n > 1 {
+		count := 0
 		for _, w := range p.items {
 			if w != exclude {
-				filtered = append(filtered, w)
+				count++
 			}
 		}
-		if len(filtered) > 0 {
-			candidates = filtered
+		if count > 0 {
+			n, skip = count, true
 		}
 	}
-	return candidates[rng.Intn(len(candidates))], true
+	k := rng.Intn(n)
+	for _, w := range p.items {
+		if skip && w == exclude {
+			continue
+		}
+		if k == 0 {
+			return w, true
+		}
+		k--
+	}
+	panic("objective: unreachable")
 }
 
 // All returns a sorted copy of the stored requirements (sorted by throughput

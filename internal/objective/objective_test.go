@@ -382,6 +382,48 @@ func TestPool(t *testing.T) {
 	}
 }
 
+// sampleFiltered is Pool.Sample as it was written before it walked to the
+// pick: index a filtered copy of the candidates. It is the oracle the walk
+// must match, draw for draw.
+func sampleFiltered(items []Weights, rng *rand.Rand, exclude Weights) Weights {
+	candidates := items
+	if len(items) > 1 {
+		filtered := make([]Weights, 0, len(items))
+		for _, w := range items {
+			if w != exclude {
+				filtered = append(filtered, w)
+			}
+		}
+		if len(filtered) > 0 {
+			candidates = filtered
+		}
+	}
+	return candidates[rng.Intn(len(candidates))]
+}
+
+func TestPoolSampleMatchesFiltered(t *testing.T) {
+	for n := 1; n <= 6; n++ {
+		p := NewPool()
+		for i := 0; i < n; i++ {
+			p.Add(Weights{Thr: 0.1 * float64(i+1), Lat: 0.5, Loss: 0.1})
+		}
+		// Exclude nothing in the pool, then each entry in turn.
+		excludes := append([]Weights{{Thr: 0.9, Lat: 0.05, Loss: 0.05}}, p.items...)
+		for _, ex := range excludes {
+			for seed := int64(1); seed <= 30; seed++ {
+				got, want := rand.New(rand.NewSource(seed)), rand.New(rand.NewSource(seed))
+				for draw := 0; draw < 8; draw++ {
+					w, ok := p.Sample(got, ex)
+					if ref := sampleFiltered(p.items, want, ex); !ok || w != ref {
+						t.Fatalf("pool of %d excluding %v, seed %d draw %d: Sample = %v, %v; the filtered copy picks %v",
+							n, ex, seed, draw, w, ok, ref)
+					}
+				}
+			}
+		}
+	}
+}
+
 func TestPoolAllSorted(t *testing.T) {
 	p := NewPool()
 	p.Add(Weights{0.8, 0.1, 0.1})

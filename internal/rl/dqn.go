@@ -238,10 +238,12 @@ func (a *DQNAgent) TrainEpisodes(factory EnvFactory, w objective.Weights, includ
 		if done {
 			curve = append(curve, epReward/float64(epSteps))
 			epReward, epSteps = 0, 0
+			env.Release()
 			env = factory(a.rng.Int63())
 			obs = dqnObs(env, w, includeWeights)
 		}
 	}
+	env.Release()
 	return curve
 }
 

@@ -4,16 +4,19 @@
 // implementation for the learning-algorithm ablation (Figure 18).
 //
 // Collection runs on the calling goroutine. Collector.CollectTasks steps K
-// environments in lockstep through one batched policy forward and one
-// batched value forward per round, the single-process form of the Ray/RLlib
-// parallel environments of the paper's stack (§5); every rollout it returns
-// is bit for bit the one Collect gives for that task alone. Collection
-// allocates per rollout through Collect, or
-// not at all through a Collector the caller keeps. An update runs on the
-// calling goroutine unless PPOConfig.Workers > 1, which shards every
-// minibatch's rows over a worker pool and reduces the gradients in fixed
-// order (update_parallel.go): deterministic for a fixed worker count, but a
-// different floating-point summation order than whole minibatches.
+// environments in lockstep through one batched policy forward per round,
+// the single-process form of the Ray/RLlib parallel environments of the
+// paper's stack (§5), then values each rollout's observations in one
+// batched critic forward; every rollout it returns is bit for bit the one
+// Collect gives for that task alone. Collection allocates per rollout
+// through Collect. Through a Collector the caller keeps it allocates
+// nothing once warm, given a factory such as core.TrainingEnvs that builds
+// its environments with gym.New, which renews the ones collection releases.
+// An update runs on the calling goroutine unless PPOConfig.Workers > 1,
+// which shards every minibatch's rows over a worker pool and reduces the
+// gradients in fixed order (update_parallel.go): deterministic for a fixed
+// worker count, but a different floating-point summation order than whole
+// minibatches.
 package rl
 
 import (
@@ -105,7 +108,8 @@ type ActorCritic interface {
 // BatchActorCritic is an ActorCritic whose networks additionally evaluate
 // and backpropagate whole minibatches at once over row-major [n x ObsSize]
 // observation matrices. Collection requires it: each lockstep round is one
-// PolicyForwardBatch and one ValueForwardBatch. PPO uses it to replace its
+// PolicyForwardBatch, and each rollout's values are one ValueForwardBatch
+// over all of its observations. PPO uses it to replace its
 // per-sample loop with one batched forward/backward per minibatch; only
 // PPO's update falls back to the per-sample path for an agent that does not
 // implement it.
@@ -130,7 +134,10 @@ type BatchActorCritic interface {
 }
 
 // EnvFactory creates a fresh training environment for a given seed;
-// implementations typically sample Table 3 conditions from the seed.
+// implementations typically sample Table 3 conditions from the seed. Every
+// call returns an environment no one else holds, owned by the caller:
+// collection hands each one back with (*gym.Env).Release once it replaces
+// it, and gym.New renews released environments.
 type EnvFactory func(seed int64) *gym.Env
 
 // CollectConfig controls trajectory collection.
@@ -205,7 +212,8 @@ type taskState struct {
 }
 
 // start seeds the task's random stream and first environment as Collect
-// seeds them and empties its storage for steps transitions.
+// seeds them, releasing the previous call's environment, and empties its
+// storage for steps transitions.
 func (s *taskState) start(task CollectTask, steps, obsDim int, factory EnvFactory) {
 	if task.Steps > 0 {
 		steps = task.Steps
@@ -214,6 +222,9 @@ func (s *taskState) start(task CollectTask, steps, obsDim int, factory EnvFactor
 		s.rng = rand.New(rand.NewSource(task.Seed))
 	} else {
 		s.rng.Seed(task.Seed) // the state of a fresh rand.NewSource(task.Seed)
+	}
+	if s.env != nil {
+		s.env.Release()
 	}
 	s.env = factory(s.rng.Int63())
 	if cap(s.trans) < steps {
@@ -226,13 +237,15 @@ func (s *taskState) start(task CollectTask, steps, obsDim int, factory EnvFactor
 
 // CollectTasks collects one rollout per task, all of them in lockstep on the
 // calling goroutine. Each round gathers the unfinished tasks' observations
-// into one batch, runs one PolicyForwardBatch and one ValueForwardBatch
-// over it, samples each task's action from the task's own random stream and
-// steps each task's environment. A task leaves the batch once it has its
-// Steps transitions. Every task draws its random numbers in the order a
-// lone Collect draws them, and every row of a batched forward has the bits
-// of the one-row forward, so rollouts[i] is byte for byte what Collect
-// returns for task i alone. The returned slice is the collector's storage.
+// into one batch, runs one PolicyForwardBatch over it, samples each task's
+// action from the task's own random stream and steps each task's
+// environment. A task leaves the batch once it has its Steps transitions.
+// After the last round, one ValueForwardBatch per task over all of its
+// observations fills the rollout's values. Every task draws its random
+// numbers in the order a lone Collect draws them, and every row of a
+// batched forward has the bits of the one-row forward, so rollouts[i] is
+// byte for byte what Collect returns for task i alone. The returned slice
+// is the collector's storage.
 func (c *Collector) CollectTasks(agent BatchActorCritic, factory EnvFactory, cfg CollectConfig, tasks []CollectTask) []Rollout {
 	if cfg.MaxAction <= 0 {
 		cfg.MaxAction = 2
@@ -263,14 +276,12 @@ func (c *Collector) CollectTasks(agent BatchActorCritic, factory EnvFactory, cfg
 		}
 
 		means, std := agent.PolicyForwardBatch(c.obs, k)
-		values := agent.ValueForwardBatch(c.obs, k)
 		next := live[:0]
 		for j, i := range live {
 			s := &c.tasks[i]
 			tr := &s.trans[len(s.trans)-1]
 			tr.Action = nn.GaussianSample(s.rng, means[j], std)
 			tr.LogProb = nn.GaussianLogProb(tr.Action, means[j], std)
-			tr.Value = values[j]
 
 			s.env.ApplyAction(math.Max(-cfg.MaxAction, math.Min(cfg.MaxAction, tr.Action)))
 			oThr, oLat, oLoss := gym.RewardTerms(s.env.Step())
@@ -284,6 +295,7 @@ func (c *Collector) CollectTasks(agent BatchActorCritic, factory EnvFactory, cfg
 			}
 			if tr.Done {
 				s.epSteps = 0
+				s.env.Release()
 				s.env = factory(s.rng.Int63())
 			}
 			next = append(next, i)
@@ -295,6 +307,11 @@ func (c *Collector) CollectTasks(agent BatchActorCritic, factory EnvFactory, cfg
 	c.out = c.out[:0]
 	for i := range tasks {
 		s := &c.tasks[i]
+		if n := len(s.trans); n > 0 {
+			for t, v := range agent.ValueForwardBatch(s.backing[:n*obsDim], n) {
+				s.trans[t].Value = v
+			}
+		}
 		c.out = append(c.out, Rollout{Trans: s.trans, MeanReward: s.rewardSum / float64(len(s.trans))})
 	}
 	return c.out

@@ -1,5 +1,7 @@
 package topo
 
+import "math/bits"
+
 // core is the simulation both engines share: the topology, the flow set
 // with its SoA hot block, one linkState per link, the heap of pending
 // control events, and every event handler. A handler pushes what it
@@ -27,6 +29,19 @@ func (c *core) initRun(t *Topology, flows []*Flow, seed int64, duration float64)
 	for i, l := range t.Links {
 		c.links[i] = newLinkState(l, i, seed)
 	}
+	// Room for every flow's stop and for its start, which becomes the
+	// flow's next pacing instant and MI boundary once it runs, rounded up
+	// to the next power of two: a large flow set does not regrow the heap
+	// through append, and a small one, which mid-path loss notices can take
+	// past this, regrows through the capacities append's doubling gives
+	// anyway.
+	n := 2 * len(flows)
+	for _, f := range flows {
+		if f.Cfg.Stop > f.Cfg.Start {
+			n++
+		}
+	}
+	c.heap.ev = make([]event, 0, 1<<bits.Len(uint(n)))
 	for _, f := range flows {
 		c.st.startRun(t, f, duration)
 		c.heap.push(event{time: f.Cfg.Start, kind: evStart, flowID: int32(f.ID)})

@@ -180,6 +180,7 @@ type Library struct {
 
 	adaptMu   sync.Mutex     // serializes OnlineAdapt runs against each other
 	lastGood  nn.Snapshot    // OnlineAdapt's rollback point, refreshed in place (under adaptMu)
+	params    []*nn.Param    // l.model.AllParams(), kept for OnlineAdapt's check, refresh and rollback
 	adaptHook func(iter int) // test seam: runs after each Step under the write lock
 }
 
@@ -398,8 +399,8 @@ func (l *Library) OnlineAdapt(w Weights, iters int) ([]float64, error) {
 	defer l.adaptMu.Unlock()
 
 	l.model.RLockParams()
-	ferr := l.model.CheckFinite()
-	l.lastGood.Refresh(l.model.AllParams())
+	ferr := nn.CheckFinite(l.params)
+	l.lastGood.Refresh(l.params)
 	l.model.RUnlockParams()
 	if ferr != nil {
 		return nil, fmt.Errorf("mocc: refusing to adapt a corrupted model: %w", ferr)
@@ -412,8 +413,8 @@ func (l *Library) OnlineAdapt(w Weights, iters int) ([]float64, error) {
 		if l.adaptHook != nil {
 			l.adaptHook(i)
 		}
-		if ferr := l.model.CheckFinite(); ferr != nil {
-			restoreErr := l.model.Restore(l.lastGood)
+		if ferr := nn.CheckFinite(l.params); ferr != nil {
+			restoreErr := l.lastGood.Restore(l.params)
 			l.model.UnlockParams()
 			if restoreErr != nil {
 				return curve, fmt.Errorf("mocc: online adaptation diverged at iteration %d (%v) and rollback failed: %w",
@@ -422,7 +423,7 @@ func (l *Library) OnlineAdapt(w Weights, iters int) ([]float64, error) {
 			return curve, fmt.Errorf("mocc: online adaptation diverged at iteration %d, model restored to the last finite epoch: %w",
 				i, ferr)
 		}
-		l.lastGood.Refresh(l.model.AllParams())
+		l.lastGood.Refresh(l.params)
 		l.model.UnlockParams()
 		curve = append(curve, r)
 	}

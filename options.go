@@ -228,6 +228,7 @@ func New(model *Model, opts ...Option) (*Library, error) {
 			return nil, fmt.Errorf("mocc: configuring adapter: %w", err)
 		}
 		l.adapter = adapter
+		l.params = model.m.AllParams()
 	}
 	if cfg.serving == nil {
 		// The inline engine decides on the live model: OnlineAdapt reaches
